@@ -50,7 +50,16 @@ class Grid1D:
 
 
 def _locked(arr, n_expected, name):
-    out = np.array(arr, dtype=float)
+    """Read-only float array holding arr's values, checked for shape and finiteness.
+
+    arr is copied unless it is a read-only float array that owns its memory:
+    no other array can write to that one, so it is taken as is.
+    """
+    owned = isinstance(arr, np.ndarray) and arr.base is None and not arr.flags.writeable
+    if owned and arr.dtype == float:
+        out = arr
+    else:
+        out = np.array(arr, dtype=float)
     if out.shape != n_expected:
         raise ValueError(f"{name}: expected shape {n_expected}, got {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -190,22 +199,29 @@ def discrete_energy_slab(p: Params, f: SlabField) -> float:
     """Slab analogue of :func:`discrete_energy_1d` (transverse terms wrap)."""
     ht, hn = f.grid_t.h, f.grid_n.h
     u, v = f.u, f.v
-    du_t = np.roll(u, -1, axis=0) - u
-    dv_t = np.roll(v, -1, axis=0) - v
-    grad_t = float(np.sum(du_t**2 + dv_t**2)) * hn / (2.0 * ht)
+    grad_t = _squared_steps(u, v, axis=0, wrap=True) * hn / (2.0 * ht)
+    grad_n = _squared_steps(u, v, axis=1, wrap=f.periodic_n) * ht / (2.0 * hn)
+    w = model._potential(p.lam, u, v) - model.PURE_STATE_POTENTIAL
     if f.periodic_n:
-        du_n = np.roll(u, -1, axis=1) - u
-        dv_n = np.roll(v, -1, axis=1) - v
-        weights = np.ones(f.grid_n.n)
-    else:
-        du_n = u[:, 1:] - u[:, :-1]
-        dv_n = v[:, 1:] - v[:, :-1]
-        weights = np.ones(f.grid_n.n)
-        weights[0] = weights[-1] = 0.5
-    grad_n = float(np.sum(du_n**2 + dv_n**2)) * ht / (2.0 * hn)
-    w = np.asarray(model.potential(p, u, v)) - model.PURE_STATE_POTENTIAL
-    pot = float(np.sum(w * weights[None, :])) * ht * hn
-    return grad_t + grad_n + pot
+        pot = float(np.sum(w))
+    else:  # trapezoidal weights along the pinned axis
+        pot = float(np.sum(w[:, 1:-1])) + 0.5 * (float(np.sum(w[:, 0])) + float(np.sum(w[:, -1])))
+    return grad_t + grad_n + pot * ht * hn
+
+
+def _squared_steps(u: np.ndarray, v: np.ndarray, axis: int, wrap: bool) -> float:
+    """Sum of the squared forward differences of u and v along one axis.
+
+    With wrap the step from the last slice back to the first is included.
+    """
+    du = np.diff(u, axis=axis)
+    dv = np.diff(v, axis=axis)
+    total = float(np.sum(du * du + dv * dv))
+    if wrap:
+        du = u.take(0, axis) - u.take(-1, axis)
+        dv = v.take(0, axis) - v.take(-1, axis)
+        total += float(np.sum(du * du + dv * dv))
+    return total
 
 
 def check_discrete_monotone(prof: ProfilePair):

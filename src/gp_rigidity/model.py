@@ -62,6 +62,21 @@ def reaction(p: Params, u, v):
     return fu, fv
 
 
+def _reaction(lam: float, u: np.ndarray, v: np.ndarray):
+    """Unchecked reaction for float arrays already known finite, each square formed once.
+
+    Equals :func:`reaction` up to rounding in the factored form
+    u(1 - u^2 - lam*v^2), which needs no u**3 (a power five times dearer
+    than a product).  :func:`reaction` keeps its own arithmetic for the Newton
+    solves: a front pinned on [-L, L] has a nearly neutral translation mode,
+    which turns one ulp in the reaction into a shift of about 2e-8 in the
+    solved profile and of about 1e-10 in reported margins.
+    """
+    u2 = u * u
+    v2 = v * v
+    return u * (1.0 - u2 - lam * v2), v * (1.0 - v2 - lam * u2)
+
+
 def reaction_jacobian(p: Params, u, v):
     """Symmetric 2x2 Jacobian of :func:`reaction` with respect to (u, v)."""
     c1, c2, off = jacobian_entries(p, u, v)
@@ -82,9 +97,14 @@ def jacobian_entries(p: Params, u, v):
 def potential(p: Params, u, v):
     """Interaction potential (u^2-1)^2/4 + (v^2-1)^2/4 + lam/2 * u^2 v^2."""
     _require_finite("potential", u, v)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return (u**2 - 1.0) ** 2 / 4.0 + (v**2 - 1.0) ** 2 / 4.0 + 0.5 * p.lam * u**2 * v**2
+    return _potential(p.lam, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+
+
+def _potential(lam: float, u: np.ndarray, v: np.ndarray):
+    """Unchecked kernel of :func:`potential` for float arrays already known finite."""
+    u2 = u * u
+    v2 = v * v
+    return (u2 - 1.0) ** 2 / 4.0 + (v2 - 1.0) ** 2 / 4.0 + 0.5 * lam * u2 * v2
 
 
 def tanh_front(alpha: float, t):

@@ -2,23 +2,27 @@
 
 One pseudo-time step treats the Laplacian implicitly and the reaction
 explicitly.  The implicit solve factorizes per dimension into constant
-coefficient line solves (prefactorized sparse LU, reused across steps); the
-factorized operator is slightly more dissipative than the unsplit one, so
-the discrete energy still decreases for admissible steps, and any state that
-is constant along one axis is a fixed point of the splitting error.  The
-step size is limited only by the reaction stiffness: the reaction Jacobian
-over [-1,1]^2 has spectral radius at most 2 + 3*lam (Gershgorin on the
-c1/c2/off entries), giving the documented bound dt <= 0.9/(2 + 3*lam).
+coefficient line operators, which are diagonal in a fixed basis: the real
+FFT along a periodic axis and the type-I discrete sine transform over the
+interior nodes of a Dirichlet axis, where the pinned end columns enter the
+first and last interior nodes as known neighbours.  The solve is exact up to
+rounding and needs no factorization and no BLAS.  The factorized operator is
+slightly more dissipative than the unsplit one, so the discrete energy still
+decreases for admissible steps, and any state that is constant along one
+axis is a fixed point of the splitting error.  The step size is limited
+only by the reaction stiffness: the reaction Jacobian over [-1,1]^2 has
+spectral radius at most 2 + 3*lam (Gershgorin on the c1/c2/off entries),
+giving the documented bound dt <= 0.9/(2 + 3*lam).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.fft
+import scipy.fftpack
 
 from . import grid as gridmod
 from . import model
@@ -64,63 +68,83 @@ def max_stable_dt(p: Params) -> float:
     return STABILITY_SAFETY / (2.0 + 3.0 * p.lam)
 
 
-@lru_cache(maxsize=64)
-def _line_factor(m: int, h: float, dt: float, kind: str):
-    """Prefactorized (I - dt * second difference) along one axis.
+def _inverse_eigenvalues(a: float, m: int, periodic: bool) -> np.ndarray:
+    """Inverse eigenvalues of I - a * second difference along one axis, in transform order.
 
-    kind='periodic' wraps at the ends (duplicate corner entries sum for very
-    short axes); kind='dirichlet' keeps identity end rows so pinned data pass
-    through unchanged.
+    A periodic axis of m nodes goes through the half-complex real FFT
+    (``scipy.fftpack.rfft`` layout: mode 0, then the real and imaginary parts
+    of modes 1, 2, ..., so entry j holds mode (j + 1) // 2 at angle
+    2*pi*mode/m).  The m - 2 interior nodes of a Dirichlet axis go through the
+    DST-I, whose entry j holds mode j + 1 at angle pi*(j + 1)/(m - 1).
     """
-    a = dt / h**2
-    rows, cols, vals = [], [], []
-    if kind == "periodic":
-        for i in range(m):
-            rows += [i, i, i]
-            cols += [i, (i - 1) % m, (i + 1) % m]
-            vals += [1.0 + 2.0 * a, -a, -a]
+    if periodic:
+        angles = 2.0 * np.pi / m * ((np.arange(m) + 1) // 2)
     else:
-        rows += [0, m - 1]
-        cols += [0, m - 1]
-        vals += [1.0, 1.0]
-        for i in range(1, m - 1):
-            rows += [i, i, i]
-            cols += [i, i - 1, i + 1]
-            vals += [1.0 + 2.0 * a, -a, -a]
-    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsc()
-    return scipy.sparse.linalg.splu(mat)
+        angles = np.pi / (m - 1) * np.arange(1, m - 1)
+    return 1.0 / (1.0 + 2.0 * a * (1.0 - np.cos(angles)))
+
+
+def _inverse_symbol(f: SlabField, dt: float) -> np.ndarray:
+    """Inverse eigenvalues of (I - dt D_t)(I - dt D_n) in the basis :func:`_diffuse` uses."""
+    inv_t = _inverse_eigenvalues(dt / f.grid_t.h**2, f.grid_t.n, periodic=True)
+    inv_n = _inverse_eigenvalues(dt / f.grid_n.h**2, f.grid_n.n, f.periodic_n)
+    return inv_t[:, None] * inv_n
+
+
+def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray, dt: float) -> np.ndarray:
+    """Apply (I - dt D_n)^-1 (I - dt D_t)^-1; Dirichlet end columns keep old's values.
+
+    rhs holds the right-hand side on every node of a periodic box, and on
+    the interior columns only of a Dirichlet slab; it is overwritten.  The
+    Dirichlet end rows of the operator are identity rows, so the pinned
+    columns pass through and enter the first and last interior columns as
+    known neighbours.  Both transforms are real and keep the shape, so the
+    solve runs in rhs's buffer; a complex spectrum would add a larger array.
+    """
+    if f.periodic_n:
+        forward_n, backward_n = scipy.fftpack.rfft, scipy.fftpack.irfft
+    else:
+        forward_n, backward_n = partial(scipy.fft.dst, type=1), partial(scipy.fft.idst, type=1)
+        a_n = dt / f.grid_n.h**2
+        rhs[:, 0] += a_n * old[:, 0]
+        rhs[:, -1] += a_n * old[:, -1]
+    spec = scipy.fftpack.rfft(forward_n(rhs, axis=1, overwrite_x=True), axis=0, overwrite_x=True)
+    spec *= inverse
+    solved = backward_n(scipy.fftpack.irfft(spec, axis=0, overwrite_x=True), axis=1, overwrite_x=True)
+    if f.periodic_n:
+        return solved
+    new = np.empty_like(old)
+    new[:, 1:-1] = solved
+    new[:, 0] = old[:, 0]
+    new[:, -1] = old[:, -1]
+    return new
 
 
 def flow_step(p: Params, f: SlabField, dt: float) -> SlabField:
     """One semi-implicit step: explicit reaction, implicit factorized diffusion.
 
     Dirichlet end columns are carried through unchanged.  Raises StepTooLarge
-    when dt exceeds :func:`max_stable_dt`.
+    when dt exceeds :func:`max_stable_dt`, and ValueError when the new field
+    is not finite.
     """
     bound = max_stable_dt(p)
     if dt > bound:
         raise StepTooLarge(f"dt={dt} exceeds stability bound {bound} at coupling {p.lam}")
-    fu, fv = model.reaction(p, f.u, f.v)
-    rhs_u = f.u + dt * fu
-    rhs_v = f.v + dt * fv
-    if not f.periodic_n:
-        rhs_u[:, 0] = f.u[:, 0]
-        rhs_v[:, 0] = f.v[:, 0]
-        rhs_u[:, -1] = f.u[:, -1]
-        rhs_v[:, -1] = f.v[:, -1]
-
-    lu_t = _line_factor(f.grid_t.n, f.grid_t.h, dt, "periodic")
-    kind_n = "periodic" if f.periodic_n else "dirichlet"
-    lu_n = _line_factor(f.grid_n.n, f.grid_n.h, dt, kind_n)
-
-    # transverse sweep (operator acts along axis 0), then the second axis
-    new_u = lu_n.solve(lu_t.solve(rhs_u).T).T
-    new_v = lu_n.solve(lu_t.solve(rhs_v).T).T
-    if not f.periodic_n:
-        new_u[:, 0] = f.u[:, 0]
-        new_v[:, 0] = f.v[:, 0]
-        new_u[:, -1] = f.u[:, -1]
-        new_v[:, -1] = f.v[:, -1]
+    # pinned end columns take no reaction; f's arrays were checked when f was
+    # built, so the unchecked kernel suffices
+    cols = slice(None) if f.periodic_n else slice(1, -1)
+    u, v = f.u[:, cols], f.v[:, cols]
+    rhs_u, rhs_v = model._reaction(p.lam, u, v)
+    rhs_u *= dt
+    rhs_u += u
+    rhs_v *= dt
+    rhs_v += v
+    inverse = _inverse_symbol(f, dt)
+    new_u = _diffuse(f, f.u, rhs_u, inverse, dt)
+    new_v = _diffuse(f, f.v, rhs_v, inverse, dt)
+    # read-only arrays that own their memory become the new field without a copy
+    new_u.setflags(write=False)
+    new_v.setflags(write=False)
     return f.with_values(new_u, new_v)
 
 

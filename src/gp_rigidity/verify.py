@@ -18,7 +18,7 @@ from . import grid as gridmod
 from . import model
 from . import solver1d
 from . import solvernd
-from .errors import NonConvergence, RegimeError
+from .errors import NoCrossing, NonConvergence, RegimeError, SingularJacobian, TooAnisotropic
 from .grid import Grid1D, ProfilePair
 from .model import Params
 
@@ -353,7 +353,7 @@ def _stage_solves(opts: SuiteOptions) -> list[CheckRecord]:
         p = Params(lam)
         try:
             outcome = solver1d.newton_solve(p, g, solver1d.initial_guess(p, g), opts.newton)
-        except (NonConvergence, RegimeError) as exc:
+        except (NonConvergence, SingularJacobian, RegimeError) as exc:
             records.append(_failure_record("solve", "T-sum-vs-one", str(exc), lam=lam))
             continue
         records.extend(verify_profile(p, outcome.profile))
@@ -370,7 +370,7 @@ def _stage_uniqueness(opts: SuiteOptions) -> list[CheckRecord]:
             dist = solver1d.uniqueness_probe(
                 p, g, opts.newton, opts.uniqueness_seeds, rng_seed=opts.seed + i
             )
-        except NonConvergence as exc:
+        except (NonConvergence, SingularJacobian) as exc:
             records.append(_failure_record("uniqueness", "C1.2-uniqueness", str(exc), lam=lam))
             continue
         records.append(
@@ -426,7 +426,7 @@ def _stage_gibbons(opts: SuiteOptions) -> list[CheckRecord]:
                 lam=lam, max_sum_squares=bounds.max_sum_squares,
             )
         )
-    except Exception as exc:  # noqa: BLE001 - turned into a failed record
+    except (NonConvergence, SingularJacobian, TooAnisotropic, NoCrossing) as exc:
         records.append(_failure_record("gibbons-profile-match", "T1.1-monotone-symmetry", str(exc), lam=lam))
     records.append(_energy_record("gibbons-energy-monotone", "T1.1-monotone-symmetry", outcome, lam))
     return records

@@ -47,6 +47,24 @@ def test_profile_immutable():
         prof.u[0] = 1.0
 
 
+def test_field_copies_unless_read_only_and_owned():
+    g = Grid1D(1.0, 4)
+    writable = np.zeros((4, 4))
+    f = SlabField(g, g, writable, writable)
+    writable[0, 0] = 1.0
+    assert f.u[0, 0] == 0.0
+    view = writable[:]
+    view.setflags(write=False)
+    f = SlabField(g, g, view, view)
+    writable[0, 0] = 2.0
+    assert f.u[0, 0] == 1.0
+    owned = np.zeros((4, 4))
+    owned.setflags(write=False)
+    assert SlabField(g, g, owned, owned).u is owned
+    with pytest.raises(ValueError):
+        SlabField(g, g, np.full((4, 4), np.inf), owned)
+
+
 def test_residual_closed_form_order():
     p = Params(3.0)
     maxima = {}
@@ -152,6 +170,27 @@ def test_energy_translation_consistent():
     u[-1], v[-1] = grid.RIGHT_STATE
     e1 = grid.discrete_energy_1d(p, ProfilePair(g, u, v))
     assert abs(e1 - e0) <= 1e-8
+
+
+@pytest.mark.parametrize("periodic_n", [False, True])
+def test_energy_slab_matches_rolled_sums(periodic_n):
+    p = Params(2.5)
+    g_t, g_n = Grid1D(1.0, 5), Grid1D(2.0, 8)
+    rng = np.random.default_rng(8)
+    u, v = rng.uniform(-1, 1, (2, 5, 8))
+    f = SlabField(g_t, g_n, u, v, periodic_n)
+    ht, hn = g_t.h, g_n.h
+    grad_t = np.sum((np.roll(u, -1, 0) - u) ** 2 + (np.roll(v, -1, 0) - v) ** 2) * hn / (2 * ht)
+    du_n = np.roll(u, -1, 1) - u
+    dv_n = np.roll(v, -1, 1) - v
+    weights = np.ones(8)
+    if not periodic_n:
+        du_n, dv_n = du_n[:, :-1], dv_n[:, :-1]
+        weights[[0, -1]] = 0.5
+    grad_n = np.sum(du_n**2 + dv_n**2) * ht / (2 * hn)
+    w = model.potential(p, u, v) - model.PURE_STATE_POTENTIAL
+    expected = grad_t + grad_n + np.sum(w * weights) * ht * hn
+    assert abs(grid.discrete_energy_slab(p, f) - expected) <= 1e-13 * abs(expected)
 
 
 def test_check_discrete_monotone():

@@ -57,6 +57,56 @@ def test_dirichlet_columns_unchanged():
     assert np.array_equal(f1.v[:, -1], f.v[:, -1])
 
 
+def dense_line_operator(m, h, dt, periodic):
+    """I - dt * second difference on m nodes; Dirichlet end rows are identity rows."""
+    a = dt / h**2
+    op = np.eye(m)
+    for i in range(m):
+        if periodic or 0 < i < m - 1:
+            op[i, i] += 2.0 * a
+            op[i, (i - 1) % m] -= a
+            op[i, (i + 1) % m] -= a
+    return op
+
+
+@pytest.mark.parametrize(
+    "nt, nn, periodic_n",
+    [(3, 3, False), (3, 3, True), (5, 8, False), (5, 8, True), (8, 5, False), (8, 5, True), (64, 801, False)],
+)
+def test_flow_step_matches_dense_solve(nt, nn, periodic_n):
+    # random data everywhere, so the pinned end columns vary along the transverse axis
+    p = Params(3.0)
+    g_t = Grid1D(1.5, nt)
+    g_n = Grid1D(20.0 if nn > 100 else 0.5, nn)
+    rng = np.random.default_rng(nt * 1000 + nn)
+    f = SlabField(g_t, g_n, rng.uniform(-1, 1, (nt, nn)), rng.uniform(-1, 1, (nt, nn)), periodic_n)
+    dt = solvernd.max_stable_dt(p)
+    new = solvernd.flow_step(p, f, dt)
+    op_t = dense_line_operator(nt, g_t.h, dt, periodic=True)
+    op_n = dense_line_operator(nn, g_n.h, dt, periodic=periodic_n)
+    for old, react, got in zip((f.u, f.v), model.reaction(p, f.u, f.v), (new.u, new.v)):
+        rhs = old + dt * react
+        if not periodic_n:
+            rhs[:, [0, -1]] = old[:, [0, -1]]
+        expected = np.linalg.solve(op_n, np.linalg.solve(op_t, rhs).T).T
+        if not periodic_n:
+            expected[:, [0, -1]] = old[:, [0, -1]]
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("periodic_n", [False, True])
+def test_flow_rejects_overflowing_data(periodic_n):
+    p = Params(3.0)
+    g = Grid1D(2.0, 8)
+    big = np.full((8, 8), 1e110)
+    f = SlabField(g, g, big, big, periodic_n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            solvernd.flow_step(p, f, solvernd.max_stable_dt(p))
+        with pytest.raises(ValueError, match="non-finite"):
+            solvernd.relax_to_steady(p, f, solvernd.FlowOptions())
+
+
 def test_constant_fixed_points():
     box = Grid1D(4.0, 32)
     # mixed constant below coupling 1

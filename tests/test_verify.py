@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gp_rigidity import model, solver1d, verify
+from gp_rigidity.errors import SingularJacobian
 from gp_rigidity.grid import ProfilePair
 from gp_rigidity.model import Params
 from gp_rigidity.verify import CheckRecord, SuiteOptions, VerifyReport
@@ -133,3 +134,14 @@ def test_suite_jobs_parallel_matches_serial():
     serial = verify.full_suite(SuiteOptions(stages=("liouville", "counterexample"), jobs=1))
     parallel = verify.full_suite(SuiteOptions(stages=("liouville", "counterexample"), jobs=4))
     assert serial == parallel
+
+
+def test_singular_jacobian_becomes_record(monkeypatch):
+    def singular(p, g, guess, opts):
+        raise SingularJacobian(p.lam, 0)
+
+    monkeypatch.setattr(solver1d, "newton_solve", singular)
+    report = verify.full_suite(SuiteOptions(stages=("solves", "uniqueness")))
+    assert report.records
+    assert not any(r.passed for r in report.records)
+    assert all("singular linearization" in r.params["error"] for r in report.records)
