@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import dataclass, asdict, fields, replace
 
-import numpy as np
-
 from . import grid as gridmod
 from . import solver1d
 from . import solvernd
@@ -30,7 +28,7 @@ from .errors import (
     StepTooLarge,
 )
 from .grid import Grid1D
-from .model import Params, liouville_constant
+from .model import Params
 
 OUT_ENV_VAR = "GP_RIGIDITY_OUT"
 
@@ -51,7 +49,6 @@ class RunConfig:
     max_iters: int = 25
     seed: int = 0
     out_dir: str = "."
-    jobs: int = 1
     mode: str = "gibbons"
     lambda_from: float = 2.0
     lambda_to: float = 6.0
@@ -59,7 +56,6 @@ class RunConfig:
     dt: float = 0.0  # 0 means: use the stability bound for the coupling
     steady_tol: float = 1e-9
     max_steps: int = 40000
-    transverse_dims: int = 1
     stages: str = ",".join(verifymod.ALL_STAGES)
 
     def to_text(self) -> str:
@@ -72,7 +68,7 @@ class RunConfig:
         return json.dumps(asdict(self), indent=2)
 
 
-_INT_FIELDS = {"n", "max_iters", "seed", "jobs", "max_steps", "transverse_dims"}
+_INT_FIELDS = {"n", "max_iters", "seed", "max_steps"}
 _FLOAT_FIELDS = {
     "lam", "half_length", "newton_tol", "lambda_from", "lambda_to",
     "step", "dt", "steady_tol",
@@ -140,7 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-iters", dest="max_iters", type=int)
         sp.add_argument("--seed", dest="seed", type=int)
         sp.add_argument("--out", dest="out_dir", help=f"output directory (default ${OUT_ENV_VAR} or .)")
-        sp.add_argument("--jobs", dest="jobs", type=int, help="worker cap for independent stages")
         sp.add_argument("--config", dest="config", help="config file (key=value or JSON sidecar)")
 
     sp = sub.add_parser("solve1d", help="solve one heteroclinic profile and verify it")
@@ -192,30 +187,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _validate(cfg: RunConfig) -> str | None:
-    """Return an error message naming the offending field, or None."""
-    if cfg.n < 3:
-        return f"n: node count must be >= 3, got {cfg.n}"
-    if not cfg.half_length > 0:
-        return f"L: half length must be positive, got {cfg.half_length}"
-    if not np.isfinite(cfg.lam) or cfg.lam <= 0:
-        return f"lambda: coupling must be positive, got {cfg.lam}"
-    if cfg.newton_tol <= 0:
-        return f"tol: residual target must be positive, got {cfg.newton_tol}"
-    if cfg.max_iters < 1:
-        return f"max-iters: must be >= 1, got {cfg.max_iters}"
-    if cfg.jobs < 1:
-        return f"jobs: must be >= 1, got {cfg.jobs}"
-    if cfg.step <= 0 and cfg.command == "sweep":
-        return f"step: must be positive, got {cfg.step}"
-    if cfg.transverse_dims != 1 and cfg.command == "relax":
-        return (
-            f"transverse_dims: only one transverse dimension is supported, "
-            f"got {cfg.transverse_dims}"
-        )
-    return None
-
-
 def _write_sidecar(cfg: RunConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{cfg.command}.config.json"), "w", encoding="ascii") as fh:
@@ -228,31 +199,19 @@ def _solve_options(cfg: RunConfig) -> solver1d.SolveOptions:
     return solver1d.SolveOptions(newton_tol=cfg.newton_tol, max_iters=cfg.max_iters)
 
 
+def _write_report(path: str, seed: int, records) -> verifymod.VerifyReport:
+    report = verifymod.VerifyReport(version=verifymod.REPORT_VERSION, seed=seed, records=tuple(records))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(report.to_json() + "\n")
+    return report
+
+
 def cmd_solve1d(cfg: RunConfig) -> int:
     p = Params(cfg.lam)
-    g = Grid1D(cfg.half_length, cfg.n)
-    opts = _solve_options(cfg)
-    if p.lam <= 1.0:
-        print(
-            f"refusing to solve at coupling {p.lam}: every positive bounded state "
-            "in this regime is the constant pair (rigidity check T-liouville-sub1 "
-            "at coupling < 1, T-liouville-eq1 at coupling 1); there is no front "
-            "to compute.",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    outcome = solver1d.newton_solve(p, g, solver1d.initial_guess(p, g), opts)
-    profile = solver1d.pin_phase(outcome.profile)
-    records = verifymod.verify_profile(p, profile)
-    records.append(verifymod.verify_sharp_limit(profile))
-    report = verifymod.VerifyReport(
-        version=verifymod.REPORT_VERSION, seed=cfg.seed, records=tuple(records)
-    )
-
+    records, outcome = verifymod.solve_records(p, Grid1D(cfg.half_length, cfg.n), _solve_options(cfg))
     _write_sidecar(cfg, cfg.out_dir)
-    gridmod.save_profile_csv(os.path.join(cfg.out_dir, "profile.csv"), profile)
-    with open(os.path.join(cfg.out_dir, "report.json"), "w", encoding="ascii") as fh:
-        fh.write(report.to_json() + "\n")
+    gridmod.save_profile_csv(os.path.join(cfg.out_dir, "profile.csv"), solver1d.pin_phase(outcome.profile))
+    report = _write_report(os.path.join(cfg.out_dir, "report.json"), cfg.seed, records)
 
     print(
         f"coupling {cfg.lam}: converged in {outcome.iterations} iterations, "
@@ -266,21 +225,15 @@ def cmd_solve1d(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     g = Grid1D(cfg.half_length, cfg.n)
-    opts = _solve_options(cfg)
-    p_check = min(cfg.lambda_from, cfg.lambda_to)
-    if p_check <= 1.0:
-        print(
-            f"refusing sweep into coupling {p_check}: no fronts at coupling <= 1",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    _write_sidecar(cfg, cfg.out_dir)
     stalled = None
     try:
-        outcomes = solver1d.continuation_sweep(cfg.lambda_from, cfg.lambda_to, cfg.step, g, opts)
+        outcomes = solver1d.continuation_sweep(
+            cfg.lambda_from, cfg.lambda_to, cfg.step, g, _solve_options(cfg)
+        )
     except ContinuationStall as exc:
         stalled = exc
         outcomes = exc.outcomes
+    _write_sidecar(cfg, cfg.out_dir)
 
     any_check_failed = False
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
@@ -292,8 +245,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             gridmod.save_profile_csv(
                 os.path.join(cfg.out_dir, f"profile_lambda_{outcome.lam:g}.csv"), prof
             )
-            sum_tol = 10.0 * g.h**2 if outcome.lam == 3.0 else 0.0
-            sum_report = gridmod.check_sum_vs_one(p, prof, sum_tol)
+            sum_report = gridmod.check_sum_vs_one(p, prof, verifymod.sum_tolerance(outcome.lam, g.h))
             energy = gridmod.discrete_energy_1d(p, prof)
             fh.write(
                 "%s,%s,%s,%s,%d\n"
@@ -320,75 +272,28 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_relax(cfg: RunConfig) -> int:
     flow_opts = solvernd.FlowOptions(
-        dt=cfg.dt if cfg.dt > 0 else None,
+        dt=cfg.dt or None,
         steady_tol=cfg.steady_tol,
         max_steps=cfg.max_steps,
         rng_seed=cfg.seed,
     )
     _write_sidecar(cfg, cfg.out_dir)
-    records = []
+    lam = 1.0 if cfg.mode == "lambda1" else cfg.lam
     if cfg.mode == "gibbons":
-        p = Params(cfg.lam)
-        if p.lam <= 1.0:
-            print("gibbons mode needs coupling > 1", file=sys.stderr)
-            return EXIT_ERROR
-        grid_t = Grid1D(4.0, 64)
-        grid_n = Grid1D(cfg.half_length, cfg.n)
-        outcome = solvernd.gibbons_run(p, grid_t, grid_n, flow_opts)
-        ani = solvernd.transverse_anisotropy(outcome.field)
-        records.append(
-            verifymod._record(
-                "gibbons-anisotropy", "T1.1-monotone-symmetry", -ani, 1e-8,
-                lam=p.lam, anisotropy=ani, steps=outcome.steps,
-            )
+        records, outcome = verifymod.gibbons_records(
+            Params(lam), verifymod.GIBBONS_TRANSVERSE, Grid1D(cfg.half_length, cfg.n),
+            flow_opts, _solve_options(cfg),
         )
     elif cfg.mode == "liouville":
-        p = Params(cfg.lam)
-        if not p.lam < 1.0:
-            print(
-                f"liouville mode needs coupling < 1, got {p.lam}", file=sys.stderr
-            )
-            return EXIT_ERROR
-        box = Grid1D(4.0, 32)
-        outcome = solvernd.periodic_box_run(p, box, box, flow_opts)
-        c = liouville_constant(p)
-        dev = max(
-            float(np.max(np.abs(outcome.field.u - c))),
-            float(np.max(np.abs(outcome.field.v - c))),
-        )
-        records.append(
-            verifymod._record(
-                "liouville-constant", "T-liouville-sub1", -dev, 1e-6,
-                lam=p.lam, constant=c, max_deviation=dev, steps=outcome.steps,
-            )
-        )
+        records, outcome = verifymod.liouville_records(Params(lam), verifymod.LIOUVILLE_BOX, flow_opts)
     else:  # lambda1
-        p = Params(1.0)
-        box = Grid1D(4.0, 32)
-        outcome = solvernd.periodic_box_run(p, box, box, flow_opts)
-        dev = float(np.max(np.abs(outcome.field.u**2 + outcome.field.v**2 - 1.0)))
-        records.append(
-            verifymod._record(
-                "unit-coupling-circle", "T-liouville-eq1", -dev, 1e-6,
-                lam=1.0, max_circle_deviation=dev, steps=outcome.steps,
-            )
-        )
+        records, outcome = verifymod.unit_coupling_records(verifymod.LIOUVILLE_BOX, flow_opts)
 
-    energy_tag = {
-        "gibbons": "T1.1-monotone-symmetry",
-        "liouville": "T-liouville-sub1",
-        "lambda1": "T-liouville-eq1",
-    }[cfg.mode]
-    records.append(verifymod._energy_record("energy-monotone", energy_tag, outcome, p.lam))
-    report = verifymod.VerifyReport(
-        version=verifymod.REPORT_VERSION, seed=cfg.seed, records=tuple(records)
-    )
     gridmod.save_slab_csv(os.path.join(cfg.out_dir, "field.csv"), outcome.field)
     solvernd.save_energy_trace_csv(os.path.join(cfg.out_dir, "energy_trace.csv"), outcome)
-    with open(os.path.join(cfg.out_dir, "report.json"), "w", encoding="ascii") as fh:
-        fh.write(report.to_json() + "\n")
+    report = _write_report(os.path.join(cfg.out_dir, "report.json"), cfg.seed, records)
     print(
-        f"relax mode={cfg.mode} coupling={p.lam}: {outcome.steps} steps, "
+        f"relax mode={cfg.mode} coupling={lam}: {outcome.steps} steps, "
         f"final update {outcome.final_update:.3e}, "
         f"{len(report.failures())} of {len(records)} checks failed"
     )
@@ -400,20 +305,14 @@ def cmd_verify(cfg: RunConfig, list_checks: bool = False) -> int:
         for tag in verifymod.THEOREM_TAGS:
             print(tag)
         return EXIT_OK
-    stages = tuple(s for s in cfg.stages.split(",") if s)
-    unknown = [s for s in stages if s not in verifymod.ALL_STAGES]
-    if unknown:
-        print(f"stages: unknown stage names {unknown}", file=sys.stderr)
-        return EXIT_ERROR
     opts = verifymod.SuiteOptions(
         seed=cfg.seed,
-        stages=stages,
+        stages=tuple(s for s in cfg.stages.split(",") if s),
         half_length=cfg.half_length,
         n=cfg.n,
         newton=_solve_options(cfg),
         steady_tol=cfg.steady_tol,
         max_steps=cfg.max_steps,
-        jobs=cfg.jobs,
     )
     report = verifymod.full_suite(opts)
     _write_sidecar(cfg, cfg.out_dir)
@@ -440,15 +339,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = resolve_config(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    problem = _validate(cfg)
-    if problem is not None:
-        print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_ERROR
-
+    # values are validated by the objects that consume them (Params, Grid1D,
+    # the option classes), so a ValueError here names a bad config value
     try:
         if args.command == "solve1d":
             return cmd_solve1d(cfg)
@@ -460,7 +356,10 @@ def main(argv=None) -> int:
     except (NonConvergence, SingularJacobian, RegimeError, StepTooLarge, NoCrossing) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -37,9 +37,9 @@ class Grid1D:
 
     def __post_init__(self):
         if not (np.isfinite(self.half_length) and self.half_length > 0.0):
-            raise ValueError(f"half_length must be positive, got {self.half_length!r}")
+            raise ValueError(f"half_length: must be positive, got {self.half_length!r}")
         if int(self.n) != self.n or self.n < 3:
-            raise ValueError(f"node count must be an integer >= 3, got {self.n!r}")
+            raise ValueError(f"n: node count must be an integer >= 3, got {self.n!r}")
 
     @property
     def h(self) -> float:
@@ -126,18 +126,23 @@ def residual_1d(p: Params, prof: ProfilePair):
     Dirichlet defect against the heteroclinic data.  Zero (to rounding) iff
     the profile solves the discretized problem.
     """
-    h2 = prof.grid.h ** 2
+    h = prof.grid.h
     u, v = prof.u, prof.v
     fu, fv = model.reaction(p, u, v)
     ru = np.empty_like(u)
     rv = np.empty_like(v)
-    ru[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2 + fu[1:-1]
-    rv[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2 + fv[1:-1]
+    ru[1:-1] = _second_difference(u, h) + fu[1:-1]
+    rv[1:-1] = _second_difference(v, h) + fv[1:-1]
     ru[0] = u[0] - LEFT_STATE[0]
     rv[0] = v[0] - LEFT_STATE[1]
     ru[-1] = u[-1] - RIGHT_STATE[0]
     rv[-1] = v[-1] - RIGHT_STATE[1]
     return ru, rv
+
+
+def _second_difference(a: np.ndarray, h: float) -> np.ndarray:
+    """Central second difference at the interior nodes of the last axis."""
+    return (a[..., :-2] - 2.0 * a[..., 1:-1] + a[..., 2:]) / h**2
 
 
 def _second_difference_periodic(a: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -162,16 +167,8 @@ def residual_slab(p: Params, f: SlabField):
         return ru, rv
     ru = np.empty_like(u)
     rv = np.empty_like(v)
-    ru[:, 1:-1] = (
-        lap_u[:, 1:-1]
-        + (u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]) / hn**2
-        + fu[:, 1:-1]
-    )
-    rv[:, 1:-1] = (
-        lap_v[:, 1:-1]
-        + (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]) / hn**2
-        + fv[:, 1:-1]
-    )
+    ru[:, 1:-1] = lap_u[:, 1:-1] + _second_difference(u, hn) + fu[:, 1:-1]
+    rv[:, 1:-1] = lap_v[:, 1:-1] + _second_difference(v, hn) + fv[:, 1:-1]
     ru[:, 0] = u[:, 0] - LEFT_STATE[0]
     rv[:, 0] = v[:, 0] - LEFT_STATE[1]
     ru[:, -1] = u[:, -1] - RIGHT_STATE[0]

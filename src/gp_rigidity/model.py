@@ -35,7 +35,7 @@ class Params:
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"coupling must be a positive finite real, got {self.lam!r}")
+            raise ValueError(f"lam: coupling must be a positive finite real, got {self.lam!r}")
 
     @property
     def regime(self) -> str:
@@ -162,6 +162,6 @@ def liouville_constant(p: Params) -> float:
     """Value 1/sqrt(1+lam) of the unique positive constant state for lam < 1."""
     if not (0.0 < p.lam < 1.0):
         raise RegimeError(
-            f"constant-state value requires coupling in (0, 1), got {p.lam}"
+            f"constant-state value requires 0 < coupling < 1, got {p.lam}"
         )
     return 1.0 / float(np.sqrt(1.0 + p.lam))

@@ -10,7 +10,7 @@ damped by residual-decrease backtracking with a floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.interpolate
@@ -26,6 +26,9 @@ from .model import Params
 # accuracy; solves started from conforming guesses keep the rows exact.
 GUESS_BOUNDARY_TOL = 1e-6
 
+# Backtracking halves a Newton step at most down to this fraction.
+DAMPING_MIN = 1.0 / 64.0
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -33,15 +36,12 @@ class SolveOptions:
 
     newton_tol: float = 1e-10
     max_iters: int = 25
-    damping_min: float = 1.0 / 64.0
-    continuation_step: float = 0.5
-    phase_pinning: bool = True
 
     def __post_init__(self):
         if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
-        if not (0.0 < self.damping_min <= 1.0):
-            raise ValueError("damping_min must lie in (0, 1]")
+            raise ValueError(f"newton_tol: residual target must be positive, got {self.newton_tol!r}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters: must be >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
     Requires coupling > 1 (below that no front exists; positive states are
     constant) and a guess whose end rows carry the heteroclinic data.  Damping
     halves the step until the max-norm residual decreases, with a floor at
-    ``opts.damping_min``; the floored step is taken if no decrease is found.
+    :data:`DAMPING_MIN`; the floored step is taken if no decrease is found.
 
     Raises NonConvergence when ``opts.max_iters`` updates do not reach
     ``opts.newton_tol``, and SingularJacobian if a linearization degenerates.
@@ -172,9 +172,9 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
             tv = v + s * dv
             tru, trv = _residual_arrays(p, g, tu, tv)
             tnorm = _residual_norm(tru, trv)
-            if tnorm < rnorm or s <= opts.damping_min:
+            if tnorm < rnorm or s <= DAMPING_MIN:
                 break
-            s = max(s / 2.0, opts.damping_min)
+            s = max(s / 2.0, DAMPING_MIN)
         u, v, ru, rv, rnorm = tu, tv, tru, trv, tnorm
         history.append(rnorm)
 
@@ -252,10 +252,11 @@ def continuation_sweep(
 ) -> list[SolveOutcome]:
     """Natural-parameter continuation: each converged profile seeds the next.
 
-    Produces one outcome per coupling sample (endpoints included).  When a
-    solve fails the gap from the last good coupling is bridged with halved
-    sub-steps, up to four halvings; if the bridge still fails a
-    ContinuationStall carrying the partial outcomes is raised.
+    Produces one outcome per coupling sample (endpoints included), its
+    profile phase-pinned.  When a solve fails the gap from the last good
+    coupling is bridged with halved sub-steps, up to four halvings; if the
+    bridge still fails a ContinuationStall carrying the partial outcomes is
+    raised.
     """
     if min(lambda_from, lambda_to) <= 1.0:
         raise RegimeError("continuation range must stay above coupling 1")
@@ -271,19 +272,7 @@ def continuation_sweep(
         seed = outcome.profile
         prev_lam = lam
         outcomes.append(outcome)
-    if opts.phase_pinning:
-        outcomes = [
-            SolveOutcome(
-                profile=pin_phase(o.profile),
-                iterations=o.iterations,
-                final_residual=o.final_residual,
-                converged=o.converged,
-                lam=o.lam,
-                residual_history=o.residual_history,
-            )
-            for o in outcomes
-        ]
-    return outcomes
+    return [replace(o, profile=pin_phase(o.profile)) for o in outcomes]
 
 
 def _bridge(lam_from, lam_to, seed, g, opts, outcomes):

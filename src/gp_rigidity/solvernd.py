@@ -26,6 +26,7 @@ import scipy.fftpack
 
 from . import grid as gridmod
 from . import model
+from . import solver1d
 from .errors import NonConvergence, StepTooLarge, TooAnisotropic
 from .grid import Grid1D, ProfilePair, SlabField
 from .model import Params
@@ -48,9 +49,9 @@ class FlowOptions:
 
     def __post_init__(self):
         if self.dt is not None and not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+            raise ValueError(f"dt: must be positive, got {self.dt!r}")
         if not self.steady_tol > 0.0:
-            raise ValueError("steady_tol must be positive")
+            raise ValueError(f"steady_tol: must be positive, got {self.steady_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ def gibbons_run(
     is run to steadiness.  The converged field should lose all transverse
     structure.
     """
-    base = embed_profile(_front_profile(grid_n), grid_t)
+    base = embed_profile(solver1d.initial_guess(p, grid_n), grid_t)
     rng = np.random.default_rng(opts.rng_seed)
     u = base.u.copy()
     v = base.v.copy()
@@ -249,15 +250,6 @@ def gibbons_run(
     u[:, 1:-1] = np.clip(u[:, 1:-1] + rng.uniform(-amplitude, amplitude, shape), 0.0, 1.0)
     v[:, 1:-1] = np.clip(v[:, 1:-1] + rng.uniform(-amplitude, amplitude, shape), 0.0, 1.0)
     return relax_to_steady(p, base.with_values(u, v), opts)
-
-
-def _front_profile(g: Grid1D) -> ProfilePair:
-    u, v = model.tanh_front(0.0, g.nodes())
-    u = np.array(u)
-    v = np.array(v)
-    u[0], v[0] = gridmod.LEFT_STATE
-    u[-1], v[-1] = gridmod.RIGHT_STATE
-    return ProfilePair(g, u, v)
 
 
 def periodic_box_run(p: Params, grid_t: Grid1D, grid_n: Grid1D, opts: FlowOptions) -> FlowOutcome:

@@ -140,7 +140,12 @@ def _failure_record(name, theorem, message, **params):
     )
 
 
-def verify_profile(p: Params, prof: ProfilePair, tolerance: float | None = None) -> list[CheckRecord]:
+def sum_tolerance(lam: float, h: float) -> float:
+    """Tolerance of the u+v ordering: 10*h^2 for the identity at coupling 3, else 0 (strict)."""
+    return 10.0 * h * h if lam == 3.0 else 0.0
+
+
+def verify_profile(p: Params, prof: ProfilePair) -> list[CheckRecord]:
     """All profile-level checks applicable at this coupling.
 
     Always: component and sum-of-squares bounds, strict monotonicity, and the
@@ -149,7 +154,7 @@ def verify_profile(p: Params, prof: ProfilePair, tolerance: float | None = None)
     double-well residuals of the sum/difference coordinates.
     """
     h = prof.grid.h
-    tol = 10.0 * h * h if tolerance is None else tolerance
+    tol = 10.0 * h * h
     lam = p.lam
     records = []
 
@@ -176,7 +181,7 @@ def verify_profile(p: Params, prof: ProfilePair, tolerance: float | None = None)
         )
     )
 
-    sum_tol = tol if lam == 3.0 else 0.0
+    sum_tol = sum_tolerance(lam, h)
     sum_report = gridmod.check_sum_vs_one(p, prof, sum_tol)
     records.append(
         _record(
@@ -223,8 +228,7 @@ def _special_coupling_checks(prof: ProfilePair, tol: float) -> list[CheckRecord]
 
 
 def _allen_cahn_residual(g: Grid1D, w: np.ndarray) -> float:
-    h2 = g.h**2
-    r = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h2 + model.allen_cahn_reaction(w[1:-1])
+    r = gridmod._second_difference(w, g.h) + model.allen_cahn_reaction(w[1:-1])
     return float(np.max(np.abs(r)))
 
 
@@ -278,63 +282,15 @@ def verify_counterexample(alpha: float, g: Grid1D) -> CheckRecord:
 
 
 # ---------------------------------------------------------------------------
-# Canonical battery
+# One record builder per experiment, shared by the battery and the CLI
 # ---------------------------------------------------------------------------
 
-ALL_STAGES = ("solves", "uniqueness", "gibbons", "liouville", "counterexample")
-
-
-@dataclass(frozen=True)
-class SuiteOptions:
-    """Configuration of :func:`full_suite`; defaults run every stage."""
-
-    seed: int = 0
-    stages: tuple = ALL_STAGES
-    half_length: float = 20.0
-    n: int = 2001
-    newton: solver1d.SolveOptions = field(default_factory=solver1d.SolveOptions)
-    solve_lams: tuple = (2.0, 3.0, 6.0)
-    uniqueness_lams: tuple = (2.0, 3.0)
-    uniqueness_seeds: int = 5
-    uniqueness_tol: float = 1e-6
-    gibbons_transverse: tuple = (4.0, 64)  # (half width, nodes)
-    gibbons_axis: tuple = (20.0, 801)
-    gibbons_anisotropy_tol: float = 1e-8
-    liouville_lams: tuple = (0.25, 0.5, 0.75)
-    liouville_box: tuple = (4.0, 32)
-    liouville_tol: float = 1e-6
-    steady_tol: float = 1e-9
-    max_steps: int = 40000
-    counterexample_alphas: tuple = (1.0, 4.0)
-    jobs: int = 1
-
-
-def full_suite(opts: SuiteOptions | None = None) -> VerifyReport:
-    """Run the enabled stages and assemble a deterministic report.
-
-    Solver failures become failed records with diagnostic text instead of
-    propagating.  Stage results are concatenated in the fixed stage order
-    regardless of how they were executed.
-    """
-    opts = opts or SuiteOptions()
-    stage_funcs = {
-        "solves": _stage_solves,
-        "uniqueness": _stage_uniqueness,
-        "gibbons": _stage_gibbons,
-        "liouville": _stage_liouville,
-        "counterexample": _stage_counterexample,
-    }
-    enabled = [s for s in ALL_STAGES if s in opts.stages]
-    if opts.jobs > 1 and len(enabled) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-            futures = [pool.submit(stage_funcs[s], opts) for s in enabled]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [stage_funcs[s](opts) for s in enabled]
-    records = tuple(r for chunk in chunks for r in chunk)
-    return VerifyReport(version=REPORT_VERSION, seed=opts.seed, records=records)
+# Grids and tolerances of the slab and box experiments.
+GIBBONS_TRANSVERSE = Grid1D(4.0, 64)
+GIBBONS_AXIS = Grid1D(20.0, 801)
+GIBBONS_ANISOTROPY_TOL = 1e-8
+LIOUVILLE_BOX = Grid1D(4.0, 32)  # both axes of the periodic box
+LIOUVILLE_TOL = 1e-6
 
 
 def _energy_record(name, theorem, outcome, lam):
@@ -346,68 +302,48 @@ def _energy_record(name, theorem, outcome, lam):
     )
 
 
-def _stage_solves(opts: SuiteOptions) -> list[CheckRecord]:
-    g = Grid1D(opts.half_length, opts.n)
-    records = []
-    for lam in opts.solve_lams:
-        p = Params(lam)
-        try:
-            outcome = solver1d.newton_solve(p, g, solver1d.initial_guess(p, g), opts.newton)
-        except (NonConvergence, SingularJacobian, RegimeError) as exc:
-            records.append(_failure_record("solve", "T-sum-vs-one", str(exc), lam=lam))
-            continue
-        records.extend(verify_profile(p, outcome.profile))
-        records.append(verify_sharp_limit(outcome.profile))
-    return records
+def solve_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions):
+    """Front solve from the standard guess: (records, outcome).
+
+    The records check the profile Newton returned, before phase pinning.
+    Newton errors propagate.
+    """
+    outcome = solver1d.newton_solve(p, g, solver1d.initial_guess(p, g), newton)
+    records = verify_profile(p, outcome.profile)
+    records.append(verify_sharp_limit(outcome.profile))
+    return records, outcome
 
 
-def _stage_uniqueness(opts: SuiteOptions) -> list[CheckRecord]:
-    g = Grid1D(opts.half_length, opts.n)
-    records = []
-    for i, lam in enumerate(opts.uniqueness_lams):
-        p = Params(lam)
-        try:
-            dist = solver1d.uniqueness_probe(
-                p, g, opts.newton, opts.uniqueness_seeds, rng_seed=opts.seed + i
-            )
-        except (NonConvergence, SingularJacobian) as exc:
-            records.append(_failure_record("uniqueness", "C1.2-uniqueness", str(exc), lam=lam))
-            continue
-        records.append(
-            _record(
-                "uniqueness", "C1.2-uniqueness", -dist, opts.uniqueness_tol,
-                lam=lam, seeds=opts.uniqueness_seeds, max_pairwise_distance=dist,
-            )
-        )
-    return records
+def gibbons_records(
+    p: Params,
+    grid_t: Grid1D,
+    grid_n: Grid1D,
+    flow: solvernd.FlowOptions,
+    newton: solver1d.SolveOptions,
+):
+    """Slab relaxation of a perturbed front (Gibbons' conjecture): (records, outcome).
 
-
-def _stage_gibbons(opts: SuiteOptions) -> list[CheckRecord]:
-    lam = 3.0
-    p = Params(lam)
-    grid_t = Grid1D(*opts.gibbons_transverse)
-    grid_n = Grid1D(*opts.gibbons_axis)
-    flow_opts = solvernd.FlowOptions(
-        steady_tol=opts.steady_tol, max_steps=opts.max_steps, rng_seed=opts.seed
-    )
-    try:
-        outcome = solvernd.gibbons_run(p, grid_t, grid_n, flow_opts)
-    except NonConvergence as exc:
-        return [_failure_record("gibbons-anisotropy", "T1.1-monotone-symmetry", str(exc), lam=lam)]
-
-    records = []
+    Checks the transverse anisotropy, the match of the transverse average
+    with a 1D Newton front, the a priori bound and the energy trace.  Flow
+    errors propagate; a reference solve or extraction that fails becomes a
+    failed profile-match record.
+    """
+    if p.lam <= 1.0:
+        raise RegimeError(f"slab fronts need coupling > 1, got {p.lam}")
+    outcome = solvernd.gibbons_run(p, grid_t, grid_n, flow)
+    lam = p.lam
     ani = solvernd.transverse_anisotropy(outcome.field)
-    records.append(
+    records = [
         _record(
             "gibbons-anisotropy", "T1.1-monotone-symmetry", -ani,
-            opts.gibbons_anisotropy_tol, lam=lam, anisotropy=ani, steps=outcome.steps,
+            GIBBONS_ANISOTROPY_TOL, lam=lam, anisotropy=ani, steps=outcome.steps,
         )
-    )
+    ]
 
     tol = 10.0 * grid_n.h**2
     try:
-        extracted = solver1d.pin_phase(solvernd.extract_1d(outcome.field, 100.0 * opts.gibbons_anisotropy_tol))
-        reference = solver1d.newton_solve(p, grid_n, solver1d.initial_guess(p, grid_n), opts.newton)
+        extracted = solver1d.pin_phase(solvernd.extract_1d(outcome.field, 100.0 * GIBBONS_ANISOTROPY_TOL))
+        reference = solver1d.newton_solve(p, grid_n, solver1d.initial_guess(p, grid_n), newton)
         ref = solver1d.pin_phase(reference.profile)
         dist = max(
             float(np.max(np.abs(extracted.u - ref.u))),
@@ -429,69 +365,170 @@ def _stage_gibbons(opts: SuiteOptions) -> list[CheckRecord]:
     except (NonConvergence, SingularJacobian, TooAnisotropic, NoCrossing) as exc:
         records.append(_failure_record("gibbons-profile-match", "T1.1-monotone-symmetry", str(exc), lam=lam))
     records.append(_energy_record("gibbons-energy-monotone", "T1.1-monotone-symmetry", outcome, lam))
+    return records, outcome
+
+
+def liouville_records(p: Params, box: Grid1D, flow: solvernd.FlowOptions):
+    """Relaxation below coupling 1 on the periodic box ``box`` x ``box``: (records, outcome).
+
+    Checks constancy at 1/sqrt(1+lam), the sub-unit a priori bound and the
+    energy trace.  Raises RegimeError unless 0 < lam < 1; flow errors
+    propagate.
+    """
+    c = model.liouville_constant(p)
+    outcome = solvernd.periodic_box_run(p, box, box, flow)
+    lam = p.lam
+    dev = max(
+        float(np.max(np.abs(outcome.field.u - c))),
+        float(np.max(np.abs(outcome.field.v - c))),
+    )
+    tol = 10.0 * box.h**2
+    bounds = gridmod.check_bounds(p, outcome.field.u, outcome.field.v, tol)
+    records = [
+        _record(
+            "liouville-constant", "T-liouville-sub1", -dev, LIOUVILLE_TOL,
+            lam=lam, constant=c, max_deviation=dev, steps=outcome.steps,
+        ),
+        _record(
+            "liouville-bounds", "T1.3-bounds-iii", bounds.sum_squares_margin, tol,
+            lam=lam, max_sum_squares=bounds.max_sum_squares, bound=bounds.sum_squares_bound,
+        ),
+        _energy_record("liouville-energy-monotone", "T-liouville-sub1", outcome, lam),
+    ]
+    return records, outcome
+
+
+def unit_coupling_records(box: Grid1D, flow: solvernd.FlowOptions):
+    """Relaxation at coupling exactly 1 on the periodic box ``box`` x ``box``: (records, outcome).
+
+    Checks that the state is a constant on the unit circle and the energy
+    trace.  Flow errors propagate.
+    """
+    outcome = solvernd.periodic_box_run(Params(1.0), box, box, flow)
+    circle_dev = float(np.max(np.abs(outcome.field.u**2 + outcome.field.v**2 - 1.0)))
+    spread = max(
+        float(np.ptp(outcome.field.u)),
+        float(np.ptp(outcome.field.v)),
+    )
+    records = [
+        _record(
+            "unit-coupling-circle", "T-liouville-eq1", -circle_dev, LIOUVILLE_TOL,
+            lam=1.0, max_circle_deviation=circle_dev, steps=outcome.steps,
+        ),
+        _record(
+            "unit-coupling-constant", "T-liouville-eq1", -spread, LIOUVILLE_TOL,
+            lam=1.0, spatial_spread=spread,
+        ),
+        _energy_record("unit-coupling-energy-monotone", "T-liouville-eq1", outcome, 1.0),
+    ]
+    return records, outcome
+
+
+# ---------------------------------------------------------------------------
+# Canonical battery
+# ---------------------------------------------------------------------------
+
+ALL_STAGES = ("solves", "uniqueness", "gibbons", "liouville", "counterexample")
+
+SOLVE_LAMS = (2.0, 3.0, 6.0)
+UNIQUENESS_LAMS = (2.0, 3.0)
+UNIQUENESS_SEEDS = 5
+UNIQUENESS_TOL = 1e-6
+LIOUVILLE_LAMS = (0.25, 0.5, 0.75)
+COUNTEREXAMPLE_ALPHAS = (1.0, 4.0)
+
+
+@dataclass(frozen=True)
+class SuiteOptions:
+    """Configuration of :func:`full_suite`; defaults run every stage."""
+
+    seed: int = 0
+    stages: tuple = ALL_STAGES
+    half_length: float = 20.0
+    n: int = 2001
+    newton: solver1d.SolveOptions = field(default_factory=solver1d.SolveOptions)
+    steady_tol: float = 1e-9
+    max_steps: int = 40000
+
+    def __post_init__(self):
+        unknown = [s for s in self.stages if s not in ALL_STAGES]
+        if unknown:
+            raise ValueError(f"stages: unknown stage names {unknown}")
+
+
+def full_suite(opts: SuiteOptions | None = None) -> VerifyReport:
+    """Run the enabled stages and assemble a deterministic report.
+
+    Solver failures become failed records with diagnostic text instead of
+    propagating.  Stage results are concatenated in the fixed stage order.
+    """
+    opts = opts or SuiteOptions()
+    stage_funcs = {
+        "solves": _stage_solves,
+        "uniqueness": _stage_uniqueness,
+        "gibbons": _stage_gibbons,
+        "liouville": _stage_liouville,
+        "counterexample": _stage_counterexample,
+    }
+    records = tuple(r for s in ALL_STAGES if s in opts.stages for r in stage_funcs[s](opts))
+    return VerifyReport(version=REPORT_VERSION, seed=opts.seed, records=records)
+
+
+def _flow_options(opts: SuiteOptions, seed_offset: int) -> solvernd.FlowOptions:
+    return solvernd.FlowOptions(
+        steady_tol=opts.steady_tol, max_steps=opts.max_steps, rng_seed=opts.seed + seed_offset
+    )
+
+
+def _stage_solves(opts: SuiteOptions) -> list[CheckRecord]:
+    g = Grid1D(opts.half_length, opts.n)
+    records = []
+    for lam in SOLVE_LAMS:
+        try:
+            records += solve_records(Params(lam), g, opts.newton)[0]
+        except (NonConvergence, SingularJacobian, RegimeError) as exc:
+            records.append(_failure_record("solve", "T1.1-monotone-symmetry", str(exc), lam=lam))
     return records
 
 
-def _stage_liouville(opts: SuiteOptions) -> list[CheckRecord]:
-    grid_t = Grid1D(*opts.liouville_box)
-    grid_n = Grid1D(*opts.liouville_box)
+def _stage_uniqueness(opts: SuiteOptions) -> list[CheckRecord]:
+    g = Grid1D(opts.half_length, opts.n)
     records = []
-    for i, lam in enumerate(opts.liouville_lams):
+    for i, lam in enumerate(UNIQUENESS_LAMS):
         p = Params(lam)
-        flow_opts = solvernd.FlowOptions(
-            steady_tol=opts.steady_tol, max_steps=opts.max_steps, rng_seed=opts.seed + 100 + i
-        )
         try:
-            outcome = solvernd.periodic_box_run(p, grid_t, grid_n, flow_opts)
+            dist = solver1d.uniqueness_probe(
+                p, g, opts.newton, UNIQUENESS_SEEDS, rng_seed=opts.seed + i
+            )
+        except (NonConvergence, SingularJacobian) as exc:
+            records.append(_failure_record("uniqueness", "C1.2-uniqueness", str(exc), lam=lam))
+            continue
+        records.append(
+            _record(
+                "uniqueness", "C1.2-uniqueness", -dist, UNIQUENESS_TOL,
+                lam=lam, seeds=UNIQUENESS_SEEDS, max_pairwise_distance=dist,
+            )
+        )
+    return records
+
+
+def _stage_gibbons(opts: SuiteOptions) -> list[CheckRecord]:
+    p = Params(3.0)
+    try:
+        return gibbons_records(p, GIBBONS_TRANSVERSE, GIBBONS_AXIS, _flow_options(opts, 0), opts.newton)[0]
+    except NonConvergence as exc:
+        return [_failure_record("gibbons-anisotropy", "T1.1-monotone-symmetry", str(exc), lam=p.lam)]
+
+
+def _stage_liouville(opts: SuiteOptions) -> list[CheckRecord]:
+    records = []
+    for i, lam in enumerate(LIOUVILLE_LAMS):
+        try:
+            records += liouville_records(Params(lam), LIOUVILLE_BOX, _flow_options(opts, 100 + i))[0]
         except NonConvergence as exc:
             records.append(_failure_record("liouville-constant", "T-liouville-sub1", str(exc), lam=lam))
-            continue
-        c = model.liouville_constant(p)
-        dev = max(
-            float(np.max(np.abs(outcome.field.u - c))),
-            float(np.max(np.abs(outcome.field.v - c))),
-        )
-        records.append(
-            _record(
-                "liouville-constant", "T-liouville-sub1", -dev, opts.liouville_tol,
-                lam=lam, constant=c, max_deviation=dev, steps=outcome.steps,
-            )
-        )
-        tol = 10.0 * grid_n.h**2
-        bounds = gridmod.check_bounds(p, outcome.field.u, outcome.field.v, tol)
-        records.append(
-            _record(
-                "liouville-bounds", "T1.3-bounds-iii", bounds.sum_squares_margin, tol,
-                lam=lam, max_sum_squares=bounds.max_sum_squares, bound=bounds.sum_squares_bound,
-            )
-        )
-        records.append(_energy_record("liouville-energy-monotone", "T-liouville-sub1", outcome, lam))
-
-    # coupling exactly 1: constants on the unit circle
-    p1 = Params(1.0)
-    flow_opts = solvernd.FlowOptions(
-        steady_tol=opts.steady_tol, max_steps=opts.max_steps, rng_seed=opts.seed + 200
-    )
     try:
-        outcome = solvernd.periodic_box_run(p1, grid_t, grid_n, flow_opts)
-        circle_dev = float(np.max(np.abs(outcome.field.u**2 + outcome.field.v**2 - 1.0)))
-        spread = max(
-            float(np.ptp(outcome.field.u)),
-            float(np.ptp(outcome.field.v)),
-        )
-        records.append(
-            _record(
-                "unit-coupling-circle", "T-liouville-eq1", -circle_dev, opts.liouville_tol,
-                lam=1.0, max_circle_deviation=circle_dev, steps=outcome.steps,
-            )
-        )
-        records.append(
-            _record(
-                "unit-coupling-constant", "T-liouville-eq1", -spread, opts.liouville_tol,
-                lam=1.0, spatial_spread=spread,
-            )
-        )
-        records.append(_energy_record("unit-coupling-energy-monotone", "T-liouville-eq1", outcome, 1.0))
+        records += unit_coupling_records(LIOUVILLE_BOX, _flow_options(opts, 200))[0]
     except NonConvergence as exc:
         records.append(_failure_record("unit-coupling-circle", "T-liouville-eq1", str(exc), lam=1.0))
     return records
@@ -499,4 +536,4 @@ def _stage_liouville(opts: SuiteOptions) -> list[CheckRecord]:
 
 def _stage_counterexample(opts: SuiteOptions) -> list[CheckRecord]:
     g = Grid1D(opts.half_length, opts.n)
-    return [verify_counterexample(alpha, g) for alpha in opts.counterexample_alphas]
+    return [verify_counterexample(alpha, g) for alpha in COUNTEREXAMPLE_ALPHAS]

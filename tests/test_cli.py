@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from gp_rigidity import cli
 from gp_rigidity.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK
@@ -34,14 +35,52 @@ def test_solve1d_config_error_names_field(tmp_path, capsys):
     assert "n:" in capsys.readouterr().err
 
 
-def test_solve1d_rerun_from_sidecar_is_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["solve1d", "--lambda", "2.5", "--L", "15", "--n", "1001"], ["profile.csv", "report.json"]),
+        (
+            ["relax", "--mode", "liouville", "--lambda", "0.5", "--seed", "7"],
+            ["field.csv", "energy_trace.csv", "report.json"],
+        ),
+    ],
+    ids=["solve1d", "relax-liouville"],
+)
+def test_solve1d_rerun_from_sidecar_is_byte_identical(tmp_path, argv, outputs):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    assert run(["solve1d", "--lambda", "2.5", "--L", "15", "--n", "1001", "--out", str(out1)]) == EXIT_OK
-    sidecar = out1 / "solve1d.config.json"
-    assert run(["solve1d", "--config", str(sidecar), "--out", str(out2)]) == EXIT_OK
-    assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    assert run([*argv, "--out", str(out1)]) == EXIT_OK
+    sidecar = out1 / f"{argv[0]}.config.json"
+    assert run([argv[0], "--config", str(sidecar), "--out", str(out2)]) == EXIT_OK
+    for name in outputs:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _records(path):
+    return json.loads(path.read_text())["records"]
+
+
+def test_commands_report_the_battery_records(tmp_path):
+    # one record builder per experiment: each command writes exactly the
+    # records the battery writes for the same experiment and flow seed
+    assert run(["verify", "--stages", "solves,liouville", "--seed", "0", "--out", str(tmp_path / "v")]) == EXIT_OK
+    battery = _records(tmp_path / "v" / "suite_report.json")
+    first_solve = battery[: [r["name"] for r in battery].index("sharp-limit") + 1]
+    assert all(r["params"].get("lam", 2.0) == 2.0 for r in first_solve)
+    expected = {
+        ("solve1d", "--lambda", "2"): first_solve,
+        ("relax", "--mode", "liouville", "--lambda", "0.25", "--seed", "100"): [
+            r for r in battery if r["name"].startswith("liouville-") and r["params"]["lam"] == 0.25
+        ],
+        ("relax", "--mode", "lambda1", "--seed", "200"): [
+            r for r in battery if r["name"].startswith("unit-coupling-")
+        ],
+    }
+    for k, (argv, records) in enumerate(expected.items()):
+        out = tmp_path / str(k)
+        assert run([*argv, "--out", str(out)]) == EXIT_OK
+        assert len(records) >= 3
+        assert _records(out / "report.json") == records, argv
 
 
 def test_key_value_config_file(tmp_path):
@@ -159,6 +198,12 @@ def test_relax_rejects_extra_transverse_dims(tmp_path, capsys):
     code = run(["relax", "--mode", "lambda1", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_ERROR
     assert "transverse_dims" in capsys.readouterr().err
+
+
+def test_relax_rejects_negative_dt(tmp_path, capsys):
+    code = run(["relax", "--mode", "lambda1", "--dt", "-0.1", "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert "config error: dt:" in capsys.readouterr().err
 
 
 def test_verify_list_checks(capsys):

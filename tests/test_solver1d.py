@@ -146,6 +146,11 @@ def test_newton_nonconvergence_carries_outcome(default_grid):
     assert not info.value.outcome.converged
 
 
+def test_solve_options_need_an_iteration():
+    with pytest.raises(ValueError, match="max_iters"):
+        solver1d.SolveOptions(max_iters=0)
+
+
 def test_pin_phase_translation_oracle(default_grid):
     x = default_grid.nodes()
     u, v = model.tanh_front(1.3, x)

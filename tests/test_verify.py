@@ -128,12 +128,8 @@ def test_suite_failure_becomes_record():
     report = verify.full_suite(opts)
     assert not report.overall_pass
     assert any("error" in r.params for r in report.failures())
-
-
-def test_suite_jobs_parallel_matches_serial():
-    serial = verify.full_suite(SuiteOptions(stages=("liouville", "counterexample"), jobs=1))
-    parallel = verify.full_suite(SuiteOptions(stages=("liouville", "counterexample"), jobs=4))
-    assert serial == parallel
+    # a failed solve is charged to the theorem whose front it computes
+    assert {r.theorem for r in report.failures() if r.name == "solve"} == {"T1.1-monotone-symmetry"}
 
 
 def test_singular_jacobian_becomes_record(monkeypatch):
