@@ -17,7 +17,6 @@ from .errors import (
     NonConvergence,
     RegimeError,
     SingularJacobian,
-    StepTooLarge,
     TooAnisotropic,
 )
 from .grid import BoundReport, Grid1D, ProfilePair, SlabField, SumReport
@@ -44,7 +43,6 @@ __all__ = [
     "SlabField",
     "SolveOptions",
     "SolveOutcome",
-    "StepTooLarge",
     "SumReport",
     "SuiteOptions",
     "THEOREM_TAGS",

@@ -45,9 +45,5 @@ class ContinuationStall(RuntimeError):
         self.outcomes = outcomes
 
 
-class StepTooLarge(ValueError):
-    """Pseudo-time step exceeds the stability bound for this coupling."""
-
-
 class TooAnisotropic(ValueError):
     """Field varies too much transversally to be reduced to a 1D profile."""

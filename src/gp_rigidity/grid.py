@@ -145,8 +145,13 @@ def _second_difference(a: np.ndarray, h: float) -> np.ndarray:
     return (a[..., :-2] - 2.0 * a[..., 1:-1] + a[..., 2:]) / h**2
 
 
-def _second_difference_periodic(a: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(a, 1, axis=axis) - 2.0 * a + np.roll(a, -1, axis=axis)) / h**2
+def _add_wrapped_second_difference(out: np.ndarray, a: np.ndarray, h: float, axis: int) -> None:
+    """Add the central second difference of a along a periodic axis to out, in place."""
+    out = np.moveaxis(out, axis, -1)
+    a = np.moveaxis(a, axis, -1)
+    out[..., 1:-1] += _second_difference(a, h)
+    out[..., 0] += (a[..., -1] - 2.0 * a[..., 0] + a[..., 1]) / h**2
+    out[..., -1] += (a[..., -2] - 2.0 * a[..., -1] + a[..., 0]) / h**2
 
 
 def residual_slab(p: Params, f: SlabField):
@@ -154,25 +159,23 @@ def residual_slab(p: Params, f: SlabField):
 
     The transverse second difference wraps around; embedding a 1D profile
     constantly in the transverse direction therefore reproduces the interior
-    rows of :func:`residual_1d` exactly.
+    rows of :func:`residual_1d` exactly.  The second differences are added
+    into the reaction's arrays, so no shifted copies of the field are made.
     """
     ht, hn = f.grid_t.h, f.grid_n.h
-    u, v = f.u, f.v
-    fu, fv = model.reaction(p, u, v)
-    lap_u = _second_difference_periodic(u, ht, axis=0)
-    lap_v = _second_difference_periodic(v, ht, axis=0)
-    if f.periodic_n:
-        ru = lap_u + _second_difference_periodic(u, hn, axis=1) + fu
-        rv = lap_v + _second_difference_periodic(v, hn, axis=1) + fv
-        return ru, rv
-    ru = np.empty_like(u)
-    rv = np.empty_like(v)
-    ru[:, 1:-1] = lap_u[:, 1:-1] + _second_difference(u, hn) + fu[:, 1:-1]
-    rv[:, 1:-1] = lap_v[:, 1:-1] + _second_difference(v, hn) + fv[:, 1:-1]
-    ru[:, 0] = u[:, 0] - LEFT_STATE[0]
-    rv[:, 0] = v[:, 0] - LEFT_STATE[1]
-    ru[:, -1] = u[:, -1] - RIGHT_STATE[0]
-    rv[:, -1] = v[:, -1] - RIGHT_STATE[1]
+    ru, rv = model.reaction(p, f.u, f.v)
+    cols = slice(None) if f.periodic_n else slice(1, -1)
+    for r, a in ((ru, f.u), (rv, f.v)):
+        if f.periodic_n:
+            _add_wrapped_second_difference(r, a, hn, axis=1)
+        else:
+            r[:, 1:-1] += _second_difference(a, hn)
+        _add_wrapped_second_difference(r[:, cols], a[:, cols], ht, axis=0)
+    if not f.periodic_n:
+        ru[:, 0] = f.u[:, 0] - LEFT_STATE[0]
+        rv[:, 0] = f.v[:, 0] - LEFT_STATE[1]
+        ru[:, -1] = f.u[:, -1] - RIGHT_STATE[0]
+        rv[:, -1] = f.v[:, -1] - RIGHT_STATE[1]
     return ru, rv
 
 

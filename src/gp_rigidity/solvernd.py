@@ -1,18 +1,26 @@
-"""Semi-implicit gradient-flow relaxation on 2D slabs and periodic boxes.
+"""Stabilized semi-implicit gradient-flow relaxation on 2D slabs and periodic boxes.
 
 One pseudo-time step treats the Laplacian implicitly and the reaction
-explicitly.  The implicit solve factorizes per dimension into constant
-coefficient line operators, which are diagonal in a fixed basis: the real
-FFT along a periodic axis and the type-I discrete sine transform over the
+explicitly, with a stabilizing term S*dt*u added to both sides (Shen & Yang,
+DCDS-A 28 (2010); Eyre's convex splitting):
+
+    (1 + S*dt) u' - dt (D_t + D_n) u' = (1 + S*dt) u + dt f(u),
+    S = max(0, (2 + 3*lam)/2 - 1/dt).
+
+The potential's Hessian is bounded by 2 + 3*lam over [-1,1]^2 (Gershgorin
+on the c1/c2/off entries of the reaction Jacobian).  With 1/dt + S at least
+half that bound, the usual energy argument shows that the step cannot raise
+the discrete energy while the iterates stay in [-1,1]^2, whatever dt is.  S
+is the smallest such value: for dt <= 2/(2 + 3*lam) it is 0 and the step is
+the plain explicit-reaction step; for larger dt the step no longer depends
+on dt.  A state is a fixed point of the step exactly when its discrete
+steady residual vanishes.
+
+The implicit operator is diagonal in a fixed tensor basis: the real FFT
+along a periodic axis and the type-I discrete sine transform over the
 interior nodes of a Dirichlet axis, where the pinned end columns enter the
-first and last interior nodes as known neighbours.  The solve is exact up to
-rounding and needs no factorization and no BLAS.  The factorized operator is
-slightly more dissipative than the unsplit one, so the discrete energy still
-decreases for admissible steps, and any state that is constant along one
-axis is a fixed point of the splitting error.  The step size is limited
-only by the reaction stiffness: the reaction Jacobian over [-1,1]^2 has
-spectral radius at most 2 + 3*lam (Gershgorin on the c1/c2/off entries),
-giving the documented bound dt <= 0.9/(2 + 3*lam).
+first and last interior nodes as known neighbours.  The solve is exact up
+to rounding, with no splitting, no factorization and no BLAS.
 """
 
 from __future__ import annotations
@@ -27,28 +35,35 @@ import scipy.fftpack
 from . import grid as gridmod
 from . import model
 from . import solver1d
-from .errors import NonConvergence, StepTooLarge, TooAnisotropic
+from .errors import NonConvergence, TooAnisotropic
 from .grid import Grid1D, ProfilePair, SlabField
 from .model import Params
 
-STABILITY_SAFETY = 0.9
+# Pseudo-time step when none is given.  It exceeds 2/(2 + 3*lam) at every
+# positive coupling, so default runs take the stabilized step (S > 0), whose
+# iterates do not depend on dt.
+DEFAULT_DT = 2.0
 
 
 @dataclass(frozen=True)
 class FlowOptions:
     """Relaxation controls.
 
-    ``dt=None`` selects the largest admissible step for the coupling.  The
-    run stops once the max-norm update falls below ``steady_tol * dt``.
+    ``dt=None`` selects DEFAULT_DT.  Once the max-norm update falls below
+    ``steady_tol * dt/(1 + S*dt)``, the run computes the max-norm of the
+    steady residual (:func:`grid.residual_slab`) and stops when that is at
+    most ``steady_tol``; otherwise it keeps stepping.
     """
 
-    dt: float | None = None
+    dt: float | None = DEFAULT_DT
     steady_tol: float = 1e-9
     max_steps: int = 40000
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.dt is not None and not self.dt > 0.0:
+        if self.dt is None:
+            object.__setattr__(self, "dt", DEFAULT_DT)
+        if not self.dt > 0.0:
             raise ValueError(f"dt: must be positive, got {self.dt!r}")
         if not self.steady_tol > 0.0:
             raise ValueError(f"steady_tol: must be positive, got {self.steady_tol!r}")
@@ -59,18 +74,19 @@ class FlowOutcome:
     field: SlabField
     steps: int
     final_update: float
+    final_residual: float  # max-norm of grid.residual_slab at the final field
     converged: bool
     energy_trace: tuple = field(default=(), repr=False)
     update_trace: tuple = field(default=(), repr=False)
 
 
-def max_stable_dt(p: Params) -> float:
-    """Documented step bound 0.9/(2 + 3*lam) from the reaction stiffness."""
-    return STABILITY_SAFETY / (2.0 + 3.0 * p.lam)
+def stabilization(p: Params, dt: float) -> float:
+    """Smallest S >= 0 with 1/dt + S >= (2 + 3*lam)/2, half the potential's Hessian bound."""
+    return max(0.0, (2.0 + 3.0 * p.lam) / 2.0 - 1.0 / dt)
 
 
-def _inverse_eigenvalues(a: float, m: int, periodic: bool) -> np.ndarray:
-    """Inverse eigenvalues of I - a * second difference along one axis, in transform order.
+def _eigenvalues(a: float, m: int, periodic: bool) -> np.ndarray:
+    """Eigenvalues of -a * second difference along one axis, in transform order.
 
     A periodic axis of m nodes goes through the half-complex real FFT
     (``scipy.fftpack.rfft`` layout: mode 0, then the real and imaginary parts
@@ -82,18 +98,18 @@ def _inverse_eigenvalues(a: float, m: int, periodic: bool) -> np.ndarray:
         angles = 2.0 * np.pi / m * ((np.arange(m) + 1) // 2)
     else:
         angles = np.pi / (m - 1) * np.arange(1, m - 1)
-    return 1.0 / (1.0 + 2.0 * a * (1.0 - np.cos(angles)))
+    return 2.0 * a * (1.0 - np.cos(angles))
 
 
-def _inverse_symbol(f: SlabField, dt: float) -> np.ndarray:
-    """Inverse eigenvalues of (I - dt D_t)(I - dt D_n) in the basis :func:`_diffuse` uses."""
-    inv_t = _inverse_eigenvalues(dt / f.grid_t.h**2, f.grid_t.n, periodic=True)
-    inv_n = _inverse_eigenvalues(dt / f.grid_n.h**2, f.grid_n.n, f.periodic_n)
-    return inv_t[:, None] * inv_n
+def _inverse_symbol(f: SlabField, dt: float, s: float) -> np.ndarray:
+    """Inverse eigenvalues of (1 + S*dt) I - dt (D_t + D_n) in the basis :func:`_diffuse` uses."""
+    eig_t = _eigenvalues(dt / f.grid_t.h**2, f.grid_t.n, periodic=True)
+    eig_n = _eigenvalues(dt / f.grid_n.h**2, f.grid_n.n, f.periodic_n)
+    return 1.0 / ((1.0 + s * dt) + eig_t[:, None] + eig_n)
 
 
 def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray, dt: float) -> np.ndarray:
-    """Apply (I - dt D_n)^-1 (I - dt D_t)^-1; Dirichlet end columns keep old's values.
+    """Apply the implicit operator's inverse, given by its symbol; Dirichlet end columns keep old's values.
 
     rhs holds the right-hand side on every node of a periodic box, and on
     the interior columns only of a Dirichlet slab; it is overwritten.  The
@@ -122,25 +138,23 @@ def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray
 
 
 def flow_step(p: Params, f: SlabField, dt: float) -> SlabField:
-    """One semi-implicit step: explicit reaction, implicit factorized diffusion.
+    """One stabilized semi-implicit step: explicit reaction, implicit diffusion.
 
-    Dirichlet end columns are carried through unchanged.  Raises StepTooLarge
-    when dt exceeds :func:`max_stable_dt`, and ValueError when the new field
-    is not finite.
+    Solves (1 + S*dt) u' - dt (D_t + D_n) u' = (1 + S*dt) u + dt f(u) with
+    S = :func:`stabilization`.  Dirichlet end columns are carried
+    through unchanged.  Raises ValueError when the new field is not finite.
     """
-    bound = max_stable_dt(p)
-    if dt > bound:
-        raise StepTooLarge(f"dt={dt} exceeds stability bound {bound} at coupling {p.lam}")
+    s = stabilization(p, dt)
     # pinned end columns take no reaction; f's arrays were checked when f was
     # built, so the unchecked kernel suffices
     cols = slice(None) if f.periodic_n else slice(1, -1)
     u, v = f.u[:, cols], f.v[:, cols]
     rhs_u, rhs_v = model._reaction(p.lam, u, v)
     rhs_u *= dt
-    rhs_u += u
+    rhs_u += (1.0 + s * dt) * u
     rhs_v *= dt
-    rhs_v += v
-    inverse = _inverse_symbol(f, dt)
+    rhs_v += (1.0 + s * dt) * v
+    inverse = _inverse_symbol(f, dt, s)
     new_u = _diffuse(f, f.u, rhs_u, inverse, dt)
     new_v = _diffuse(f, f.v, rhs_v, inverse, dt)
     # read-only arrays that own their memory become the new field without a copy
@@ -149,14 +163,25 @@ def flow_step(p: Params, f: SlabField, dt: float) -> SlabField:
     return f.with_values(new_u, new_v)
 
 
-def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
-    """Iterate :func:`flow_step` until the update stalls below steady_tol*dt.
+def _residual_norm(p: Params, f: SlabField) -> float:
+    ru, rv = gridmod.residual_slab(p, f)
+    return max(float(np.max(np.abs(ru))), float(np.max(np.abs(rv))))
 
-    Records the discrete energy and the update max-norm at every step.
-    Raises NonConvergence (carrying the partial outcome) when max_steps is
+
+def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
+    """Iterate :func:`flow_step` until the steady residual is certified below steady_tol.
+
+    A step's update max-norm is at most dt/(1 + S*dt) times the residual
+    max-norm of the state it starts from, so the residual
+    (:func:`grid.residual_slab`) is computed only once the update falls
+    below steady_tol*dt/(1 + S*dt); the run stops when the residual is at
+    most steady_tol.  Records the discrete energy and the update max-norm
+    at every step.  Raises
+    NonConvergence (carrying the partial outcome) when max_steps is
     exhausted first.
     """
-    dt = opts.dt if opts.dt is not None else max_stable_dt(p)
+    dt = opts.dt
+    update_tol = opts.steady_tol * dt / (1.0 + stabilization(p, dt) * dt)
     energies = [gridmod.discrete_energy_slab(p, f0)]
     updates = []
     current = f0
@@ -169,26 +194,31 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
         current = nxt
         energies.append(gridmod.discrete_energy_slab(p, current))
         updates.append(upd)
-        if upd <= opts.steady_tol * dt:
-            return FlowOutcome(
-                field=current,
-                steps=step,
-                final_update=upd,
-                converged=True,
-                energy_trace=tuple(energies),
-                update_trace=tuple(updates),
-            )
+        if upd <= update_tol:
+            residual = _residual_norm(p, current)
+            if residual <= opts.steady_tol:
+                return FlowOutcome(
+                    field=current,
+                    steps=step,
+                    final_update=upd,
+                    final_residual=residual,
+                    converged=True,
+                    energy_trace=tuple(energies),
+                    update_trace=tuple(updates),
+                )
     outcome = FlowOutcome(
         field=current,
         steps=opts.max_steps,
         final_update=updates[-1] if updates else float("nan"),
+        final_residual=_residual_norm(p, current),
         converged=False,
         energy_trace=tuple(energies),
         update_trace=tuple(updates),
     )
     raise NonConvergence(
         f"relaxation did not settle within {opts.max_steps} steps at coupling "
-        f"{p.lam} (last update {outcome.final_update:.3e})",
+        f"{p.lam} (last update {outcome.final_update:.3e}, "
+        f"residual {outcome.final_residual:.3e})",
         outcome=outcome,
     )
 

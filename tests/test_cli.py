@@ -36,21 +36,25 @@ def test_solve1d_config_error_names_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, outputs",
+    "argv, outputs, lam",
     [
-        (["solve1d", "--lambda", "2.5", "--L", "15", "--n", "1001"], ["profile.csv", "report.json"]),
+        (["solve1d", "--lambda", "2.5", "--L", "15", "--n", "1001"], ["profile.csv", "report.json"], 2.5),
         (
             ["relax", "--mode", "liouville", "--lambda", "0.5", "--seed", "7"],
             ["field.csv", "energy_trace.csv", "report.json"],
+            0.5,
         ),
+        # the unit-coupling run records the coupling it used, not the default 3
+        (["relax", "--mode", "lambda1", "--seed", "200"], ["field.csv", "energy_trace.csv", "report.json"], 1.0),
     ],
-    ids=["solve1d", "relax-liouville"],
+    ids=["solve1d", "relax-liouville", "relax-lambda1"],
 )
-def test_solve1d_rerun_from_sidecar_is_byte_identical(tmp_path, argv, outputs):
+def test_solve1d_rerun_from_sidecar_is_byte_identical(tmp_path, argv, outputs, lam):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     assert run([*argv, "--out", str(out1)]) == EXIT_OK
     sidecar = out1 / f"{argv[0]}.config.json"
+    assert json.loads(sidecar.read_text())["lam"] == lam
     assert run([argv[0], "--config", str(sidecar), "--out", str(out2)]) == EXIT_OK
     for name in outputs:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from gp_rigidity import grid, model, solver1d, solvernd
-from gp_rigidity.errors import NonConvergence, StepTooLarge, TooAnisotropic
+from gp_rigidity.errors import NonConvergence, TooAnisotropic
 from gp_rigidity.grid import Grid1D, ProfilePair, SlabField
 from gp_rigidity.model import Params
 
@@ -15,25 +20,12 @@ def front_profile(g):
     return ProfilePair(g, u, v)
 
 
-def test_max_stable_dt_formula():
-    assert solvernd.max_stable_dt(Params(3.0)) == 0.9 / 11.0
-    assert solvernd.max_stable_dt(Params(0.5)) == 0.9 / 3.5
-
-
-def test_flow_step_rejects_large_dt():
-    p = Params(3.0)
-    g = Grid1D(2.0, 9)
-    f = SlabField(g, g, np.zeros((9, 9)), np.zeros((9, 9)), periodic_n=True)
-    with pytest.raises(StepTooLarge):
-        solvernd.flow_step(p, f, solvernd.max_stable_dt(p) * 1.01)
-
-
 def test_embedded_front_nearly_stationary():
     p = Params(3.0)
     g_n = Grid1D(20.0, 801)
     g_t = Grid1D(4.0, 64)
     f = solvernd.embed_profile(front_profile(g_n), g_t)
-    dt = solvernd.max_stable_dt(p)
+    dt = solvernd.DEFAULT_DT
     f1 = solvernd.flow_step(p, f, dt)
     upd = max(np.max(np.abs(f1.u - f.u)), np.max(np.abs(f1.v - f.v)))
     assert upd <= 10.0 * g_n.h**2 * dt
@@ -50,48 +42,103 @@ def test_dirichlet_columns_unchanged():
     u[:, 1:-1] += rng.uniform(-0.05, 0.05, (16, 99))
     v[:, 1:-1] += rng.uniform(-0.05, 0.05, (16, 99))
     f = f.with_values(u, v)
-    f1 = solvernd.flow_step(p, f, solvernd.max_stable_dt(p))
+    f1 = solvernd.flow_step(p, f, solvernd.DEFAULT_DT)
     assert np.array_equal(f1.u[:, 0], f.u[:, 0])
     assert np.array_equal(f1.v[:, 0], f.v[:, 0])
     assert np.array_equal(f1.u[:, -1], f.u[:, -1])
     assert np.array_equal(f1.v[:, -1], f.v[:, -1])
 
 
-def dense_line_operator(m, h, dt, periodic):
-    """I - dt * second difference on m nodes; Dirichlet end rows are identity rows."""
-    a = dt / h**2
-    op = np.eye(m)
+def second_difference_matrix(m, h, periodic):
+    """Central second difference on m nodes; the end rows of a Dirichlet axis stay zero."""
+    d = np.zeros((m, m))
     for i in range(m):
         if periodic or 0 < i < m - 1:
-            op[i, i] += 2.0 * a
-            op[i, (i - 1) % m] -= a
-            op[i, (i + 1) % m] -= a
-    return op
+            d[i, i] -= 2.0 / h**2
+            d[i, (i - 1) % m] += 1.0 / h**2
+            d[i, (i + 1) % m] += 1.0 / h**2
+    return d
+
+
+SHAPES = [(3, 3, False), (3, 3, True), (5, 8, False), (5, 8, True), (8, 5, False), (8, 5, True), (64, 801, False)]
+# the explicit step of coupling 3 (S = 0) keeps the plain ids; dt = 1 and 2 take S > 0
+EXPLICIT_DT = 0.9 / 11.0
 
 
 @pytest.mark.parametrize(
-    "nt, nn, periodic_n",
-    [(3, 3, False), (3, 3, True), (5, 8, False), (5, 8, True), (8, 5, False), (8, 5, True), (64, 801, False)],
+    "nt, nn, periodic_n, dt",
+    [pytest.param(*shape, EXPLICIT_DT, id="-".join(map(str, shape))) for shape in SHAPES]
+    + [
+        pytest.param(*shape, dt, id="-".join(map(str, shape)) + f"-dt{dt:g}")
+        for shape in SHAPES
+        for dt in (1.0, 2.0)
+    ],
 )
-def test_flow_step_matches_dense_solve(nt, nn, periodic_n):
-    # random data everywhere, so the pinned end columns vary along the transverse axis
+def test_flow_step_matches_dense_solve(nt, nn, periodic_n, dt):
+    # random data everywhere, so the pinned end columns vary along the transverse axis;
+    # the oracle assembles (1 + S*dt) I - dt (D_t + D_n) on all nodes, with identity
+    # rows at the pinned end columns, and solves it directly
     p = Params(3.0)
     g_t = Grid1D(1.5, nt)
     g_n = Grid1D(20.0 if nn > 100 else 0.5, nn)
     rng = np.random.default_rng(nt * 1000 + nn)
     f = SlabField(g_t, g_n, rng.uniform(-1, 1, (nt, nn)), rng.uniform(-1, 1, (nt, nn)), periodic_n)
-    dt = solvernd.max_stable_dt(p)
+    s = solvernd.stabilization(p, dt)
+    assert (s == 0.0) == (dt == EXPLICIT_DT)
     new = solvernd.flow_step(p, f, dt)
-    op_t = dense_line_operator(nt, g_t.h, dt, periodic=True)
-    op_n = dense_line_operator(nn, g_n.h, dt, periodic=periodic_n)
+    lap = sparse.kron(second_difference_matrix(nt, g_t.h, periodic=True), sparse.identity(nn)) + sparse.kron(
+        sparse.identity(nt), second_difference_matrix(nn, g_n.h, periodic_n)
+    )
+    free = np.ones((nt, nn))
+    if not periodic_n:
+        free[:, [0, -1]] = 0.0
+    op = sparse.diags(free.ravel()) @ ((1.0 + s * dt) * sparse.identity(nt * nn) - dt * lap) + sparse.diags(
+        1.0 - free.ravel()
+    )
     for old, react, got in zip((f.u, f.v), model.reaction(p, f.u, f.v), (new.u, new.v)):
-        rhs = old + dt * react
-        if not periodic_n:
-            rhs[:, [0, -1]] = old[:, [0, -1]]
-        expected = np.linalg.solve(op_n, np.linalg.solve(op_t, rhs).T).T
-        if not periodic_n:
-            expected[:, [0, -1]] = old[:, [0, -1]]
+        rhs = np.where(free == 1.0, (1.0 + s * dt) * old + dt * react, old)
+        expected = spsolve(op.tocsc(), rhs.ravel()).reshape(nt, nn)
         assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+# A checkerboard on the saddle u = v = 1/2 of the coupling-3 potential, on a grid
+# coarse enough (h = 20/7) for the checkerboard to lower the energy.  A step whose
+# implicit operator is the factorized (I - dt D_t)(I - dt D_n) + S*dt*I damps it
+# and raises the energy (by 2e-6 relative at dt = 2): its split term
+# dt^2 D_t D_n acts on the new state, not on the update.
+_CHECKERBOARD = (-1.0) ** np.add.outer(np.arange(8), np.arange(9))
+SADDLE_U = 0.5 + 1e-2 * _CHECKERBOARD
+SADDLE_V = 0.5 - 1e-2 * _CHECKERBOARD
+
+
+def log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda x: 10.0**x)
+
+
+unit_data = arrays(float, (8, 9), elements=st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    lam=log_uniform(0.05, 1000.0),
+    dt=log_uniform(1e-3, 1e3),
+    half_length=st.floats(0.5, 20.0),
+    periodic_n=st.booleans(),
+    u=unit_data,
+    v=unit_data,
+)
+@example(lam=3.0, dt=2.0, half_length=10.0, periodic_n=True, u=SADDLE_U, v=SADDLE_V)
+def test_flow_step_never_raises_energy(lam, dt, half_length, periodic_n, u, v):
+    # an 8x8 periodic box or an 8x9 Dirichlet slab holding data in [0,1]^2
+    g_t = Grid1D(half_length, 8)
+    if periodic_n:
+        f = SlabField(g_t, g_t, u[:, :8], v[:, :8], periodic_n=True)
+    else:
+        f = SlabField(g_t, Grid1D(half_length, 9), u, v)
+    p = Params(lam)
+    e0 = grid.discrete_energy_slab(p, f)
+    e1 = grid.discrete_energy_slab(p, solvernd.flow_step(p, f, dt))
+    assert e1 - e0 <= 1e-12 * max(1.0, abs(e0))
 
 
 @pytest.mark.parametrize("periodic_n", [False, True])
@@ -102,7 +149,7 @@ def test_flow_rejects_overflowing_data(periodic_n):
     f = SlabField(g, g, big, big, periodic_n)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
-            solvernd.flow_step(p, f, solvernd.max_stable_dt(p))
+            solvernd.flow_step(p, f, solvernd.DEFAULT_DT)
         with pytest.raises(ValueError, match="non-finite"):
             solvernd.relax_to_steady(p, f, solvernd.FlowOptions())
 
@@ -113,13 +160,13 @@ def test_constant_fixed_points():
     p = Params(0.5)
     c = model.liouville_constant(p)
     f = SlabField(box, box, np.full((32, 32), c), np.full((32, 32), c), periodic_n=True)
-    f1 = solvernd.flow_step(p, f, solvernd.max_stable_dt(p))
+    f1 = solvernd.flow_step(p, f, solvernd.DEFAULT_DT)
     assert np.max(np.abs(f1.u - f.u)) <= 1e-13
     assert np.max(np.abs(f1.v - f.v)) <= 1e-13
     # pure equilibria at any coupling
     for pair in ((1.0, 0.0), (0.0, 1.0)):
         f = SlabField(box, box, np.full((32, 32), pair[0]), np.full((32, 32), pair[1]), periodic_n=True)
-        f1 = solvernd.flow_step(Params(4.0), f, solvernd.max_stable_dt(Params(4.0)))
+        f1 = solvernd.flow_step(Params(4.0), f, solvernd.DEFAULT_DT)
         assert np.max(np.abs(f1.u - f.u)) <= 1e-13
         assert np.max(np.abs(f1.v - f.v)) <= 1e-13
 
@@ -136,7 +183,7 @@ def test_one_step_decreases_energy_from_perturbed_state():
     u[:, -1], v[:, -1] = grid.RIGHT_STATE
     f = f.with_values(u, v)
     e0 = grid.discrete_energy_slab(p, f)
-    f1 = solvernd.flow_step(p, f, solvernd.max_stable_dt(p))
+    f1 = solvernd.flow_step(p, f, solvernd.DEFAULT_DT)
     e1 = grid.discrete_energy_slab(p, f1)
     assert e1 < e0
 
@@ -147,7 +194,7 @@ def test_bound_absorption():
     box = Grid1D(3.0, 24)
     rng = np.random.default_rng(6)
     f = SlabField(box, box, rng.uniform(-1, 1, (24, 24)), rng.uniform(-1, 1, (24, 24)), periodic_n=True)
-    dt = solvernd.max_stable_dt(p)
+    dt = solvernd.DEFAULT_DT
     cap = 1.0 + 10.0 * box.h**2
     for _ in range(50):
         f = solvernd.flow_step(p, f, dt)
@@ -164,6 +211,7 @@ def test_relax_nonconvergence_carries_outcome():
     assert info.value.outcome is not None
     assert info.value.outcome.steps == 3
     assert len(info.value.outcome.energy_trace) == 4
+    assert info.value.outcome.final_residual > opts.steady_tol
 
 
 def test_transverse_anisotropy_basics():
@@ -197,7 +245,7 @@ def test_liouville_runs_reach_constant():
     for lam in (0.25, 0.5, 0.75):
         p = Params(lam)
         out = solvernd.periodic_box_run(p, box, box, solvernd.FlowOptions(rng_seed=7))
-        assert out.converged
+        assert out.converged and out.final_residual <= 1e-9
         c = model.liouville_constant(p)
         dev = max(np.max(np.abs(out.field.u - c)), np.max(np.abs(out.field.v - c)))
         assert dev <= 1e-6, lam
@@ -214,7 +262,7 @@ def test_liouville_value_example():
 def test_unit_coupling_circle():
     box = Grid1D(4.0, 32)
     out = solvernd.periodic_box_run(Params(1.0), box, box, solvernd.FlowOptions(rng_seed=7))
-    assert out.converged
+    assert out.converged and out.final_residual <= 1e-9
     circ = np.max(np.abs(out.field.u**2 + out.field.v**2 - 1.0))
     assert circ <= 1e-6
     assert max(np.ptp(out.field.u), np.ptp(out.field.v)) <= 1e-6
@@ -222,7 +270,7 @@ def test_unit_coupling_circle():
 
 def test_gibbons_run_flattens(gibbons_run):
     outcome, _elapsed = gibbons_run
-    assert outcome.converged
+    assert outcome.converged and outcome.final_residual <= 1e-9
     assert solvernd.transverse_anisotropy(outcome.field) <= 1e-8
     jumps = np.diff(np.array(outcome.energy_trace))
     assert np.max(jumps) <= 1e-12
