@@ -297,7 +297,8 @@ def cmd_relax(cfg: RunConfig) -> int:
     solvernd.save_energy_trace_csv(os.path.join(cfg.out_dir, "energy_trace.csv"), outcome)
     report = _write_report(os.path.join(cfg.out_dir, "report.json"), cfg.seed, records)
     print(
-        f"relax mode={cfg.mode} coupling={cfg.lam}: {outcome.steps} steps, "
+        f"relax mode={cfg.mode} coupling={cfg.lam}: {outcome.steps} steps "
+        f"({outcome.rejected} extrapolations rejected), "
         f"final update {outcome.final_update:.3e}, "
         f"final residual {outcome.final_residual:.3e}, "
         f"{len(report.failures())} of {len(records)} checks failed"

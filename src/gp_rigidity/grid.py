@@ -201,7 +201,8 @@ def discrete_energy_slab(p: Params, f: SlabField) -> float:
     u, v = f.u, f.v
     grad_t = _squared_steps(u, v, axis=0, wrap=True) * hn / (2.0 * ht)
     grad_n = _squared_steps(u, v, axis=1, wrap=f.periodic_n) * ht / (2.0 * hn)
-    w = model._potential(p.lam, u, v) - model.PURE_STATE_POTENTIAL
+    w = model._potential(p.lam, u, v)
+    w -= model.PURE_STATE_POTENTIAL
     if f.periodic_n:
         pot = float(np.sum(w))
     else:  # trapezoidal weights along the pinned axis
@@ -213,10 +214,14 @@ def _squared_steps(u: np.ndarray, v: np.ndarray, axis: int, wrap: bool) -> float
     """Sum of the squared forward differences of u and v along one axis.
 
     With wrap the step from the last slice back to the first is included.
+    The squares are formed in the differences' buffers.
     """
     du = np.diff(u, axis=axis)
+    du *= du
     dv = np.diff(v, axis=axis)
-    total = float(np.sum(du * du + dv * dv))
+    dv *= dv
+    du += dv
+    total = float(np.sum(du))
     if wrap:
         du = u.take(0, axis) - u.take(-1, axis)
         dv = v.take(0, axis) - v.take(-1, axis)

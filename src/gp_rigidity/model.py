@@ -70,11 +70,21 @@ def _reaction(lam: float, u: np.ndarray, v: np.ndarray):
     than a product).  :func:`reaction` keeps its own arithmetic for the Newton
     solves: a front pinned on [-L, L] has a nearly neutral translation mode,
     which turns one ulp in the reaction into a shift of about 2e-8 in the
-    solved profile and of about 1e-10 in reported margins.
+    solved profile and of about 1e-10 in reported margins.  At most four
+    field-sized buffers are alive at once; every value is rounded as in the
+    plain expressions u*(1 - u2 - lam*v2) and v*(1 - v2 - lam*u2).
     """
     u2 = u * u
     v2 = v * v
-    return u * (1.0 - u2 - lam * v2), v * (1.0 - v2 - lam * u2)
+    fu = 1.0 - u2
+    fu -= lam * v2
+    fu *= u
+    # fv is formed in v2's buffer once fu no longer needs it
+    np.subtract(1.0, v2, out=v2)
+    u2 *= lam
+    v2 -= u2
+    v2 *= v
+    return fu, v2
 
 
 def reaction_jacobian(p: Params, u, v):
@@ -101,10 +111,24 @@ def potential(p: Params, u, v):
 
 
 def _potential(lam: float, u: np.ndarray, v: np.ndarray):
-    """Unchecked kernel of :func:`potential` for float arrays already known finite."""
+    """Unchecked kernel of :func:`potential` for float arrays already known finite.
+
+    Works in place on three buffers; every value is rounded exactly as in
+    the plain expression (u2-1)**2/4 + (v2-1)**2/4 + 0.5*lam*u2*v2.
+    """
     u2 = u * u
     v2 = v * v
-    return (u2 - 1.0) ** 2 / 4.0 + (v2 - 1.0) ** 2 / 4.0 + 0.5 * lam * u2 * v2
+    coupling = u2 * (0.5 * lam)
+    coupling *= v2
+    u2 -= 1.0
+    u2 **= 2
+    u2 /= 4.0
+    v2 -= 1.0
+    v2 **= 2
+    v2 /= 4.0
+    u2 += v2
+    u2 += coupling
+    return u2
 
 
 def tanh_front(alpha: float, t):

@@ -337,7 +337,7 @@ def gibbons_records(
         _record(
             "gibbons-anisotropy", "T1.1-monotone-symmetry", -ani,
             GIBBONS_ANISOTROPY_TOL, lam=lam, anisotropy=ani, steps=outcome.steps,
-            final_residual=outcome.final_residual, dt=flow.dt,
+            rejected=outcome.rejected, final_residual=outcome.final_residual, dt=flow.dt,
         )
     ]
 
@@ -389,7 +389,7 @@ def liouville_records(p: Params, box: Grid1D, flow: solvernd.FlowOptions):
         _record(
             "liouville-constant", "T-liouville-sub1", -dev, LIOUVILLE_TOL,
             lam=lam, constant=c, max_deviation=dev, steps=outcome.steps,
-            final_residual=outcome.final_residual, dt=flow.dt,
+            rejected=outcome.rejected, final_residual=outcome.final_residual, dt=flow.dt,
         ),
         _record(
             "liouville-bounds", "T1.3-bounds-iii", bounds.sum_squares_margin, tol,
@@ -416,7 +416,7 @@ def unit_coupling_records(box: Grid1D, flow: solvernd.FlowOptions):
         _record(
             "unit-coupling-circle", "T-liouville-eq1", -circle_dev, LIOUVILLE_TOL,
             lam=1.0, max_circle_deviation=circle_dev, steps=outcome.steps,
-            final_residual=outcome.final_residual, dt=flow.dt,
+            rejected=outcome.rejected, final_residual=outcome.final_residual, dt=flow.dt,
         ),
         _record(
             "unit-coupling-constant", "T-liouville-eq1", -spread, LIOUVILLE_TOL,

@@ -186,7 +186,7 @@ def test_relax_lambda1(tmp_path):
     assert rec["pass"]
 
 
-def test_relax_gibbons(tmp_path):
+def test_relax_gibbons(tmp_path, capsys):
     out = tmp_path / "rg"
     code = run(["relax", "--mode", "gibbons", "--lambda", "3", "--out", str(out)])
     assert code == EXIT_OK
@@ -194,6 +194,9 @@ def test_relax_gibbons(tmp_path):
     rec = {r["name"]: r for r in report["records"]}["gibbons-anisotropy"]
     assert rec["pass"]
     assert rec["params"]["anisotropy"] <= 1e-8
+    rejected = rec["params"]["rejected"]
+    assert isinstance(rejected, int) and 0 <= rejected < rec["params"]["steps"]
+    assert f"({rejected} extrapolations rejected)" in capsys.readouterr().out
 
 
 def test_relax_rejects_extra_transverse_dims(tmp_path, capsys):

@@ -193,6 +193,45 @@ def test_energy_slab_matches_rolled_sums(periodic_n):
     assert abs(grid.discrete_energy_slab(p, f) - expected) <= 1e-13 * abs(expected)
 
 
+def plain_energy_slab(p, f):
+    """discrete_energy_slab written with plain (not in-place) expressions."""
+
+    def squared_steps(axis, wrap):
+        du = np.diff(f.u, axis=axis)
+        dv = np.diff(f.v, axis=axis)
+        total = float(np.sum(du * du + dv * dv))
+        if wrap:
+            du = f.u.take(0, axis) - f.u.take(-1, axis)
+            dv = f.v.take(0, axis) - f.v.take(-1, axis)
+            total += float(np.sum(du * du + dv * dv))
+        return total
+
+    ht, hn = f.grid_t.h, f.grid_n.h
+    u2 = f.u * f.u
+    v2 = f.v * f.v
+    w = (u2 - 1.0) ** 2 / 4.0 + (v2 - 1.0) ** 2 / 4.0 + 0.5 * p.lam * u2 * v2 - model.PURE_STATE_POTENTIAL
+    if f.periodic_n:
+        pot = float(np.sum(w))
+    else:
+        pot = float(np.sum(w[:, 1:-1])) + 0.5 * (float(np.sum(w[:, 0])) + float(np.sum(w[:, -1])))
+    grad_t = squared_steps(0, True) * hn / (2.0 * ht)
+    grad_n = squared_steps(1, f.periodic_n) * ht / (2.0 * hn)
+    return grad_t + grad_n + pot * ht * hn
+
+
+@pytest.mark.parametrize("periodic_n", [False, True])
+@pytest.mark.parametrize("lam", [0.05, 3.0, 1000.0])
+def test_energy_slab_matches_plain_expressions_bitwise(periodic_n, lam):
+    # the in-place energy keeps the plain expressions' rounding, so every
+    # energy margin keeps its arithmetic
+    p = Params(lam)
+    rng = np.random.default_rng(13)
+    for nt, nn in ((5, 8), (64, 801)):
+        u, v = rng.uniform(-1.2, 1.2, (2, nt, nn))
+        f = SlabField(Grid1D(4.0, nt), Grid1D(20.0, nn), u, v, periodic_n)
+        assert grid.discrete_energy_slab(p, f) == plain_energy_slab(p, f)
+
+
 def test_check_discrete_monotone():
     g = Grid1D(20.0, 401)
     prof = sampled_front(g)

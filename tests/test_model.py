@@ -115,6 +115,26 @@ def test_jacobian_consistency_1000_points():
     assert worst <= 1e-5
 
 
+@pytest.mark.parametrize("lam", [0.05, 1.0, 3.0, 1000.0])
+def test_kernels_match_plain_expressions_bitwise(lam):
+    # the in-place kernels round every value as the plain expressions do, on
+    # contiguous arrays and on the interior-column views the slab flow passes
+    rng = np.random.default_rng(12)
+    u, v = rng.uniform(-1.5, 1.5, (2, 64, 801))
+    inputs = (u.copy(), v.copy())
+    for a, b in ((u, v), (u[:, 1:-1], v[:, 1:-1])):
+        a2 = a * a
+        b2 = b * b
+        assert np.array_equal(
+            model._potential(lam, a, b), (a2 - 1.0) ** 2 / 4.0 + (b2 - 1.0) ** 2 / 4.0 + 0.5 * lam * a2 * b2
+        )
+        fu, fv = model._reaction(lam, a, b)
+        assert np.array_equal(fu, a * (1.0 - a2 - lam * b2))
+        assert np.array_equal(fv, b * (1.0 - b2 - lam * a2))
+    # the inputs are left alone
+    assert np.array_equal(u, inputs[0]) and np.array_equal(v, inputs[1])
+
+
 def test_reaction_symmetries_random():
     rng = np.random.default_rng(5)
     for _ in range(100):

@@ -141,6 +141,51 @@ def test_flow_step_never_raises_energy(lam, dt, half_length, periodic_n, u, v):
     assert e1 - e0 <= 1e-12 * max(1.0, abs(e0))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    lam=log_uniform(0.05, 1000.0),
+    half_length=st.floats(0.5, 20.0),
+    periodic_n=st.booleans(),
+    u=unit_data,
+    v=unit_data,
+)
+def test_relax_to_steady_never_raises_energy(lam, half_length, periodic_n, u, v):
+    # the accepted iterates of the accelerated flow, on an 8x8 periodic box
+    # or an 8x9 Dirichlet slab; a run that does not settle ends in
+    # NonConvergence with its partial outcome
+    g_t = Grid1D(half_length, 8)
+    if periodic_n:
+        f0 = SlabField(g_t, g_t, u[:, :8], v[:, :8], periodic_n=True)
+    else:
+        f0 = SlabField(g_t, Grid1D(half_length, 9), u, v)
+    opts = solvernd.FlowOptions(max_steps=100)
+    try:
+        out = solvernd.relax_to_steady(Params(lam), f0, opts)
+    except NonConvergence as exc:
+        out = exc.outcome
+        assert not out.converged and out.steps == opts.max_steps
+    energies = np.array(out.energy_trace)
+    assert len(energies) == out.steps + 1 == len(out.update_trace) + 1
+    assert np.all(np.diff(energies) <= 1e-12 * np.maximum(1.0, np.abs(energies[:-1])))
+    assert 0 <= out.rejected < out.steps
+    if not periodic_n:
+        for end in (0, -1):
+            assert np.array_equal(out.field.u[:, end], f0.u[:, end])
+            assert np.array_equal(out.field.v[:, end], f0.v[:, end])
+
+
+@pytest.mark.parametrize("lam", [1.1, 1.5, 6.0, 20.0, 100.0])
+def test_gibbons_run_settles_across_couplings(lam):
+    # a slab with a short transverse axis; near coupling 1 the plain flow
+    # stalls above steady_tol for 40000 steps
+    opts = solvernd.FlowOptions(rng_seed=0)
+    out = solvernd.gibbons_run(Params(lam), Grid1D(0.5, 8), Grid1D(20.0, 801), opts)
+    assert out.converged
+    assert out.final_residual <= opts.steady_tol
+    assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
+    assert solvernd.transverse_anisotropy(out.field) <= 1e-8
+
+
 @pytest.mark.parametrize("periodic_n", [False, True])
 def test_flow_rejects_overflowing_data(periodic_n):
     p = Params(3.0)

@@ -26,6 +26,15 @@ def test_full_suite_all_pass(suite_report):
     assert elapsed <= 300.0
 
 
+def test_flow_records_report_rejected_extrapolations(suite_report):
+    report, _ = suite_report
+    flow = [r for r in report.records if r.name in ("gibbons-anisotropy", "liouville-constant", "unit-coupling-circle")]
+    assert len(flow) == 5
+    for rec in flow:
+        assert isinstance(rec.params["rejected"], int)
+        assert 0 <= rec.params["rejected"] < rec.params["steps"]
+
+
 def test_full_suite_exercises_every_tag(suite_report):
     report, _ = suite_report
     seen = {r.theorem for r in report.records}
