@@ -5,6 +5,10 @@ and (1,0) at +L.  The 2D slab is periodic in the transverse axis and either
 pinned (Dirichlet) or periodic along the second axis.  All difference
 operators are second-order central; energies pair forward differences with
 trapezoidal quadrature so both carry O(h^2) error.
+
+Profiles and slab fields are written as CSV with every value formatted as
+CSV_FLOAT (17 significant digits), so reloading them is bit-exact.  The
+writers format bounded blocks of rows and write each block in one call.
 """
 
 from __future__ import annotations
@@ -323,19 +327,37 @@ def check_sum_vs_one(p: Params, prof: ProfilePair, tolerance: float = 0.0) -> Su
 
 # ---------------------------------------------------------------------------
 # CSV serialization (17 significant digits so reloads are bit-exact)
+#
+# Every value is written with CSV_FLOAT, through _write_csv_rows: the text is
+# the same as formatting value by value, and the memory held at any moment
+# stays a few kilobytes whatever the grid size.
 # ---------------------------------------------------------------------------
 
+# Rows formatted and written per call; large enough to amortize the write,
+# small enough that a block never becomes a command's memory peak.
+_CSV_BLOCK_ROWS = 64
 
-def _format_row(values) -> str:
-    return ",".join(CSV_FLOAT % x for x in values)
+
+def _write_csv_rows(fh, row_format: str, *columns) -> None:
+    """Write the rows of equal-length 1D arrays, each as ``row_format % row``.
+
+    The arrays are sliced into blocks of _CSV_BLOCK_ROWS rows; each slice is
+    turned into Python numbers with ``.tolist()`` and each block is written
+    with one ``fh.write``.
+    """
+    n = len(columns[0])
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        stop = start + _CSV_BLOCK_ROWS
+        rows = zip(*[c[start:stop].tolist() for c in columns])
+        fh.write("".join([row_format % row for row in rows]))
 
 
 def save_profile_csv(path, prof: ProfilePair) -> None:
-    x = prof.grid.nodes()
+    """Write header `x,u,v` and one row per node, each value as CSV_FLOAT."""
+    row_format = ",".join([CSV_FLOAT] * 3) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,u,v\n")
-        for i in range(prof.grid.n):
-            fh.write(_format_row((x[i], prof.u[i], prof.v[i])) + "\n")
+        _write_csv_rows(fh, row_format, prof.grid.nodes(), prof.u, prof.v)
 
 
 def load_profile_csv(path) -> ProfilePair:
@@ -346,13 +368,18 @@ def load_profile_csv(path) -> ProfilePair:
 
 
 def save_slab_csv(path, f: SlabField) -> None:
-    xp = f.grid_t.nodes()
+    """Write header `xp,xn,u,v` and one row per node, transverse index outer.
+
+    Rows go out one transverse slice at a time: the slice's xp is formatted
+    once into the row format (a formatted finite float holds no '%'), so no
+    coordinate array of the whole slab is built.
+    """
     xn = f.grid_n.nodes()
+    row_tail = ",".join([CSV_FLOAT] * 3) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("xp,xn,u,v\n")
-        for i in range(f.grid_t.n):
-            for j in range(f.grid_n.n):
-                fh.write(_format_row((xp[i], xn[j], f.u[i, j], f.v[i, j])) + "\n")
+        for i, xp in enumerate(f.grid_t.nodes().tolist()):
+            _write_csv_rows(fh, CSV_FLOAT % xp + "," + row_tail, xn, f.u[i], f.v[i])
 
 
 def load_slab_csv(path, periodic_n: bool = False) -> SlabField:

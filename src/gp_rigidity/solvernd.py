@@ -414,11 +414,14 @@ def _random_box(grid_t: Grid1D, grid_n: Grid1D, seed: int) -> SlabField:
 
 def save_energy_trace_csv(path, outcome: FlowOutcome) -> None:
     """Export `step,energy,update_norm`; the update at step 0 is left empty."""
+    updates = np.asarray(outcome.update_trace, dtype=float)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("step,energy,update_norm\n")
         fh.write("0,%s,\n" % (gridmod.CSV_FLOAT % outcome.energy_trace[0]))
-        for k, upd in enumerate(outcome.update_trace, start=1):
-            fh.write(
-                "%d,%s,%s\n"
-                % (k, gridmod.CSV_FLOAT % outcome.energy_trace[k], gridmod.CSV_FLOAT % upd)
-            )
+        gridmod._write_csv_rows(
+            fh,
+            "%d," + gridmod.CSV_FLOAT + "," + gridmod.CSV_FLOAT + "\n",
+            np.arange(1, len(updates) + 1),
+            np.asarray(outcome.energy_trace[1:], dtype=float),
+            updates,
+        )

@@ -1,0 +1,181 @@
+"""CSV writers: exact text, bit-exact reloads and bounded memory.
+
+The block writers must produce the same bytes as formatting every value on
+its own with ``grid.CSV_FLOAT``, which is what the reference writers below do.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from gp_rigidity import grid, solvernd
+from gp_rigidity.grid import Grid1D, ProfilePair, SlabField
+from gp_rigidity.model import Params
+
+BLOCK = grid._CSV_BLOCK_ROWS
+
+# Signed zeros, the smallest subnormal, tiny and huge magnitudes, values whose
+# shortest form is short, and 0.1 + 0.2, which needs all 17 digits.
+EDGE_VALUES = (-0.0, 5e-324, 1e-300, 0.0, 1.0, 0.1, -1e16, 1e17, 0.1 + 0.2)
+ROW_COUNTS = (3, BLOCK - 1, BLOCK, BLOCK + 1)
+
+
+def reference_row(values) -> str:
+    return ",".join(grid.CSV_FLOAT % x for x in values) + "\n"
+
+
+def reference_profile_text(prof: ProfilePair) -> str:
+    x = prof.grid.nodes()
+    rows = [reference_row((x[i], prof.u[i], prof.v[i])) for i in range(prof.grid.n)]
+    return "x,u,v\n" + "".join(rows)
+
+
+def reference_slab_text(f: SlabField) -> str:
+    xp = f.grid_t.nodes()
+    xn = f.grid_n.nodes()
+    rows = [
+        reference_row((xp[i], xn[j], f.u[i, j], f.v[i, j]))
+        for i in range(f.grid_t.n)
+        for j in range(f.grid_n.n)
+    ]
+    return "xp,xn,u,v\n" + "".join(rows)
+
+
+def reference_energy_trace_text(outcome: solvernd.FlowOutcome) -> str:
+    lines = ["step,energy,update_norm\n", "0,%s,\n" % (grid.CSV_FLOAT % outcome.energy_trace[0])]
+    for k, upd in enumerate(outcome.update_trace, start=1):
+        lines.append("%d,%s" % (k, reference_row((outcome.energy_trace[k], upd))))
+    return "".join(lines)
+
+
+def edge_column(n: int, shift: int) -> np.ndarray:
+    """n values cycling through EDGE_VALUES, starting at offset shift."""
+    return np.roll(np.resize(np.array(EDGE_VALUES), n + len(EDGE_VALUES)), -shift)[:n]
+
+
+def digits_column(n: int, seed: int) -> np.ndarray:
+    """n random values whose text changes if printed with fewer digits, in every row."""
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    for i, x in enumerate(values):
+        while "%.16g" % x == grid.CSV_FLOAT % x:
+            x = np.nextafter(x, 2.0)
+        values[i] = x
+    return values
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_profile_csv_matches_per_value_writer(tmp_path, n):
+    prof = ProfilePair(Grid1D(0.1 + 0.2, n), edge_column(n, 0), digits_column(n, 1))
+    path = tmp_path / "profile.csv"
+    grid.save_profile_csv(path, prof)
+    assert path.read_text(encoding="ascii") == reference_profile_text(prof)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, BLOCK - 1), (4, BLOCK), (5, BLOCK + 1), (BLOCK + 1, 3)])
+def test_slab_csv_matches_per_value_writer(tmp_path, shape):
+    nt, nn = shape
+    u = edge_column(nt * nn, 2).reshape(shape)
+    v = digits_column(nt * nn, 2).reshape(shape)
+    f = SlabField(Grid1D(1e-300 * 3.0, nt), Grid1D(0.1, nn), u, v)
+    path = tmp_path / "field.csv"
+    grid.save_slab_csv(path, f)
+    assert path.read_text(encoding="ascii") == reference_slab_text(f)
+
+
+@pytest.mark.parametrize("steps", [0] + [n - 1 for n in ROW_COUNTS])
+def test_energy_trace_csv_matches_per_value_writer(tmp_path, steps):
+    box = Grid1D(1.0, 3)
+    field = SlabField(box, box, np.zeros((3, 3)), np.zeros((3, 3)), periodic_n=True)
+    energies = tuple(edge_column(steps + 1, 1).tolist())
+    updates = tuple(digits_column(steps, 3).tolist())
+    outcome = solvernd.FlowOutcome(
+        field, steps, 0.0, 0.0, True, energy_trace=energies, update_trace=updates
+    )
+    path = tmp_path / "energy_trace.csv"
+    solvernd.save_energy_trace_csv(path, outcome)
+    assert path.read_text(encoding="ascii") == reference_energy_trace_text(outcome)
+
+
+def test_energy_trace_csv_of_a_run_matches_per_value_writer(tmp_path):
+    box = Grid1D(4.0, 16)
+    out = solvernd.periodic_box_run(Params(0.5), box, box, solvernd.FlowOptions(rng_seed=3))
+    path = tmp_path / "energy_trace.csv"
+    solvernd.save_energy_trace_csv(path, out)
+    assert path.read_text(encoding="ascii") == reference_energy_trace_text(out)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+def bitwise_equal(a, b) -> bool:
+    """Equal bit patterns, so -0.0 and 0.0 differ."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    half_length=st.floats(1e-3, 1e6),
+    data=st.integers(3, 2 * BLOCK + 3).flatmap(
+        lambda n: st.tuples(arrays(float, n, elements=finite_floats),
+                            arrays(float, n, elements=finite_floats))
+    ),
+)
+def test_profile_csv_reload_is_bitwise(tmp_path_factory, half_length, data):
+    u, v = data
+    prof = ProfilePair(Grid1D(half_length, len(u)), u, v)
+    path = tmp_path_factory.mktemp("profile") / "profile.csv"
+    grid.save_profile_csv(path, prof)
+    loaded = grid.load_profile_csv(path)
+    assert loaded.grid == prof.grid
+    assert bitwise_equal(loaded.u, prof.u) and bitwise_equal(loaded.v, prof.v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    half_lengths=st.tuples(st.floats(1e-3, 1e6), st.floats(1e-3, 1e6)),
+    data=st.tuples(st.integers(3, 6), st.integers(3, BLOCK + 3)).flatmap(
+        lambda shape: st.tuples(arrays(float, shape, elements=finite_floats),
+                                arrays(float, shape, elements=finite_floats))
+    ),
+)
+def test_slab_csv_reload_is_bitwise(tmp_path_factory, half_lengths, data):
+    u, v = data
+    f = SlabField(Grid1D(half_lengths[0], u.shape[0]), Grid1D(half_lengths[1], u.shape[1]), u, v)
+    path = tmp_path_factory.mktemp("slab") / "field.csv"
+    grid.save_slab_csv(path, f)
+    loaded = grid.load_slab_csv(path)
+    assert loaded.grid_t == f.grid_t and loaded.grid_n == f.grid_n
+    assert bitwise_equal(loaded.u, f.u) and bitwise_equal(loaded.v, f.v)
+
+
+MEMORY_BOUND = 256 * 1024  # bytes; the whole 20001-row profile text is about 1.4 MB
+
+
+def traced_peak(write) -> int:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_csv_memory_stays_bounded(tmp_path):
+    rng = np.random.default_rng(5)
+    g = Grid1D(20.0, 20001)
+    prof = ProfilePair(g, rng.uniform(-1, 1, g.n), rng.uniform(-1, 1, g.n))
+    peak = traced_peak(lambda: grid.save_profile_csv(tmp_path / "profile.csv", prof))
+    assert peak < MEMORY_BOUND
+
+
+def test_slab_csv_memory_stays_bounded(tmp_path):
+    rng = np.random.default_rng(6)
+    shape = (64, 801)
+    f = SlabField(Grid1D(4.0, 64), Grid1D(20.0, 801), rng.uniform(0, 1, shape), rng.uniform(0, 1, shape))
+    peak = traced_peak(lambda: grid.save_slab_csv(tmp_path / "field.csv", f))
+    assert peak < MEMORY_BOUND
