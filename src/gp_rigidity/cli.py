@@ -182,6 +182,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "relax" and "n" not in touched:
         # relaxation runs use a coarser default axis than the Newton solver
         cfg = replace(cfg, n=801)
+    if args.command == "relax" and cfg.mode == "liouville" and "lam" not in touched:
+        # the shared default coupling 3 is outside the liouville range (0, 1)
+        cfg = replace(cfg, lam=0.5)
     if "out_dir" not in touched:
         env_out = os.environ.get(OUT_ENV_VAR)
         if env_out:

@@ -17,12 +17,14 @@ class NonConvergence(RuntimeError):
 
 
 class SingularJacobian(RuntimeError):
-    """The linearized system was singular at some iterate."""
+    """The linearized system at some iterate could not be solved.
 
-    def __init__(self, lam, iteration):
-        super().__init__(
-            f"singular linearization at coupling {lam} (iteration {iteration})"
-        )
+    ``what`` names the failure: a singular linearization by default, or a
+    linearization or step that is not finite (the coupling overflows).
+    """
+
+    def __init__(self, lam, iteration, what="singular linearization"):
+        super().__init__(f"{what} at coupling {lam} (iteration {iteration})")
         self.lam = lam
         self.iteration = iteration
 

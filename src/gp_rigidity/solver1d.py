@@ -5,6 +5,15 @@ interleaved unknown vector [u_0, v_0, u_1, v_1, ...].  Each step solves a
 block-tridiagonal system with 2x2 blocks, assembled into five scalar bands
 and eliminated directly (LAPACK banded LU, exact and O(n)).  Steps are
 damped by residual-decrease backtracking with a floor.
+
+Both numerical kernels call LAPACK directly instead of going through
+scipy's Python wrappers, and both are bit-identical to those wrappers:
+:func:`solve_banded` hands the bands, already in dgbsv's layout, to the
+dgbsv that ``scipy.linalg.solve_banded((2, 2), ...)`` calls, and
+:func:`pin_phase` resamples with a private not-a-knot cubic spline that
+repeats ``scipy.interpolate.CubicSpline`` and ``PPoly`` operation for
+operation (same rows, same dgtsv solve, same coefficient and evaluation
+order).  The package therefore never imports ``scipy.interpolate``.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.interpolate
 import scipy.linalg
 
 from . import grid as gridmod
@@ -81,18 +89,22 @@ def _residual_norm(ru, rv) -> float:
 
 
 def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Five-band matrix of the Newton system in LAPACK banded layout.
+    """Five-band matrix of the Newton system in LAPACK dgbsv layout.
 
-    The interleaved ordering gives bandwidth 2 on each side: the u-equation
-    at node i couples u_{i-1}, u_i, v_i, u_{i+1}; the v-equation couples
-    v_{i-1}, u_i, v_i, v_{i+1}.  End rows are identity (Dirichlet defects).
+    A Fortran-ordered (7, 2n) buffer: rows 0-1 are dgbsv's fill-in space,
+    rows 2-6 the bands from the +2 to the -2 diagonal (the layout that
+    ``scipy.linalg.solve_banded((2, 2), ...)`` takes).  The interleaved
+    ordering gives bandwidth 2 on each side: the u-equation at node i
+    couples u_{i-1}, u_i, v_i, u_{i+1}; the v-equation couples v_{i-1},
+    u_i, v_i, v_{i+1}.  End rows are identity (Dirichlet defects).
     """
     n = g.n
     m = 2 * n
     inv_h2 = 1.0 / g.h**2
     c1, c2, off = model.jacobian_entries(p, u, v)
 
-    ab = np.zeros((5, m))
+    work = np.zeros((7, m), order="F")
+    ab = work[2:]
     # main diagonal
     ab[2, 0::2] = -2.0 * inv_h2 + c1
     ab[2, 1::2] = -2.0 * inv_h2 + c2
@@ -112,7 +124,23 @@ def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray) -> np.nd
     ab[3, m - 2] = 0.0
     ab[0, 2] = ab[0, 3] = 0.0
     ab[4, m - 4] = ab[4, m - 3] = 0.0
-    return ab
+    return work
+
+
+def solve_banded(work: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the Newton system built by :func:`_assemble_bands`, in place.
+
+    One call of LAPACK's dgbsv (banded LU with partial pivoting, two bands
+    each side), the routine ``scipy.linalg.solve_banded((2, 2), work[2:],
+    rhs)`` calls, so the solution is the same to the bit.  ``work`` and
+    ``rhs`` are overwritten.  Raises LinAlgError when a pivot is exactly 0.
+    """
+    _, _, x, info = scipy.linalg.lapack.dgbsv(2, 2, work, rhs, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero pivot in column {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgbsv")
+    return x
 
 
 def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -> SolveOutcome:
@@ -124,7 +152,8 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
     :data:`DAMPING_MIN`; the floored step is taken if no decrease is found.
 
     Raises NonConvergence when ``opts.max_iters`` updates do not reach
-    ``opts.newton_tol``, and SingularJacobian if a linearization degenerates.
+    ``opts.newton_tol``, and SingularJacobian if a linearization is singular
+    or it or the step it gives is not finite (coupling overflow).
     """
     if p.lam <= 1.0:
         raise RegimeError(
@@ -153,16 +182,16 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
                 lam=p.lam,
                 residual_history=tuple(history),
             )
-        ab = _assemble_bands(p, g, u, v)
+        work = _assemble_bands(p, g, u, v)
         rhs = np.empty(2 * g.n)
         rhs[0::2] = -ru
         rhs[1::2] = -rv
         try:
-            step = scipy.linalg.solve_banded((2, 2), ab, rhs)
+            step = solve_banded(work, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(p.lam, iteration) from exc
         if not np.all(np.isfinite(step)):
-            raise SingularJacobian(p.lam, iteration)
+            raise SingularJacobian(p.lam, iteration, "non-finite linearization or Newton step")
         du = step[0::2]
         dv = step[1::2]
 
@@ -196,17 +225,74 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
     )
 
 
+def _not_a_knot_spline(x: np.ndarray, ys, xq: np.ndarray) -> list[np.ndarray]:
+    """Not-a-knot cubic spline through (x, y) for each y in ``ys``, at ``xq``.
+
+    Bit-identical to ``scipy.interpolate.CubicSpline(x, y)(xq)`` for
+    ``x[0] <= xq <= x[-1]``, because it repeats scipy's arithmetic operation
+    for operation: the node slopes solve the same tridiagonal rows with
+    dgtsv (the parabola system through ``scipy.linalg.solve`` when n = 3),
+    the Hermite coefficients come in scipy's order, each query uses
+    ``PPoly``'s interval (closed on the right at the last node), and the
+    polynomial is summed as ``PPoly`` sums it, from 0.0 with the constant
+    term first, which maps -0.0 to +0.0 as scipy does.  The interval index
+    and the powers of the local coordinate are shared by all of ``ys``.
+    """
+    n = x.size
+    dx = np.diff(x)
+    idx = np.clip(np.searchsorted(x, xq, "right") - 1, 0, n - 2)
+    z1 = xq - x[idx]
+    z2 = z1 * z1
+    z3 = z2 * z1
+    if n > 3:
+        # diagonals of the slope system: not-a-knot first and last rows
+        d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        du = np.concatenate(([x[2] - x[0]], dx[:-1]))
+        dl = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+        d_start, d_end = du[0], dl[-1]
+    values = []
+    for y in ys:
+        slope = np.diff(y) / dx
+        if n == 3:
+            a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+            b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
+            s = scipy.linalg.solve(
+                a, b.reshape(3, 1), overwrite_a=True, overwrite_b=True, check_finite=False
+            ).reshape(3)
+        else:
+            b = np.empty((n, 1))
+            b[1:-1, 0] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            b[0, 0] = ((dx[0] + 2 * d_start) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d_start
+            b[-1, 0] = (dx[-1] ** 2 * slope[-2] + (2 * d_end + dx[-1]) * dx[-2] * slope[-1]) / d_end
+            _, _, _, s, info = scipy.linalg.lapack.dgtsv(dl, d, du, b, overwrite_b=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"spline slope system failed (dgtsv info {info})")
+            s = s[:, 0]
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        c0 = t / dx
+        c1 = (slope - s[:-1]) / dx - t
+        res = 0.0 + y[idx]
+        res = res + s[idx] * z1
+        res = res + c1[idx] * z2
+        values.append(res + c0[idx] * z3)
+    return values
+
+
 def pin_phase(prof: ProfilePair) -> ProfilePair:
     """Translate a profile so the u-v crossing sits at x = 0.
 
     Locates the sign change of u-v by linear interpolation, then resamples
-    both components at the shifted nodes with a cubic spline (queries beyond
-    the grid are clamped to the end values; the tails are flat).  Cubic
-    resampling keeps the error near h^4, which the uniqueness probe needs:
-    solves from different seeds settle at slightly different translations,
-    and linear resampling would leave each with its own O(h^2) artifact.
-    Idempotent up to interpolation error.  Raises NoCrossing when u-v never
-    changes sign (for instance on constant profiles).
+    both components at the shifted nodes with a not-a-knot cubic spline
+    (queries beyond the grid are clamped to the end values; the tails are
+    flat).  Cubic resampling keeps the error near h^4, which the uniqueness
+    probe needs: solves from different seeds settle at slightly different
+    translations, and linear resampling would leave each with its own
+    O(h^2) artifact.  The spline is private and bit-identical to
+    ``scipy.interpolate.CubicSpline`` (see :func:`_not_a_knot_spline`), so
+    the resampled profiles are exactly scipy's without importing
+    ``scipy.interpolate``.  Idempotent up to interpolation error.  Raises
+    NoCrossing when u-v never changes sign (for instance on constant
+    profiles).
     """
     x = prof.grid.nodes()
     d = prof.u - prof.v
@@ -222,8 +308,7 @@ def pin_phase(prof: ProfilePair) -> ProfilePair:
     if x_star == 0.0:
         return prof
     shifted = np.clip(x + x_star, x[0], x[-1])
-    new_u = scipy.interpolate.CubicSpline(x, prof.u)(shifted)
-    new_v = scipy.interpolate.CubicSpline(x, prof.v)(shifted)
+    new_u, new_v = _not_a_knot_spline(x, (prof.u, prof.v), shifted)
     return ProfilePair(prof.grid, new_u, new_v)
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gp_rigidity
 from gp_rigidity import cli
 from gp_rigidity.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK
 
@@ -27,6 +31,32 @@ def test_solve1d_refuses_sub_unit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "constant pair" in err
     assert "T-liouville-sub1" in err
+
+
+# numpy warns about the inf * 0 in the overflowing Jacobian entries
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_solve1d_overflowing_coupling_is_a_solver_error(tmp_path, capsys):
+    # the linearization overflows at coupling 1e308, so the Newton step is not finite
+    code = run(["solve1d", "--lambda", "1e308", "--n", "201", "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:")
+    assert "non-finite linearization or Newton step at coupling 1e+308 (iteration 0)" in err
+    assert "config error" not in err
+
+
+def test_solve1d_does_not_import_scipy_interpolate(tmp_path):
+    script = (
+        "import sys\n"
+        "from gp_rigidity import cli\n"
+        f"assert cli.main(['solve1d', '--n', '201', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy.interpolate' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(gp_rigidity.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "profile.csv").exists()
 
 
 def test_solve1d_config_error_names_field(tmp_path, capsys):
@@ -169,6 +199,14 @@ def test_relax_liouville(tmp_path):
     assert rec["pass"]
     assert abs(rec["params"]["constant"] - 0.816497) < 1e-6
     assert rec["params"]["max_deviation"] <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relax_liouville_default_coupling(tmp_path, seed):
+    # without --lambda the liouville mode runs at 0.5, inside its range (0, 1)
+    out = tmp_path / "rl"
+    assert run(["relax", "--mode", "liouville", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "relax.config.json").read_text())["lam"] == 0.5
 
 
 def test_relax_liouville_regime_guard(tmp_path, capsys):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.interpolate
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gp_rigidity import grid, model, solver1d
 from gp_rigidity.errors import ContinuationStall, NoCrossing, NonConvergence, RegimeError
@@ -46,11 +50,87 @@ def test_banded_assembly_matches_dense():
         zm[j] -= eps
         dense[:, j] = (residual_vec(zp) - residual_vec(zm)) / (2 * eps)
 
-    ab = solver1d._assemble_bands(p, g, u, v)
     rhs = rng.uniform(-1, 1, 2 * g.n)
-    x_banded = scipy.linalg.solve_banded((2, 2), ab, rhs)
+    x_banded = solver1d.solve_banded(solver1d._assemble_bands(p, g, u, v), rhs.copy())
     x_dense = np.linalg.solve(dense, rhs)
     assert np.max(np.abs(x_banded - x_dense)) < 1e-6
+
+
+def bitwise_equal(a, b) -> bool:
+    """Equal bit patterns, so -0.0 and 0.0 differ."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def random_work(rng, n):
+    """dgbsv buffer for a 2n-row system with random bands (fill-in rows zero)."""
+    work = np.zeros((7, 2 * n), order="F")
+    work[2:] = rng.uniform(-1, 1, (5, 2 * n))
+    return work
+
+
+@pytest.mark.parametrize("n", [3, 4, 801, 20001])
+def test_solve_banded_matches_scipy_bitwise(n):
+    rng = np.random.default_rng(n)
+    work = random_work(rng, n)
+    rhs = rng.uniform(-1, 1, 2 * n)
+    expected = scipy.linalg.solve_banded((2, 2), work[2:].copy(), rhs.copy())
+    assert bitwise_equal(solver1d.solve_banded(work, rhs), expected)
+
+
+def test_solve_banded_zero_column_is_singular():
+    work = random_work(np.random.default_rng(7), 4)
+    work[:, 3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solver1d.solve_banded(work, np.ones(8))
+
+
+signed_values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+# a query on a node whose value is -0.0 and whose three other coefficients
+# are negative: scipy's sum starts from +0.0 and returns +0.0 there
+SIGNED_ZERO_CUBIC = np.array([-0.0, -1.4074074074074074, -5.48148148148148, -14.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(half_length=1.0, data=(SIGNED_ZERO_CUBIC, -SIGNED_ZERO_CUBIC, ("fraction", -3.0)))
+@given(
+    half_length=st.floats(0.5, 50.0),
+    data=st.integers(3, 300).flatmap(
+        lambda n: st.tuples(
+            arrays(float, n, elements=signed_values),
+            arrays(float, n, elements=signed_values),
+            # shifts in node steps (exact multiples of h), in [-1, 1] of the
+            # axis, and past either end so that queries clamp
+            st.one_of(
+                st.integers(-n, n).map(lambda k: ("steps", k)),
+                st.floats(-1.0, 1.0).map(lambda f: ("fraction", f)),
+                st.sampled_from([("fraction", -3.0), ("fraction", 3.0)]),
+            ),
+        )
+    ),
+)
+def test_pin_phase_spline_is_scipy_cubic_spline(half_length, data):
+    u, v, (kind, amount) = data
+    g = Grid1D(half_length, len(u))
+    x = g.nodes()
+    shift = amount * g.h if kind == "steps" else amount * half_length
+    xq = np.clip(x + shift, x[0], x[-1])
+    new_u, new_v = solver1d._not_a_knot_spline(x, (u, v), xq)
+    assert bitwise_equal(new_u, scipy.interpolate.CubicSpline(x, u)(xq))
+    assert bitwise_equal(new_v, scipy.interpolate.CubicSpline(x, v)(xq))
+
+
+def test_pin_phase_of_a_solved_front_is_scipy_cubic_spline(solved, default_grid):
+    prof = solved[2.0].profile
+    pinned = solver1d.pin_phase(prof)
+    x = default_grid.nodes()
+    d = prof.u - prof.v
+    i = int(np.flatnonzero(d[:-1] * d[1:] < 0.0)[0])
+    xq = np.clip(x + float(x[i] - d[i] * default_grid.h / (d[i + 1] - d[i])), x[0], x[-1])
+    assert bitwise_equal(pinned.u, scipy.interpolate.CubicSpline(x, prof.u)(xq))
+    assert bitwise_equal(pinned.v, scipy.interpolate.CubicSpline(x, prof.v)(xq))
 
 
 def test_newton_refuses_low_coupling(default_grid, default_opts):
@@ -127,7 +207,7 @@ def test_singular_linearization_is_reported(default_grid, default_opts, monkeypa
     def explode(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", explode)
+    monkeypatch.setattr(solver1d, "solve_banded", explode)
     from gp_rigidity.errors import SingularJacobian
 
     with pytest.raises(SingularJacobian) as info:
