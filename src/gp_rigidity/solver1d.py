@@ -14,6 +14,8 @@ dgbsv that ``scipy.linalg.solve_banded((2, 2), ...)`` calls, and
 repeats ``scipy.interpolate.CubicSpline`` and ``PPoly`` operation for
 operation (same rows, same dgtsv solve, same coefficient and evaluation
 order).  The package therefore never imports ``scipy.interpolate``.
+``scipy.linalg`` is imported inside those two kernels, so only commands that
+solve a front or resample one load it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import grid as gridmod
 from . import model
@@ -135,6 +136,8 @@ def solve_banded(work: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhs)`` calls, so the solution is the same to the bit.  ``work`` and
     ``rhs`` are overwritten.  Raises LinAlgError when a pivot is exactly 0.
     """
+    import scipy.linalg
+
     _, _, x, info = scipy.linalg.lapack.dgbsv(2, 2, work, rhs, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: zero pivot in column {info}")
@@ -182,7 +185,10 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
                 lam=p.lam,
                 residual_history=tuple(history),
             )
-        work = _assemble_bands(p, g, u, v)
+        # an overflowing coupling makes inf and inf*0 entries; the finiteness
+        # check on the step reports them, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            work = _assemble_bands(p, g, u, v)
         rhs = np.empty(2 * g.n)
         rhs[0::2] = -ru
         rhs[1::2] = -rv
@@ -238,6 +244,8 @@ def _not_a_knot_spline(x: np.ndarray, ys, xq: np.ndarray) -> list[np.ndarray]:
     term first, which maps -0.0 to +0.0 as scipy does.  The interval index
     and the powers of the local coordinate are shared by all of ``ys``.
     """
+    import scipy.linalg
+
     n = x.size
     dx = np.diff(x)
     idx = np.clip(np.searchsorted(x, xq, "right") - 1, 0, n - 2)

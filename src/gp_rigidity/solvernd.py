@@ -21,6 +21,8 @@ along a periodic axis and the type-I discrete sine transform over the
 interior nodes of a Dirichlet axis, where the pinned end columns enter the
 first and last interior nodes as known neighbours.  The solve is exact up
 to rounding, with no splitting, no factorization and no BLAS.
+``scipy.fft`` and ``scipy.fftpack`` are imported inside :func:`_diffuse`,
+so only commands that run the flow load them.
 
 The stabilizer S grows like 3*lam/2, so the plain step contracts slowly
 at large couplings and near coupling 1: on the 64x801 battery slab it took
@@ -53,8 +55,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.fft
-import scipy.fftpack
 
 from . import grid as gridmod
 from . import model
@@ -143,6 +143,9 @@ def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray
     known neighbours.  Both transforms are real and keep the shape, so the
     solve runs in rhs's buffer; a complex spectrum would add a larger array.
     """
+    import scipy.fft
+    import scipy.fftpack
+
     if f.periodic_n:
         forward_n, backward_n = scipy.fftpack.rfft, scipy.fftpack.irfft
     else:

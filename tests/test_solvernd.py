@@ -174,6 +174,33 @@ def test_relax_to_steady_never_raises_energy(lam, half_length, periodic_n, u, v)
             assert np.array_equal(out.field.v[:, end], f0.v[:, end])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    lam=st.floats(0.0, 1000.0, exclude_min=True),
+    half_lengths=st.tuples(st.floats(0.5, 20.0), st.floats(0.5, 20.0)),
+    n_t=st.integers(3, 16),
+    interior=st.integers(1, 298).flatmap(
+        lambda m: st.tuples(arrays(float, m, elements=st.floats(0.0, 1.0)),
+                            arrays(float, m, elements=st.floats(0.0, 1.0)))
+    ),
+)
+def test_embedded_profile_residual_is_the_1d_residual(lam, half_lengths, n_t, interior):
+    # a profile with exact heteroclinic end rows, tiled across n_t transverse
+    # nodes: the transverse difference is exactly +0.0, so every row of the
+    # slab residual is the 1D residual on the interior columns, to the bit
+    # (values in [0, 1] hold no -0.0, which adding +0.0 would flip)
+    u_in, v_in = interior
+    g_n = Grid1D(half_lengths[1], u_in.size + 2)
+    u = np.concatenate(([grid.LEFT_STATE[0]], u_in, [grid.RIGHT_STATE[0]]))
+    v = np.concatenate(([grid.LEFT_STATE[1]], v_in, [grid.RIGHT_STATE[1]]))
+    prof = ProfilePair(g_n, u, v)
+    p = Params(lam)
+    slab = grid.residual_slab(p, solvernd.embed_profile(prof, Grid1D(half_lengths[0], n_t)))
+    for rs, r1 in zip(slab, grid.residual_1d(p, prof)):
+        assert rs.shape == (n_t, g_n.n)
+        assert np.all(rs[:, 1:-1].view(np.int64) == r1[1:-1].view(np.int64))
+
+
 @pytest.mark.parametrize("lam", [1.1, 1.5, 6.0, 20.0, 100.0])
 def test_gibbons_run_settles_across_couplings(lam):
     # a slab with a short transverse axis; near coupling 1 the plain flow
