@@ -17,6 +17,7 @@ from .errors import (
     NonConvergence,
     RegimeError,
     SingularJacobian,
+    SolverError,
     TooAnisotropic,
 )
 from .grid import BoundReport, Grid1D, ProfilePair, SlabField, SumReport
@@ -43,6 +44,7 @@ __all__ = [
     "SlabField",
     "SolveOptions",
     "SolveOutcome",
+    "SolverError",
     "SumReport",
     "SuiteOptions",
     "THEOREM_TAGS",

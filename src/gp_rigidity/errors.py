@@ -1,11 +1,15 @@
 """Exception types shared across the solver and verification modules."""
 
 
-class RegimeError(ValueError):
+class SolverError(Exception):
+    """Base of every type here: a solver or experiment could not produce its result."""
+
+
+class RegimeError(SolverError, ValueError):
     """Requested operation is not defined in this coupling regime."""
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(SolverError, RuntimeError):
     """Iteration budget exhausted before the tolerance was met.
 
     Carries the partial outcome so callers can inspect the best iterate.
@@ -16,7 +20,7 @@ class NonConvergence(RuntimeError):
         self.outcome = outcome
 
 
-class SingularJacobian(RuntimeError):
+class SingularJacobian(SolverError, RuntimeError):
     """The linearized system at some iterate could not be solved.
 
     ``what`` names the failure: a singular linearization by default, or a
@@ -29,11 +33,11 @@ class SingularJacobian(RuntimeError):
         self.iteration = iteration
 
 
-class NoCrossing(ValueError):
+class NoCrossing(SolverError, ValueError):
     """Profile has no u-v sign change, so no phase can be pinned."""
 
 
-class ContinuationStall(RuntimeError):
+class ContinuationStall(SolverError, RuntimeError):
     """Continuation step underflowed after repeated halving."""
 
     def __init__(self, last_good, failed, outcomes):
@@ -47,5 +51,5 @@ class ContinuationStall(RuntimeError):
         self.outcomes = outcomes
 
 
-class TooAnisotropic(ValueError):
+class TooAnisotropic(SolverError, ValueError):
     """Field varies too much transversally to be reduced to a 1D profile."""

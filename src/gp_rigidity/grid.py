@@ -84,9 +84,6 @@ class ProfilePair:
         object.__setattr__(self, "u", _locked(self.u, (self.grid.n,), "u"))
         object.__setattr__(self, "v", _locked(self.v, (self.grid.n,), "v"))
 
-    def with_values(self, u, v) -> "ProfilePair":
-        return ProfilePair(self.grid, u, v)
-
 
 @dataclass(frozen=True)
 class SlabField:
@@ -233,6 +230,11 @@ def _squared_steps(u: np.ndarray, v: np.ndarray, axis: int, wrap: bool) -> float
     return total
 
 
+def _max_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """Max-norm of a pair of arrays: the largest |entry| of a and b."""
+    return max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+
+
 def check_discrete_monotone(prof: ProfilePair):
     """Extremal forward differences: (min of diff(u), max of diff(v)).
 
@@ -250,18 +252,16 @@ class BoundReport:
     max_abs_v: float
     max_sum_squares: float
     sum_squares_bound: float
-    tolerance: float
     component_margin: float
     sum_squares_margin: float
-    passed: bool
 
 
-def check_bounds(p: Params, u, v, tolerance: float) -> BoundReport:
-    """Check |u|,|v| <= 1 and the coupling-dependent bound on u^2+v^2.
+def check_bounds(p: Params, u, v) -> BoundReport:
+    """Margins of |u|,|v| <= 1 and of the coupling-dependent bound on u^2+v^2.
 
     For coupling >= 1 the sum of squares is compared against 1, below 1
     against 2/(1+lam).  Margins are signed: positive means slack, negative
-    the violation size; a check passes when margin >= -tolerance.
+    the violation size; the verdict is the caller's record.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -271,16 +271,13 @@ def check_bounds(p: Params, u, v, tolerance: float) -> BoundReport:
     ss_bound = 1.0 if p.lam >= 1.0 else 2.0 / (p.lam + 1.0)
     comp_margin = 1.0 - max(max_u, max_v)
     ss_margin = ss_bound - max_ss
-    passed = comp_margin >= -tolerance and ss_margin >= -tolerance
     return BoundReport(
         max_abs_u=max_u,
         max_abs_v=max_v,
         max_sum_squares=max_ss,
         sum_squares_bound=ss_bound,
-        tolerance=tolerance,
         component_margin=comp_margin,
         sum_squares_margin=ss_margin,
-        passed=passed,
     )
 
 
@@ -292,15 +289,13 @@ class SumReport:
     max_sum: float
     regime: str  # "below-one" | "above-one" | "equal-one"
     margin: float
-    tolerance: float
-    passed: bool
 
 
-def check_sum_vs_one(p: Params, prof: ProfilePair, tolerance: float = 0.0) -> SumReport:
-    """Verdict on u+v vs 1 over interior nodes, keyed by the coupling.
+def check_sum_vs_one(p: Params, prof: ProfilePair) -> SumReport:
+    """Margin of u+v against 1 over interior nodes, keyed by the coupling.
 
     Above coupling 3 the sum must stay below 1, below 3 above 1; at exactly 3
-    the sum must equal 1 within the tolerance.  End rows are constrained data
+    the margin is minus the largest |u+v-1|.  End rows are constrained data
     and excluded.
     """
     s = prof.u[1:-1] + prof.v[1:-1]
@@ -320,8 +315,6 @@ def check_sum_vs_one(p: Params, prof: ProfilePair, tolerance: float = 0.0) -> Su
         max_sum=max_sum,
         regime=regime,
         margin=margin,
-        tolerance=tolerance,
-        passed=margin >= -tolerance,
     )
 
 

@@ -37,17 +37,6 @@ class Params:
         if not (np.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"lam: coupling must be a positive finite real, got {self.lam!r}")
 
-    @property
-    def regime(self) -> str:
-        """Coupling regime: 'sub-unit', 'unit', 'special' (exactly 3) or 'super-unit'."""
-        if self.lam < 1.0:
-            return "sub-unit"
-        if self.lam == 1.0:
-            return "unit"
-        if self.lam == 3.0:
-            return "special"
-        return "super-unit"
-
 
 def reaction(p: Params, u, v):
     """Right-hand side pair (u - u^3 - lam*u*v^2, v - v^3 - lam*u^2*v).
@@ -88,7 +77,7 @@ def _reaction(lam: float, u: np.ndarray, v: np.ndarray):
 
 
 def reaction_jacobian(p: Params, u, v):
-    """Symmetric 2x2 Jacobian of :func:`reaction` with respect to (u, v)."""
+    """Symmetric 2x2 Jacobian of :func:`reaction`; kept because acceptance criterion 10 checks it."""
     c1, c2, off = jacobian_entries(p, u, v)
     return np.array([[c1, off], [off, c2]])
 
@@ -164,7 +153,7 @@ def ac_decompose(u, v):
 
 
 def ac_compose(w1, w2):
-    """Inverse of :func:`ac_decompose`: ((w1+w2)/2, (w1-w2)/2)."""
+    """Inverse of :func:`ac_decompose`; kept because acceptance criterion 10 checks the round trip."""
     _require_finite("ac_compose", w1, w2)
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)

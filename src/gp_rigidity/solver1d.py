@@ -20,6 +20,7 @@ solve a front or resample one load it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -83,10 +84,6 @@ def initial_guess(p: Params, g: Grid1D) -> ProfilePair:
 def _residual_arrays(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray):
     prof = ProfilePair(g, u, v)
     return gridmod.residual_1d(p, prof)
-
-
-def _residual_norm(ru, rv) -> float:
-    return max(float(np.max(np.abs(ru))), float(np.max(np.abs(rv))))
 
 
 def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,7 +169,7 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
     u = guess.u.copy()
     v = guess.v.copy()
     ru, rv = _residual_arrays(p, g, u, v)
-    rnorm = _residual_norm(ru, rv)
+    rnorm = gridmod._max_norm(ru, rv)
     history = [rnorm]
 
     for iteration in range(opts.max_iters):
@@ -206,7 +203,7 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
             tu = u + s * du
             tv = v + s * dv
             tru, trv = _residual_arrays(p, g, tu, tv)
-            tnorm = _residual_norm(tru, trv)
+            tnorm = gridmod._max_norm(tru, trv)
             if tnorm < rnorm or s <= DAMPING_MIN:
                 break
             s = max(s / 2.0, DAMPING_MIN)
@@ -417,10 +414,5 @@ def uniqueness_probe(
                 f"seed {k} of the uniqueness probe failed: {exc}", outcome=exc.outcome
             ) from exc
         profiles.append(pin_phase(outcome.profile))
-    worst = 0.0
-    for a in range(len(profiles)):
-        for b in range(a + 1, len(profiles)):
-            du = float(np.max(np.abs(profiles[a].u - profiles[b].u)))
-            dv = float(np.max(np.abs(profiles[a].v - profiles[b].v)))
-            worst = max(worst, du, dv)
-    return worst
+    pairs = itertools.combinations(profiles, 2)
+    return max((gridmod._max_norm(a.u - b.u, a.v - b.v) for a, b in pairs), default=0.0)

@@ -59,7 +59,7 @@ import numpy as np
 from . import grid as gridmod
 from . import model
 from . import solver1d
-from .errors import NonConvergence, TooAnisotropic
+from .errors import NonConvergence, SolverError, TooAnisotropic
 from .grid import Grid1D, ProfilePair, SlabField
 from .model import Params
 
@@ -170,7 +170,8 @@ def flow_step(p: Params, f: SlabField, dt: float) -> SlabField:
 
     Solves (1 + S*dt) u' - dt (D_t + D_n) u' = (1 + S*dt) u + dt f(u) with
     S = :func:`stabilization`.  Dirichlet end columns are carried
-    through unchanged.  Raises ValueError when the new field is not finite.
+    through unchanged.  Raises SolverError when the new field is not
+    finite (the coupling or dt overflows the step).
     """
     s = stabilization(p, dt)
     # pinned end columns take no reaction; f's arrays were checked when f was
@@ -188,15 +189,10 @@ def flow_step(p: Params, f: SlabField, dt: float) -> SlabField:
     # read-only arrays that own their memory become the new field without a copy
     new_u.setflags(write=False)
     new_v.setflags(write=False)
-    return f.with_values(new_u, new_v)
-
-
-def _max_norm(du: np.ndarray, dv: np.ndarray) -> float:
-    return max(float(np.max(np.abs(du))), float(np.max(np.abs(dv))))
-
-
-def _residual_norm(p: Params, f: SlabField) -> float:
-    return _max_norm(*gridmod.residual_slab(p, f))
+    try:
+        return f.with_values(new_u, new_v)
+    except ValueError as exc:  # the field check is the step's only finiteness test
+        raise SolverError(f"flow step at coupling {p.lam} with dt {dt}: {exc}") from exc
 
 
 def _mixed(history: list, f: tuple, g: SlabField) -> SlabField | None:
@@ -209,8 +205,9 @@ def _mixed(history: list, f: tuple, g: SlabField) -> SlabField | None:
     over both fields, minimizes |f + gamma*(f_prev - f)|.  Each history
     array is dropped as soon as it is used, so at most one previous pair is
     ever alive.  Returns None when f_prev == f or the candidate is not
-    finite.  Dirichlet end columns are copied from g, so they stay those of
-    the starting field bit for bit.
+    finite (numpy's overflow warnings are off in :func:`relax_to_steady`,
+    the only caller).  Dirichlet end columns are copied from g, so they
+    stay those of the starting field bit for bit.
     """
     (fu_prev, fv_prev), g_prev = history
     history.clear()
@@ -224,16 +221,15 @@ def _mixed(history: list, f: tuple, g: SlabField) -> SlabField | None:
         return None
     gamma = -num / den
     mixed = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for new, old in ((g.u, g_prev.u), (g.v, g_prev.v)):
-            a = old - new
-            a *= gamma
-            a += new
-            if not g.periodic_n:
-                a[:, 0] = new[:, 0]
-                a[:, -1] = new[:, -1]
-            a.setflags(write=False)
-            mixed.append(a)
+    for new, old in ((g.u, g_prev.u), (g.v, g_prev.v)):
+        a = old - new
+        a *= gamma
+        a += new
+        if not g.periodic_n:
+            a[:, 0] = new[:, 0]
+            a[:, -1] = new[:, -1]
+        a.setflags(write=False)
+        mixed.append(a)
     del g_prev
     try:
         return g.with_values(*mixed)
@@ -265,67 +261,70 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
     of the accepted state is at most steady_tol.  Raises NonConvergence
     (carrying the partial outcome) when max_steps is exhausted first.
     """
-    dt = opts.dt
-    update_tol = opts.steady_tol * dt / (1.0 + stabilization(p, dt) * dt)
-    energy = gridmod.discrete_energy_slab(p, f0)
-    energies = [energy]
-    updates = []
-    rejected = 0
-    history = []
-    current = f0
-    del f0  # a start field the caller does not hold dies after the first step
-    for step in range(1, opts.max_steps + 1):
-        plain = flow_step(p, current, dt)
-        f = (plain.u - current.u, plain.v - current.v)
-        nxt, upd = plain, _max_norm(*f)
-        if history:
-            candidate = _mixed(history, f, plain)
-            if candidate is not None:
-                cand_upd = _max_norm(candidate.u - current.u, candidate.v - current.v)
-                # the previous state is no longer needed while the energy is formed
-                current = None
-                cand_energy = gridmod.discrete_energy_slab(p, candidate)
-                if cand_energy <= energy:
-                    nxt, upd, energy = candidate, cand_upd, cand_energy
-                candidate = None
+    # an overflowing coupling or dt makes inf and nan entries; the field checks
+    # report them as a SolverError, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = opts.dt
+        update_tol = opts.steady_tol * dt / (1.0 + stabilization(p, dt) * dt)
+        energy = gridmod.discrete_energy_slab(p, f0)
+        energies = [energy]
+        updates = []
+        rejected = 0
+        history = []
+        current = f0
+        del f0  # a start field the caller does not hold dies after the first step
+        for step in range(1, opts.max_steps + 1):
+            plain = flow_step(p, current, dt)
+            f = (plain.u - current.u, plain.v - current.v)
+            nxt, upd = plain, gridmod._max_norm(*f)
+            if history:
+                candidate = _mixed(history, f, plain)
+                if candidate is not None:
+                    cand_upd = gridmod._max_norm(candidate.u - current.u, candidate.v - current.v)
+                    # the previous state is no longer needed while the energy is formed
+                    current = None
+                    cand_energy = gridmod.discrete_energy_slab(p, candidate)
+                    if cand_energy <= energy:
+                        nxt, upd, energy = candidate, cand_upd, cand_energy
+                    candidate = None
+                if nxt is plain:
+                    rejected += 1
             if nxt is plain:
-                rejected += 1
-        if nxt is plain:
-            energy = gridmod.discrete_energy_slab(p, plain)
-        current = nxt
-        history = [f, plain]
-        energies.append(energy)
-        updates.append(upd)
-        if upd <= update_tol:
-            residual = _residual_norm(p, current)
-            if residual <= opts.steady_tol:
-                return FlowOutcome(
-                    field=current,
-                    steps=step,
-                    final_update=upd,
-                    final_residual=residual,
-                    converged=True,
-                    rejected=rejected,
-                    energy_trace=tuple(energies),
-                    update_trace=tuple(updates),
-                )
-    outcome = FlowOutcome(
-        field=current,
-        steps=opts.max_steps,
-        final_update=updates[-1] if updates else float("nan"),
-        final_residual=_residual_norm(p, current),
-        converged=False,
-        rejected=rejected,
-        energy_trace=tuple(energies),
-        update_trace=tuple(updates),
-    )
-    raise NonConvergence(
-        f"relaxation did not settle within {opts.max_steps} steps at coupling "
-        f"{p.lam} (last update {outcome.final_update:.3e}, "
-        f"residual {outcome.final_residual:.3e}, "
-        f"{outcome.rejected} extrapolations rejected)",
-        outcome=outcome,
-    )
+                energy = gridmod.discrete_energy_slab(p, plain)
+            current = nxt
+            history = [f, plain]
+            energies.append(energy)
+            updates.append(upd)
+            if upd <= update_tol:
+                residual = gridmod._max_norm(*gridmod.residual_slab(p, current))
+                if residual <= opts.steady_tol:
+                    return FlowOutcome(
+                        field=current,
+                        steps=step,
+                        final_update=upd,
+                        final_residual=residual,
+                        converged=True,
+                        rejected=rejected,
+                        energy_trace=tuple(energies),
+                        update_trace=tuple(updates),
+                    )
+        outcome = FlowOutcome(
+            field=current,
+            steps=opts.max_steps,
+            final_update=updates[-1] if updates else float("nan"),
+            final_residual=gridmod._max_norm(*gridmod.residual_slab(p, current)),
+            converged=False,
+            rejected=rejected,
+            energy_trace=tuple(energies),
+            update_trace=tuple(updates),
+        )
+        raise NonConvergence(
+            f"relaxation did not settle within {opts.max_steps} steps at coupling "
+            f"{p.lam} (last update {outcome.final_update:.3e}, "
+            f"residual {outcome.final_residual:.3e}, "
+            f"{outcome.rejected} extrapolations rejected)",
+            outcome=outcome,
+        )
 
 
 def transverse_anisotropy(f: SlabField) -> float:
@@ -350,11 +349,11 @@ def extract_1d(f: SlabField, max_anisotropy: float) -> ProfilePair:
     return ProfilePair(f.grid_n, f.u.mean(axis=0), f.v.mean(axis=0))
 
 
-def embed_profile(prof: ProfilePair, grid_t: Grid1D, periodic_n: bool = False) -> SlabField:
-    """Tile a 1D profile constantly across the transverse axis."""
+def embed_profile(prof: ProfilePair, grid_t: Grid1D) -> SlabField:
+    """Tile a 1D profile constantly across the transverse axis of a Dirichlet slab."""
     u = np.tile(prof.u, (grid_t.n, 1))
     v = np.tile(prof.v, (grid_t.n, 1))
-    return SlabField(grid_t, prof.grid, u, v, periodic_n)
+    return SlabField(grid_t, prof.grid, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -362,33 +361,31 @@ def embed_profile(prof: ProfilePair, grid_t: Grid1D, periodic_n: bool = False) -
 # ---------------------------------------------------------------------------
 
 
-def gibbons_run(
-    p: Params,
-    grid_t: Grid1D,
-    grid_n: Grid1D,
-    opts: FlowOptions,
-    amplitude: float = 0.1,
-) -> FlowOutcome:
+# Amplitude of the uniform noise added to the embedded front of a slab run.
+GIBBONS_NOISE = 0.1
+
+
+def gibbons_run(p: Params, grid_t: Grid1D, grid_n: Grid1D, opts: FlowOptions) -> FlowOutcome:
     """Slab relaxation from a transversally perturbed embedded front.
 
     The front sampled along the second axis is tiled across the transverse
-    axis, uniform noise of the given amplitude is added on interior columns
-    (clipped to [0, 1] so the a priori bounds hold initially), and the flow
-    is run to steadiness.  The converged field should lose all transverse
-    structure.
+    axis, uniform noise of amplitude GIBBONS_NOISE is added on interior
+    columns (clipped to [0, 1] so the a priori bounds hold initially), and
+    the flow is run to steadiness.  The converged field should lose all
+    transverse structure.
     """
     # the start field goes straight to the flow, which alone holds it
-    return relax_to_steady(p, _perturbed_front(p, grid_t, grid_n, amplitude, opts.rng_seed), opts)
+    return relax_to_steady(p, _perturbed_front(p, grid_t, grid_n, opts.rng_seed), opts)
 
 
-def _perturbed_front(p: Params, grid_t: Grid1D, grid_n: Grid1D, amplitude: float, seed: int) -> SlabField:
+def _perturbed_front(p: Params, grid_t: Grid1D, grid_n: Grid1D, seed: int) -> SlabField:
     base = embed_profile(solver1d.initial_guess(p, grid_n), grid_t)
     u = base.u.copy()
     v = base.v.copy()
     rng = np.random.default_rng(seed)
     shape = (grid_t.n, grid_n.n - 2)
-    u[:, 1:-1] = np.clip(u[:, 1:-1] + rng.uniform(-amplitude, amplitude, shape), 0.0, 1.0)
-    v[:, 1:-1] = np.clip(v[:, 1:-1] + rng.uniform(-amplitude, amplitude, shape), 0.0, 1.0)
+    u[:, 1:-1] = np.clip(u[:, 1:-1] + rng.uniform(-GIBBONS_NOISE, GIBBONS_NOISE, shape), 0.0, 1.0)
+    v[:, 1:-1] = np.clip(v[:, 1:-1] + rng.uniform(-GIBBONS_NOISE, GIBBONS_NOISE, shape), 0.0, 1.0)
     # read-only arrays that own their memory are taken without a copy
     u.setflags(write=False)
     v.setflags(write=False)

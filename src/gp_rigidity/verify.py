@@ -18,7 +18,7 @@ from . import grid as gridmod
 from . import model
 from . import solver1d
 from . import solvernd
-from .errors import NoCrossing, NonConvergence, RegimeError, SingularJacobian, TooAnisotropic
+from .errors import RegimeError, SolverError
 from .grid import Grid1D, ProfilePair
 from .model import Params
 
@@ -114,6 +114,7 @@ class VerifyReport:
 
 
 def _record(name, theorem, margin, tolerance, **params):
+    """The one pass rule: a record passes iff margin >= -tolerance."""
     return CheckRecord(
         name=name,
         theorem=theorem,
@@ -130,19 +131,18 @@ ERROR_MARGIN = -1e300
 
 
 def _failure_record(name, theorem, message, **params):
-    return CheckRecord(
-        name=name,
-        theorem=theorem,
-        passed=False,
-        margin=ERROR_MARGIN,
-        tolerance=0.0,
-        params={"error": message, **params},
+    return _record(name, theorem, ERROR_MARGIN, 0.0, error=message, **params)
+
+
+def sum_record(p: Params, prof: ProfilePair) -> CheckRecord:
+    """Record of the u+v ordering: tolerance 10*h^2 for the identity at coupling 3, else 0 (strict)."""
+    h = prof.grid.h
+    tol = 10.0 * h * h if p.lam == 3.0 else 0.0
+    rep = gridmod.check_sum_vs_one(p, prof)
+    return _record(
+        "sum-vs-one", "T-sum-vs-one", rep.margin, tol,
+        lam=p.lam, regime=rep.regime, min_sum=rep.min_sum, max_sum=rep.max_sum,
     )
-
-
-def sum_tolerance(lam: float, h: float) -> float:
-    """Tolerance of the u+v ordering: 10*h^2 for the identity at coupling 3, else 0 (strict)."""
-    return 10.0 * h * h if lam == 3.0 else 0.0
 
 
 def verify_profile(p: Params, prof: ProfilePair) -> list[CheckRecord]:
@@ -158,7 +158,7 @@ def verify_profile(p: Params, prof: ProfilePair) -> list[CheckRecord]:
     lam = p.lam
     records = []
 
-    bounds = gridmod.check_bounds(p, prof.u, prof.v, tol)
+    bounds = gridmod.check_bounds(p, prof.u, prof.v)
     records.append(
         _record(
             "bounds-component", "T1.3-bounds-i", bounds.component_margin, tol,
@@ -181,15 +181,7 @@ def verify_profile(p: Params, prof: ProfilePair) -> list[CheckRecord]:
         )
     )
 
-    sum_tol = sum_tolerance(lam, h)
-    sum_report = gridmod.check_sum_vs_one(p, prof, sum_tol)
-    records.append(
-        _record(
-            "sum-vs-one", "T-sum-vs-one", sum_report.margin, sum_tol,
-            lam=lam, regime=sum_report.regime,
-            min_sum=sum_report.min_sum, max_sum=sum_report.max_sum,
-        )
-    )
+    records.append(sum_record(p, prof))
 
     if lam == 3.0:
         records.extend(_special_coupling_checks(prof, tol))
@@ -200,10 +192,7 @@ def _special_coupling_checks(prof: ProfilePair, tol: float) -> list[CheckRecord]
     x = prof.grid.nodes()
     pinned = solver1d.pin_phase(prof)
     fu, fv = model.tanh_front(0.0, x)
-    dist = max(
-        float(np.max(np.abs(pinned.u - fu))),
-        float(np.max(np.abs(pinned.v - fv))),
-    )
+    dist = gridmod._max_norm(pinned.u - fu, pinned.v - fv)
     records = [
         _record(
             "front-shape", "T-lambda3-closedform", -dist, 5e-3,
@@ -217,7 +206,7 @@ def _special_coupling_checks(prof: ProfilePair, tol: float) -> list[CheckRecord]
     )
 
     w1, w2 = model.ac_decompose(prof.u, prof.v)
-    res = max(_allen_cahn_residual(prof.grid, w1), _allen_cahn_residual(prof.grid, w2))
+    res = gridmod._max_norm(_allen_cahn_residual(prof.grid, w1), _allen_cahn_residual(prof.grid, w2))
     records.append(
         _record(
             "allen-cahn-residual", "P-ac-decomposition", -res, tol,
@@ -227,9 +216,8 @@ def _special_coupling_checks(prof: ProfilePair, tol: float) -> list[CheckRecord]
     return records
 
 
-def _allen_cahn_residual(g: Grid1D, w: np.ndarray) -> float:
-    r = gridmod._second_difference(w, g.h) + model.allen_cahn_reaction(w[1:-1])
-    return float(np.max(np.abs(r)))
+def _allen_cahn_residual(g: Grid1D, w: np.ndarray) -> np.ndarray:
+    return gridmod._second_difference(w, g.h) + model.allen_cahn_reaction(w[1:-1])
 
 
 def verify_sharp_limit(prof: ProfilePair) -> CheckRecord:
@@ -262,7 +250,7 @@ def verify_counterexample(alpha: float, g: Grid1D) -> CheckRecord:
     u, v = model.sign_changing_front(alpha, x)
     prof = ProfilePair(g, u, v)
     ru, rv = gridmod.residual_1d(Params(3.0), prof)
-    res = max(float(np.max(np.abs(ru[1:-1]))), float(np.max(np.abs(rv[1:-1]))))
+    res = gridmod._max_norm(ru[1:-1], rv[1:-1])
     res_margin = g.h**2 - res
 
     du = np.diff(u)
@@ -302,6 +290,11 @@ def _energy_record(name, theorem, outcome, lam):
     )
 
 
+def _flow_params(outcome, dt) -> dict:
+    """How a relaxation ran, for the first record of each flow experiment."""
+    return dict(steps=outcome.steps, rejected=outcome.rejected, final_residual=outcome.final_residual, dt=dt)
+
+
 def solve_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions):
     """Front solve from the standard guess: (records, outcome).
 
@@ -312,6 +305,20 @@ def solve_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions):
     records = verify_profile(p, outcome.profile)
     records.append(verify_sharp_limit(outcome.profile))
     return records, outcome
+
+
+def uniqueness_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions, rng_seed: int):
+    """Uniqueness modulo translation (:func:`solver1d.uniqueness_probe`): [record].
+
+    Newton errors propagate.
+    """
+    dist = solver1d.uniqueness_probe(p, g, newton, UNIQUENESS_SEEDS, rng_seed=rng_seed)
+    return [
+        _record(
+            "uniqueness", "C1.2-uniqueness", -dist, UNIQUENESS_TOL,
+            lam=p.lam, seeds=UNIQUENESS_SEEDS, max_pairwise_distance=dist,
+        )
+    ]
 
 
 def gibbons_records(
@@ -336,8 +343,7 @@ def gibbons_records(
     records = [
         _record(
             "gibbons-anisotropy", "T1.1-monotone-symmetry", -ani,
-            GIBBONS_ANISOTROPY_TOL, lam=lam, anisotropy=ani, steps=outcome.steps,
-            rejected=outcome.rejected, final_residual=outcome.final_residual, dt=flow.dt,
+            GIBBONS_ANISOTROPY_TOL, lam=lam, anisotropy=ani, **_flow_params(outcome, flow.dt),
         )
     ]
 
@@ -346,24 +352,21 @@ def gibbons_records(
         extracted = solver1d.pin_phase(solvernd.extract_1d(outcome.field, 100.0 * GIBBONS_ANISOTROPY_TOL))
         reference = solver1d.newton_solve(p, grid_n, solver1d.initial_guess(p, grid_n), newton)
         ref = solver1d.pin_phase(reference.profile)
-        dist = max(
-            float(np.max(np.abs(extracted.u - ref.u))),
-            float(np.max(np.abs(extracted.v - ref.v))),
-        )
+        dist = gridmod._max_norm(extracted.u - ref.u, extracted.v - ref.v)
         records.append(
             _record(
                 "gibbons-profile-match", "T1.1-monotone-symmetry", -dist, tol,
                 lam=lam, sup_distance=dist, note="1d-reduction consistency",
             )
         )
-        bounds = gridmod.check_bounds(p, outcome.field.u, outcome.field.v, tol)
+        bounds = gridmod.check_bounds(p, outcome.field.u, outcome.field.v)
         records.append(
             _record(
                 "gibbons-bounds", "T1.3-bounds-ii", bounds.sum_squares_margin, tol,
                 lam=lam, max_sum_squares=bounds.max_sum_squares,
             )
         )
-    except (NonConvergence, SingularJacobian, TooAnisotropic, NoCrossing) as exc:
+    except SolverError as exc:
         records.append(_failure_record("gibbons-profile-match", "T1.1-monotone-symmetry", str(exc), lam=lam))
     records.append(_energy_record("gibbons-energy-monotone", "T1.1-monotone-symmetry", outcome, lam))
     return records, outcome
@@ -379,17 +382,13 @@ def liouville_records(p: Params, box: Grid1D, flow: solvernd.FlowOptions):
     c = model.liouville_constant(p)
     outcome = solvernd.periodic_box_run(p, box, box, flow)
     lam = p.lam
-    dev = max(
-        float(np.max(np.abs(outcome.field.u - c))),
-        float(np.max(np.abs(outcome.field.v - c))),
-    )
+    dev = gridmod._max_norm(outcome.field.u - c, outcome.field.v - c)
     tol = 10.0 * box.h**2
-    bounds = gridmod.check_bounds(p, outcome.field.u, outcome.field.v, tol)
+    bounds = gridmod.check_bounds(p, outcome.field.u, outcome.field.v)
     records = [
         _record(
             "liouville-constant", "T-liouville-sub1", -dev, LIOUVILLE_TOL,
-            lam=lam, constant=c, max_deviation=dev, steps=outcome.steps,
-            rejected=outcome.rejected, final_residual=outcome.final_residual, dt=flow.dt,
+            lam=lam, constant=c, max_deviation=dev, **_flow_params(outcome, flow.dt),
         ),
         _record(
             "liouville-bounds", "T1.3-bounds-iii", bounds.sum_squares_margin, tol,
@@ -415,8 +414,7 @@ def unit_coupling_records(box: Grid1D, flow: solvernd.FlowOptions):
     records = [
         _record(
             "unit-coupling-circle", "T-liouville-eq1", -circle_dev, LIOUVILLE_TOL,
-            lam=1.0, max_circle_deviation=circle_dev, steps=outcome.steps,
-            rejected=outcome.rejected, final_residual=outcome.final_residual, dt=flow.dt,
+            lam=1.0, max_circle_deviation=circle_dev, **_flow_params(outcome, flow.dt),
         ),
         _record(
             "unit-coupling-constant", "T-liouville-eq1", -spread, LIOUVILLE_TOL,
@@ -462,7 +460,8 @@ class SuiteOptions:
 def full_suite(opts: SuiteOptions | None = None) -> VerifyReport:
     """Run the enabled stages and assemble a deterministic report.
 
-    Solver failures become failed records with diagnostic text instead of
+    Each stage calls its record builders through :func:`_guarded`, so a
+    solver error becomes one failed record with diagnostic text instead of
     propagating.  Stage results are concatenated in the fixed stage order.
     """
     opts = opts or SuiteOptions()
@@ -477,6 +476,14 @@ def full_suite(opts: SuiteOptions | None = None) -> VerifyReport:
     return VerifyReport(version=REPORT_VERSION, seed=opts.seed, records=records)
 
 
+def _guarded(name, theorem, lam, build) -> list[CheckRecord]:
+    """The records of build(), or one failed record ``name`` when a solver error stops it."""
+    try:
+        return build()
+    except SolverError as exc:
+        return [_failure_record(name, theorem, str(exc), lam=lam)]
+
+
 def _flow_options(opts: SuiteOptions, seed_offset: int) -> solvernd.FlowOptions:
     return solvernd.FlowOptions(
         steady_tol=opts.steady_tol, max_steps=opts.max_steps, rng_seed=opts.seed + seed_offset
@@ -487,10 +494,10 @@ def _stage_solves(opts: SuiteOptions) -> list[CheckRecord]:
     g = Grid1D(opts.half_length, opts.n)
     records = []
     for lam in SOLVE_LAMS:
-        try:
-            records += solve_records(Params(lam), g, opts.newton)[0]
-        except (NonConvergence, SingularJacobian, RegimeError) as exc:
-            records.append(_failure_record("solve", "T1.1-monotone-symmetry", str(exc), lam=lam))
+        records += _guarded(
+            "solve", "T1.1-monotone-symmetry", lam,
+            lambda: solve_records(Params(lam), g, opts.newton)[0],
+        )
     return records
 
 
@@ -498,45 +505,37 @@ def _stage_uniqueness(opts: SuiteOptions) -> list[CheckRecord]:
     g = Grid1D(opts.half_length, opts.n)
     records = []
     for i, lam in enumerate(UNIQUENESS_LAMS):
-        p = Params(lam)
-        try:
-            dist = solver1d.uniqueness_probe(
-                p, g, opts.newton, UNIQUENESS_SEEDS, rng_seed=opts.seed + i
-            )
-        except (NonConvergence, SingularJacobian) as exc:
-            records.append(_failure_record("uniqueness", "C1.2-uniqueness", str(exc), lam=lam))
-            continue
-        records.append(
-            _record(
-                "uniqueness", "C1.2-uniqueness", -dist, UNIQUENESS_TOL,
-                lam=lam, seeds=UNIQUENESS_SEEDS, max_pairwise_distance=dist,
-            )
+        records += _guarded(
+            "uniqueness", "C1.2-uniqueness", lam,
+            lambda: uniqueness_records(Params(lam), g, opts.newton, opts.seed + i),
         )
     return records
 
 
 def _stage_gibbons(opts: SuiteOptions) -> list[CheckRecord]:
-    p = Params(3.0)
-    try:
-        return gibbons_records(p, GIBBONS_TRANSVERSE, GIBBONS_AXIS, _flow_options(opts, 0), opts.newton)[0]
-    except NonConvergence as exc:
-        return [_failure_record("gibbons-anisotropy", "T1.1-monotone-symmetry", str(exc), lam=p.lam)]
+    flow = _flow_options(opts, 0)
+    return _guarded(
+        "gibbons-anisotropy", "T1.1-monotone-symmetry", 3.0,
+        lambda: gibbons_records(Params(3.0), GIBBONS_TRANSVERSE, GIBBONS_AXIS, flow, opts.newton)[0],
+    )
 
 
 def _stage_liouville(opts: SuiteOptions) -> list[CheckRecord]:
     records = []
     for i, lam in enumerate(LIOUVILLE_LAMS):
-        try:
-            records += liouville_records(Params(lam), LIOUVILLE_BOX, _flow_options(opts, 100 + i))[0]
-        except NonConvergence as exc:
-            records.append(_failure_record("liouville-constant", "T-liouville-sub1", str(exc), lam=lam))
-    try:
-        records += unit_coupling_records(LIOUVILLE_BOX, _flow_options(opts, 200))[0]
-    except NonConvergence as exc:
-        records.append(_failure_record("unit-coupling-circle", "T-liouville-eq1", str(exc), lam=1.0))
-    return records
+        records += _guarded(
+            "liouville-constant", "T-liouville-sub1", lam,
+            lambda: liouville_records(Params(lam), LIOUVILLE_BOX, _flow_options(opts, 100 + i))[0],
+        )
+    return records + _guarded(
+        "unit-coupling-circle", "T-liouville-eq1", 1.0,
+        lambda: unit_coupling_records(LIOUVILLE_BOX, _flow_options(opts, 200))[0],
+    )
 
 
 def _stage_counterexample(opts: SuiteOptions) -> list[CheckRecord]:
     g = Grid1D(opts.half_length, opts.n)
-    return [verify_counterexample(alpha, g) for alpha in COUNTEREXAMPLE_ALPHAS]
+    return _guarded(
+        "counterexample-sign-structure", "R-counterexample", 3.0,
+        lambda: [verify_counterexample(alpha, g) for alpha in COUNTEREXAMPLE_ALPHAS],
+    )

@@ -60,6 +60,31 @@ def test_solve1d_overflowing_coupling_prints_no_numpy_warning(tmp_path):
     assert "RuntimeWarning" not in done.stderr
 
 
+# a flow step whose coupling or pseudo-time step overflows yields a
+# non-finite field
+OVERFLOWING_FLOWS = [
+    (["relax", "--mode", "liouville", "--dt", "1e308", "--max-steps", "5"], "coupling 0.5 with dt 1e+308"),
+    (["relax", "--mode", "gibbons", "--lambda", "1e308", "--max-steps", "5"], "coupling 1e+308 with dt 2.0"),
+]
+
+
+@pytest.mark.parametrize("argv, where", OVERFLOWING_FLOWS, ids=["dt", "lambda"])
+def test_relax_overflowing_flow_is_a_solver_error(tmp_path, capsys, argv, where):
+    assert run([*argv, "--out", str(tmp_path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:"), err
+    assert f"flow step at {where}: u: non-finite entries rejected" in err
+
+
+@pytest.mark.parametrize("argv, where", OVERFLOWING_FLOWS, ids=["dt", "lambda"])
+def test_relax_overflowing_flow_prints_no_numpy_warning(tmp_path, argv, where):
+    argv = [*argv, "--out", str(tmp_path)]
+    done = _fresh_python(f"import sys\nfrom gp_rigidity import cli\nsys.exit(cli.main({argv!r}))\n")
+    assert done.returncode == EXIT_ERROR
+    assert done.stderr.startswith("solver error:"), done.stderr
+    assert "RuntimeWarning" not in done.stderr
+
+
 # scipy subpackages a fresh command must not load: none at all before any
 # work is done, no FFT (which also pulls in scipy.special) in the 1D
 # commands, no LAPACK in the periodic-box relaxations
@@ -304,6 +329,12 @@ def test_verify_single_stage(tmp_path):
     assert code == EXIT_OK
     report = json.loads((tmp_path / "suite_report.json").read_text())
     assert {r["theorem"] for r in report["records"]} == {"R-counterexample"}
+
+
+def test_verify_takes_no_coupling(tmp_path):
+    # the battery fixes its own couplings, so --lambda would be a dead knob
+    assert run(["verify", "--lambda", "2", "--stages", "", "--out", str(tmp_path)]) == EXIT_ERROR
+    assert not (tmp_path / "verify.config.json").exists()
 
 
 def test_verify_unknown_stage(tmp_path, capsys):

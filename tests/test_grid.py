@@ -250,37 +250,38 @@ def test_check_discrete_monotone():
 
 def test_check_bounds_equalities():
     # coupling 1: (1/sqrt2, 1/sqrt2) meets u^2+v^2 = 1 exactly
-    rep = grid.check_bounds(Params(1.0), np.array([2**-0.5]), np.array([2**-0.5]), 1e-12)
-    assert rep.passed and abs(rep.sum_squares_margin) < 1e-15
+    rep = grid.check_bounds(Params(1.0), np.array([2**-0.5]), np.array([2**-0.5]))
+    assert min(rep.component_margin, rep.sum_squares_margin) >= -1e-12
+    assert abs(rep.sum_squares_margin) < 1e-15
     # sub-unit coupling: the mixed constant meets 2/(1+lam) exactly
     p = Params(0.5)
     c = model.liouville_constant(p)
-    rep = grid.check_bounds(p, np.array([c]), np.array([c]), 1e-12)
-    assert rep.passed
+    rep = grid.check_bounds(p, np.array([c]), np.array([c]))
+    assert min(rep.component_margin, rep.sum_squares_margin) >= -1e-12
     assert rep.sum_squares_bound == 2.0 / 1.5
     assert abs(rep.sum_squares_margin) < 1e-15
 
 
 def test_check_bounds_violation_margin():
-    rep = grid.check_bounds(Params(2.0), np.array([1.1, 0.2]), np.array([0.0, 0.1]), 1e-3)
-    assert not rep.passed
+    rep = grid.check_bounds(Params(2.0), np.array([1.1, 0.2]), np.array([0.0, 0.1]))
+    assert min(rep.component_margin, rep.sum_squares_margin) < -1e-3
     assert abs(rep.component_margin + 0.1) < 1e-15
 
 
 def test_check_sum_vs_one_regimes():
     g = Grid1D(20.0, 401)
     prof = sampled_front(g)
-    rep = grid.check_sum_vs_one(Params(3.0), prof, 1e-12)
-    assert rep.regime == "equal-one" and rep.passed
+    rep = grid.check_sum_vs_one(Params(3.0), prof)
+    assert rep.regime == "equal-one" and rep.margin >= -1e-12
     # synthetic profiles on either side of 1
     up = ProfilePair(g, prof.u, np.clip(prof.v + 0.05, 0, 1))
-    rep = grid.check_sum_vs_one(Params(2.0), up, 0.0)
-    assert rep.regime == "above-one" and rep.passed
+    rep = grid.check_sum_vs_one(Params(2.0), up)
+    assert rep.regime == "above-one" and rep.margin >= 0.0
     down = ProfilePair(g, prof.u * 0.9, prof.v * 0.9)
-    rep = grid.check_sum_vs_one(Params(6.0), down, 0.0)
-    assert rep.regime == "below-one" and rep.passed
-    rep_bad = grid.check_sum_vs_one(Params(6.0), up, 0.0)
-    assert not rep_bad.passed
+    rep = grid.check_sum_vs_one(Params(6.0), down)
+    assert rep.regime == "below-one" and rep.margin >= 0.0
+    rep_bad = grid.check_sum_vs_one(Params(6.0), up)
+    assert rep_bad.margin < 0.0
 
 
 def test_profile_csv_round_trip(tmp_path):

@@ -17,14 +17,6 @@ def test_params_rejects_nonpositive_coupling():
         Params(float("nan"))
 
 
-def test_regime_classification():
-    assert Params(0.5).regime == "sub-unit"
-    assert Params(1.0).regime == "unit"
-    assert Params(2.0).regime == "super-unit"
-    assert Params(3.0).regime == "special"
-    assert Params(3.0000001).regime == "super-unit"
-
-
 def test_reaction_equilibria():
     fu, fv = model.reaction(Params(7.3), 1.0, 0.0)
     assert fu == 0.0 and fv == 0.0

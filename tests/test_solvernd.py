@@ -7,7 +7,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from gp_rigidity import grid, model, solver1d, solvernd
-from gp_rigidity.errors import NonConvergence, TooAnisotropic
+from gp_rigidity.errors import NonConvergence, SolverError, TooAnisotropic
 from gp_rigidity.grid import Grid1D, ProfilePair, SlabField
 from gp_rigidity.model import Params
 
@@ -220,10 +220,10 @@ def test_flow_rejects_overflowing_data(periodic_n):
     big = np.full((8, 8), 1e110)
     f = SlabField(g, g, big, big, periodic_n)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(SolverError, match="non-finite"):
             solvernd.flow_step(p, f, solvernd.DEFAULT_DT)
-        with pytest.raises(ValueError, match="non-finite"):
-            solvernd.relax_to_steady(p, f, solvernd.FlowOptions())
+    with pytest.raises(SolverError, match="non-finite"):
+        solvernd.relax_to_steady(p, f, solvernd.FlowOptions())
 
 
 def test_constant_fixed_points():

@@ -1,8 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from gp_rigidity import model, solver1d, verify
-from gp_rigidity.errors import SingularJacobian
+from gp_rigidity import errors, model, solver1d, verify
+from gp_rigidity.errors import SingularJacobian, SolverError
 from gp_rigidity.grid import ProfilePair
 from gp_rigidity.model import Params
 from gp_rigidity.verify import CheckRecord, SuiteOptions, VerifyReport
@@ -150,3 +152,63 @@ def test_singular_jacobian_becomes_record(monkeypatch):
     assert report.records
     assert not any(r.passed for r in report.records)
     assert all("singular linearization" in r.params["error"] for r in report.records)
+
+
+ERROR_TYPES = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, BaseException) and cls.__module__ == errors.__name__
+]
+
+
+def test_every_error_type_is_a_solver_error():
+    assert len(ERROR_TYPES) == 7
+    assert all(issubclass(cls, SolverError) for cls in ERROR_TYPES)
+
+
+def _instance(cls):
+    """An instance of cls, built with the arguments its signature takes."""
+    if cls is SingularJacobian:
+        return cls(2.0, 0)
+    if cls is errors.ContinuationStall:
+        return cls(None, 2.0, [])
+    return cls(f"{cls.__name__} raised by a builder")
+
+
+# stage -> builders it calls and the (name, theorem, lam) of the failed
+# record each builder call becomes
+STAGE_FAILURES = {
+    "solves": (("solve_records",), [("solve", "T1.1-monotone-symmetry", lam) for lam in verify.SOLVE_LAMS]),
+    "uniqueness": (
+        ("uniqueness_records",),
+        [("uniqueness", "C1.2-uniqueness", lam) for lam in verify.UNIQUENESS_LAMS],
+    ),
+    "gibbons": (("gibbons_records",), [("gibbons-anisotropy", "T1.1-monotone-symmetry", 3.0)]),
+    "liouville": (
+        ("liouville_records", "unit_coupling_records"),
+        [("liouville-constant", "T-liouville-sub1", lam) for lam in verify.LIOUVILLE_LAMS]
+        + [("unit-coupling-circle", "T-liouville-eq1", 1.0)],
+    ),
+    "counterexample": (
+        ("verify_counterexample",),
+        [("counterexample-sign-structure", "R-counterexample", 3.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", ERROR_TYPES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("stage", verify.ALL_STAGES)
+def test_stage_turns_each_solver_error_into_one_failed_record(monkeypatch, stage, cls):
+    exc = _instance(cls)
+
+    def failing(*args, **kwargs):
+        raise exc
+
+    builders, expected = STAGE_FAILURES[stage]
+    for builder in builders:
+        monkeypatch.setattr(verify, builder, failing)
+    report = verify.full_suite(SuiteOptions(stages=(stage,)))
+    assert [(r.name, r.theorem, r.params["lam"]) for r in report.records] == expected
+    for rec in report.records:
+        assert not rec.passed
+        assert rec.margin == verify.ERROR_MARGIN
+        assert rec.params["error"] == str(exc)
