@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, coupling=True):
-        if coupling:  # the battery fixes its own couplings
+        if coupling:  # the battery fixes its own couplings, a sweep takes a range
             sp.add_argument("--lambda", dest="lam", type=float, help="coupling constant")
         sp.add_argument("--L", dest="half_length", type=float, help="half length of the axis")
         sp.add_argument("--n", dest="n", type=int, help="node count (>= 3)")
@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("sweep", help="continuation sweep over a coupling range")
-    common(sp)
+    common(sp, coupling=False)
     sp.add_argument("--lambda-from", dest="lambda_from", type=float)
     sp.add_argument("--lambda-to", dest="lambda_to", type=float)
     sp.add_argument("--step", dest="step", type=float)
@@ -295,7 +295,7 @@ def cmd_relax(cfg: RunConfig) -> int:
     report = _write_report(os.path.join(cfg.out_dir, "report.json"), cfg.seed, records)
     print(
         f"relax mode={cfg.mode} coupling={cfg.lam}: {outcome.steps} steps "
-        f"({outcome.rejected} extrapolations rejected), "
+        f"({outcome.newton_steps} Newton, {outcome.rejected} candidates rejected), "
         f"final update {outcome.final_update:.3e}, "
         f"final residual {outcome.final_residual:.3e}, "
         f"{len(report.failures())} of {len(records)} checks failed"

@@ -21,8 +21,9 @@ along a periodic axis and the type-I discrete sine transform over the
 interior nodes of a Dirichlet axis, where the pinned end columns enter the
 first and last interior nodes as known neighbours.  The solve is exact up
 to rounding, with no splitting, no factorization and no BLAS.
-``scipy.fft`` and ``scipy.fftpack`` are imported inside :func:`_diffuse`,
-so only commands that run the flow load them.
+``scipy.fft`` and ``scipy.fftpack`` are imported inside :func:`_diffuse`
+(and ``scipy.fftpack`` inside :func:`_newton_step`), so only commands that
+run the flow load them.
 
 The stabilizer S grows like 3*lam/2, so the plain step contracts slowly
 at large couplings and near coupling 1: on the 64x801 battery slab it took
@@ -47,6 +48,34 @@ pair, which is overwritten in place and dropped before any energy is
 formed, and the peaks are 4.66 and 0.162 MB.  The battery slab then settles
 in 42-56 steps at coupling 3 (seeds 0-9), 378 at coupling 100 and 450 at
 coupling 1.1 (seed 0).
+
+Near its end the flow still converges only linearly, so a Dirichlet slab
+finishes with Newton steps instead: pseudo-transient continuation (Kelley &
+Keyes, SIAM J. Numer. Anal. 35 (1998)).  The slab's steady state should be
+one-dimensional, so :func:`_newton_step` freezes the reaction Jacobian at
+the transverse mean (u_bar(x), v_bar(x)), the optimal circulant
+approximation of the true Jacobian (T. Chan, SIAM J. Sci. Stat. Comput. 9
+(1988)).  That operator commutes with transverse shifts, so in the
+transverse real FFT that :func:`_diffuse` uses, mode k decouples into the
+five-band 1D Newton matrix of :func:`solver1d._assemble_bands` with
+-kappa_k on its interior diagonal, one banded solve per mode.  The flow
+hands over once the accepted update is below 1e-2*dt/(1 + S*dt) and both
+the certified residual and :func:`transverse_anisotropy` are at most 1e-2.
+The anisotropy test keeps Newton away from bent states, where the frozen
+Jacobian is a poor model: a prototype that switched on the residual alone
+and retried Newton at every step met a curved wide slab at coupling 6 with
+residual 7e-3 and anisotropy 0.32, and 173 of its 181 Newton candidates
+raised the energy.  A Newton candidate passes the same energy safeguard as
+an Anderson one.  A rejected candidate sends the run back to the flow, with
+an empty Anderson window, until the residual has fallen below a tenth of
+its value at the rejected attempt.  The step's operator is invertible, so
+it cannot manufacture a one-dimensional state: the run still stops only on
+the residual certificate, and the anisotropy is measured on the final
+field.  The k=0 block carries the slab's near-neutral translation mode, so
+the end state may sit a small shift away from the flow's.  Periodic boxes
+never take the Newton finish: their steady states may form a circle, and
+the bands are not periodic.  On the battery slab at coupling 3 the flow
+now takes 4 steps and Newton 2 (seeds 0-999).
 """
 
 from __future__ import annotations
@@ -68,15 +97,25 @@ from .model import Params
 # iterates do not depend on dt.
 DEFAULT_DT = 2.0
 
+# A Dirichlet slab switches to the Newton finish once the accepted update is
+# below _NEWTON_SWITCH*dt/(1 + S*dt) and both the certified residual and the
+# transverse anisotropy are at most _NEWTON_SWITCH.
+_NEWTON_SWITCH = 1e-2
+# After a rejected Newton candidate, Newton is tried again only once the
+# residual is below this fraction of its value at the rejected attempt.
+_NEWTON_RETRY = 0.1
+
 
 @dataclass(frozen=True)
 class FlowOptions:
     """Relaxation controls.
 
     ``dt=None`` selects DEFAULT_DT.  Once the max-norm of an accepted
-    update falls below ``steady_tol * dt/(1 + S*dt)``, the run computes the
-    max-norm of the steady residual (:func:`grid.residual_slab`) and stops
-    when that is at most ``steady_tol``; otherwise it keeps stepping.
+    update falls below ``steady_tol * dt/(1 + S*dt)``, or after a Newton
+    step, the run computes the max-norm of the steady residual
+    (:func:`grid.residual_slab`) and stops when that is at most
+    ``steady_tol``; otherwise it keeps stepping.  ``max_steps`` bounds the
+    accepted iterates, flow and Newton together.
     """
 
     dt: float | None = DEFAULT_DT
@@ -100,7 +139,8 @@ class FlowOutcome:
     final_update: float
     final_residual: float  # max-norm of grid.residual_slab at the final field
     converged: bool
-    rejected: int = 0  # extrapolations the energy safeguard turned down
+    rejected: int = 0  # Anderson and Newton candidates the energy safeguard turned down
+    newton_steps: int = 0  # accepted iterates that came from the Newton finish
     energy_trace: tuple = field(default=(), repr=False)
     update_trace: tuple = field(default=(), repr=False)
 
@@ -237,10 +277,64 @@ def _mixed(history: list, f: tuple, g: SlabField) -> SlabField | None:
         return None
 
 
-def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
-    """Iterate :func:`flow_step`, accelerated by safeguarded depth-1 Anderson mixing.
+def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray) -> SlabField | None:
+    """Newton candidate from the Dirichlet slab f, with the Jacobian frozen at the transverse mean.
 
-    Each step takes the plain step g = flow_step(x) and its update
+    ru, rv is the residual pair of :func:`grid.residual_slab` at f; both are
+    overwritten.  The candidate is f - d, where J_bar d = r and J_bar is the slab
+    Laplacian plus the reaction Jacobian at (u_bar, v_bar), the transverse
+    means of f, with identity end rows.  The right-hand side's end rows are
+    zeroed, so d vanishes on the pinned columns, and the candidate's end
+    columns are copied from f bit for bit.  In the transverse real FFT
+    (``scipy.fftpack.rfft`` layout, :func:`_eigenvalues`) J_bar is the 1D
+    Newton matrix of :func:`solver1d._assemble_bands` at (u_bar, v_bar)
+    with -kappa_k added on its interior diagonal, so each transverse mode k
+    (its one or two rows) takes one banded solve in a copy of one (7, 2n)
+    buffer.  Returns None when the candidate is not finite or a pivot is
+    exactly zero.
+    """
+    import scipy.fftpack
+
+    m, n = f.u.shape
+    for r in (ru, rv):
+        r[:, 0] = 0.0
+        r[:, -1] = 0.0
+    ru = scipy.fftpack.rfft(ru, axis=0, overwrite_x=True)
+    rv = scipy.fftpack.rfft(rv, axis=0, overwrite_x=True)
+    bands = solver1d._assemble_bands(p, f.grid_n, f.u.mean(axis=0), f.v.mean(axis=0))
+    kappa = _eigenvalues(1.0 / f.grid_t.h**2, m, periodic=True)
+    for k in range(m // 2 + 1):
+        rows = slice(max(2 * k - 1, 0), min(2 * k + 1, m))  # entries j with (j + 1) // 2 == k
+        work = bands.copy(order="F")
+        work[4, 2:-2] -= kappa[rows.start]
+        rhs = np.empty((2 * n, rows.stop - rows.start), order="F")
+        rhs[0::2] = ru[rows].T
+        rhs[1::2] = rv[rows].T
+        try:
+            # through the module attribute, so a wrapper installed there sees the call
+            step = solver1d.solve_banded(work, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        ru[rows] = step[0::2].T
+        rv[rows] = step[1::2].T
+    new = []
+    for r, old in ((ru, f.u), (rv, f.v)):
+        a = scipy.fftpack.irfft(r, axis=0, overwrite_x=True)
+        np.subtract(old, a, out=a)
+        a[:, 0] = old[:, 0]
+        a[:, -1] = old[:, -1]
+        a.setflags(write=False)
+        new.append(a)
+    try:
+        return f.with_values(*new)
+    except ValueError:  # the step overflowed
+        return None
+
+
+def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
+    """Iterate :func:`flow_step`, accelerated by safeguarded depth-1 Anderson mixing; finish a slab by Newton.
+
+    Each flow step takes the plain step g = flow_step(x) and its update
     f = g - x, and forms the candidate of :func:`_mixed` from the previous
     (f, g) pair.  The candidate is accepted when it is finite and its
     discrete energy is at most the last accepted energy; otherwise the
@@ -248,55 +342,95 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
     (``FlowOutcome.rejected``) and the old pair is dropped.  Either way
     (f, g) becomes the history for the next step.  The depth is fixed at 1:
     a deeper window holds more fields than the memory budget allows (module
-    docstring).  The energy and update traces hold the accepted iterates
-    only.  A candidate never raises the energy, nor does a plain step from
-    a state in [-1,1]^2, so the trace is non-increasing up to rounding
-    there; the records check it rather than assume it.  The pinned end
-    columns stay those of f0 bit for bit.
+    docstring).
+
+    A Dirichlet slab switches to Newton steps (:func:`_newton_step`) once
+    the accepted update is below 1e-2*dt/(1 + S*dt) and both the certified
+    residual and :func:`transverse_anisotropy` are at most 1e-2.  A Newton
+    candidate passes the same energy safeguard.  A rejected one counts in
+    ``rejected``; that step is then a plain flow step, the run continues by
+    the flow with an empty Anderson window, and Newton is tried again only
+    once the residual is below a tenth of its value at the rejected attempt.
+    ``FlowOutcome.steps`` counts every accepted iterate, flow or Newton, and
+    ``newton_steps`` the Newton ones.  Periodic boxes never take Newton
+    steps.
+
+    The energy and update traces hold the accepted iterates only.  A
+    candidate never raises the energy, nor does a plain step from a state
+    in [-1,1]^2, so the trace is non-increasing up to rounding there; the
+    records check it rather than assume it.  The pinned end columns stay
+    those of f0 bit for bit.
 
     A plain step's update max-norm is at most dt/(1 + S*dt) times the
     residual max-norm of the state it starts from, so the residual
-    (:func:`grid.residual_slab`) is computed only once the accepted update
-    falls below steady_tol*dt/(1 + S*dt); the run stops when the residual
-    of the accepted state is at most steady_tol.  Raises NonConvergence
-    (carrying the partial outcome) when max_steps is exhausted first.
+    (:func:`grid.residual_slab`) is computed only after a Newton step or
+    once the accepted update falls below steady_tol*dt/(1 + S*dt) (on a
+    Dirichlet slab, below the larger switch bound); the run stops when the
+    residual of the accepted state is at most steady_tol.  Raises
+    NonConvergence (carrying the partial outcome) when max_steps accepted
+    iterates do not get there.
     """
     # an overflowing coupling or dt makes inf and nan entries; the field checks
     # report them as a SolverError, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         dt = opts.dt
-        update_tol = opts.steady_tol * dt / (1.0 + stabilization(p, dt) * dt)
+        scale = dt / (1.0 + stabilization(p, dt) * dt)
+        update_tol = opts.steady_tol * scale
+        dirichlet = not f0.periodic_n
+        switch_update = _NEWTON_SWITCH * scale if dirichlet else 0.0
+        check_update = max(update_tol, switch_update)
+        newton_below = _NEWTON_SWITCH  # residual bound for the next switch to Newton
         energy = gridmod.discrete_energy_slab(p, f0)
         energies = [energy]
         updates = []
         rejected = 0
+        newton_steps = 0
+        newton = False  # the next step is a Newton step from current and its residual pair
         history = []
         current = f0
         del f0  # a start field the caller does not hold dies after the first step
         for step in range(1, opts.max_steps + 1):
-            plain = flow_step(p, current, dt)
-            f = (plain.u - current.u, plain.v - current.v)
-            nxt, upd = plain, gridmod._max_norm(*f)
-            if history:
-                candidate = _mixed(history, f, plain)
+            nxt = None
+            if newton:
+                candidate = _newton_step(p, current, *residual_pair)
+                residual_pair = None
                 if candidate is not None:
-                    cand_upd = gridmod._max_norm(candidate.u - current.u, candidate.v - current.v)
-                    # the previous state is no longer needed while the energy is formed
-                    current = None
                     cand_energy = gridmod.discrete_energy_slab(p, candidate)
                     if cand_energy <= energy:
-                        nxt, upd, energy = candidate, cand_upd, cand_energy
+                        nxt, energy = candidate, cand_energy
+                        upd = gridmod._max_norm(candidate.u - current.u, candidate.v - current.v)
+                        newton_steps += 1
                     candidate = None
-                if nxt is plain:
+                if nxt is None:  # back to the flow, whose window is empty
                     rejected += 1
-            if nxt is plain:
-                energy = gridmod.discrete_energy_slab(p, plain)
+                    newton = False
+                    newton_below = _NEWTON_RETRY * residual
+            if nxt is None:
+                plain = flow_step(p, current, dt)
+                f = (plain.u - current.u, plain.v - current.v)
+                nxt, upd = plain, gridmod._max_norm(*f)
+                if history:
+                    candidate = _mixed(history, f, plain)
+                    if candidate is not None:
+                        cand_upd = gridmod._max_norm(candidate.u - current.u, candidate.v - current.v)
+                        # the previous state is no longer needed while the energy is formed
+                        current = None
+                        cand_energy = gridmod.discrete_energy_slab(p, candidate)
+                        if cand_energy <= energy:
+                            nxt, upd, energy = candidate, cand_upd, cand_energy
+                        candidate = None
+                    if nxt is plain:
+                        rejected += 1
+                if nxt is plain:
+                    energy = gridmod.discrete_energy_slab(p, plain)
+                history = [f, plain]
+                f = plain = None  # the window alone holds them, and drops them for Newton
             current = nxt
-            history = [f, plain]
             energies.append(energy)
             updates.append(upd)
-            if upd <= update_tol:
-                residual = gridmod._max_norm(*gridmod.residual_slab(p, current))
+            if newton or upd <= check_update:
+                residual_pair = gridmod.residual_slab(p, current)
+                residual = gridmod._max_norm(*residual_pair)
                 if residual <= opts.steady_tol:
                     return FlowOutcome(
                         field=current,
@@ -305,9 +439,21 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
                         final_residual=residual,
                         converged=True,
                         rejected=rejected,
+                        newton_steps=newton_steps,
                         energy_trace=tuple(energies),
                         update_trace=tuple(updates),
                     )
+                if (
+                    dirichlet
+                    and not newton
+                    and upd <= switch_update
+                    and residual <= newton_below
+                    and transverse_anisotropy(current) <= _NEWTON_SWITCH
+                ):
+                    newton = True
+                    history = []
+                if not newton:
+                    residual_pair = None
         outcome = FlowOutcome(
             field=current,
             steps=opts.max_steps,
@@ -315,6 +461,7 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
             final_residual=gridmod._max_norm(*gridmod.residual_slab(p, current)),
             converged=False,
             rejected=rejected,
+            newton_steps=newton_steps,
             energy_trace=tuple(energies),
             update_trace=tuple(updates),
         )
@@ -322,7 +469,8 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
             f"relaxation did not settle within {opts.max_steps} steps at coupling "
             f"{p.lam} (last update {outcome.final_update:.3e}, "
             f"residual {outcome.final_residual:.3e}, "
-            f"{outcome.rejected} extrapolations rejected)",
+            f"{outcome.newton_steps} Newton steps, "
+            f"{outcome.rejected} candidates rejected)",
             outcome=outcome,
         )
 

@@ -282,17 +282,21 @@ LIOUVILLE_TOL = 1e-6
 
 
 def _energy_record(name, theorem, outcome, lam):
+    """The largest energy step, signed: a trace that falls at every step shows its slack."""
     jumps = np.diff(np.asarray(outcome.energy_trace))
     worst = float(np.max(jumps)) if jumps.size else 0.0
     return _record(
-        name, theorem, -max(worst, 0.0), ENERGY_ROUNDING_SLACK,
+        name, theorem, -worst, ENERGY_ROUNDING_SLACK,
         lam=lam, steps=outcome.steps, max_energy_jump=worst,
     )
 
 
 def _flow_params(outcome, dt) -> dict:
     """How a relaxation ran, for the first record of each flow experiment."""
-    return dict(steps=outcome.steps, rejected=outcome.rejected, final_residual=outcome.final_residual, dt=dt)
+    return dict(
+        steps=outcome.steps, newton_steps=outcome.newton_steps, rejected=outcome.rejected,
+        final_residual=outcome.final_residual, dt=dt,
+    )
 
 
 def solve_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions):

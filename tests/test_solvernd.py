@@ -141,6 +141,17 @@ def test_flow_step_never_raises_energy(lam, dt, half_length, periodic_n, u, v):
     assert e1 - e0 <= 1e-12 * max(1.0, abs(e0))
 
 
+def coarse_front():
+    """The coupling-3 front on 9 nodes of [-4, 4], tiled over 8 rows, with a small transverse ripple."""
+    x = np.linspace(-4.0, 4.0, 9)
+    ripple = 1e-3 * np.cos(2.0 * np.pi * np.arange(8) / 8.0)[:, None]
+    u = np.clip((1.0 + np.tanh(x / np.sqrt(2.0))) / 2.0 + ripple, 0.0, 1.0)
+    v = np.clip((1.0 - np.tanh(x / np.sqrt(2.0))) / 2.0 - ripple, 0.0, 1.0)
+    u[:, 0], v[:, 0] = grid.LEFT_STATE
+    u[:, -1], v[:, -1] = grid.RIGHT_STATE
+    return u, v
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     lam=log_uniform(0.05, 1000.0),
@@ -149,6 +160,8 @@ def test_flow_step_never_raises_energy(lam, dt, half_length, periodic_n, u, v):
     u=unit_data,
     v=unit_data,
 )
+# a Dirichlet slab near its front, which the flow hands to the Newton finish
+@example(lam=3.0, half_length=4.0, periodic_n=False, u=coarse_front()[0], v=coarse_front()[1])
 def test_relax_to_steady_never_raises_energy(lam, half_length, periodic_n, u, v):
     # the accepted iterates of the accelerated flow, on an 8x8 periodic box
     # or an 8x9 Dirichlet slab; a run that does not settle ends in
@@ -211,6 +224,123 @@ def test_gibbons_run_settles_across_couplings(lam):
     assert out.final_residual <= opts.steady_tol
     assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
     assert solvernd.transverse_anisotropy(out.field) <= 1e-8
+    assert out.newton_steps >= 1
+
+
+def frozen_newton_matrix(p, f):
+    """Dense slab Laplacian plus the reaction Jacobian at the transverse means; end rows identity.
+
+    Unknowns are ordered (u on every node, then v), each raveled in the field's shape.
+    """
+    nt, nn = f.u.shape
+    lap = np.kron(second_difference_matrix(nt, f.grid_t.h, periodic=True), np.eye(nn)) + np.kron(
+        np.eye(nt), second_difference_matrix(nn, f.grid_n.h, periodic=False)
+    )
+    c1, c2, off = (np.tile(c, nt) for c in model.jacobian_entries(p, f.u.mean(axis=0), f.v.mean(axis=0)))
+    jac = np.block([[lap + np.diag(c1), np.diag(off)], [np.diag(off), lap + np.diag(c2)]])
+    ends = np.zeros((nt, nn), dtype=bool)
+    ends[:, [0, -1]] = True
+    ends = np.concatenate([ends.ravel(), ends.ravel()])
+    jac[ends] = 0.0
+    jac[ends, ends] = 1.0
+    return jac, ends
+
+
+@pytest.mark.parametrize("nt", [3, 5, 6, 8])
+def test_newton_step_matches_dense_solve(nt):
+    # odd and even transverse counts: an even count has a lone Nyquist row in the
+    # half-complex layout; random end columns, which the step must keep bit for bit
+    p = Params(3.0)
+    nn = 11
+    rng = np.random.default_rng(nt)
+    f = SlabField(Grid1D(1.5, nt), Grid1D(3.0, nn), rng.uniform(0, 1, (nt, nn)), rng.uniform(0, 1, (nt, nn)))
+    jac, ends = frozen_newton_matrix(p, f)
+    rhs = -np.concatenate([r.ravel() for r in grid.residual_slab(p, f)])
+    rhs[ends] = 0.0
+    step = np.linalg.solve(jac, rhs)
+    new = solvernd._newton_step(p, f, *grid.residual_slab(p, f))
+    for got, old, d in ((new.u, f.u, step[: nt * nn]), (new.v, f.v, step[nt * nn :])):
+        assert np.max(np.abs(got - (old + d.reshape(nt, nn)))) <= 1e-12
+        assert np.array_equal(got[:, [0, -1]], old[:, [0, -1]])
+
+
+@pytest.mark.parametrize("nt", [7, 8])
+def test_newton_step_on_a_constant_field_is_the_1d_newton_step(nt):
+    p = Params(6.0)
+    g_n = Grid1D(10.0, 101)
+    rng = np.random.default_rng(nt)
+    prof = front_profile(g_n)
+    u = prof.u.copy()
+    v = prof.v.copy()
+    u[1:-1] = np.clip(u[1:-1] + rng.uniform(-0.05, 0.05, 99), 0, 1)
+    v[1:-1] = np.clip(v[1:-1] + rng.uniform(-0.05, 0.05, 99), 0, 1)
+    prof = ProfilePair(g_n, u, v)
+    ru, rv = grid.residual_1d(p, prof)
+    rhs = np.empty(2 * g_n.n)
+    rhs[0::2], rhs[1::2] = -ru, -rv
+    step = solver1d.solve_banded(solver1d._assemble_bands(p, g_n, u, v), rhs)
+    f = solvernd.embed_profile(prof, Grid1D(2.0, nt))
+    new = solvernd._newton_step(p, f, *grid.residual_slab(p, f))
+    assert np.max(np.abs(new.u - (u + step[0::2]))) <= 1e-12
+    assert np.max(np.abs(new.v - (v + step[1::2]))) <= 1e-12
+
+
+def curved_front(grid_t, grid_n, displacement):
+    """The coupling-3 front with its interface at x = displacement*cos(2*pi*y/C), C the transverse period."""
+    period = grid_t.n * grid_t.h
+    y = grid_t.h * np.arange(grid_t.n)
+    shift = displacement * np.cos(2.0 * np.pi * y / period)
+    u, v = model.tanh_front(0.0, grid_n.nodes()[None, :] - shift[:, None])
+    u, v = np.array(u), np.array(v)
+    u[:, 0], v[:, 0] = grid.LEFT_STATE
+    u[:, -1], v[:, -1] = grid.RIGHT_STATE
+    return SlabField(grid_t, grid_n, u, v)
+
+
+def test_curved_interface_settles_by_newton():
+    # the battery slab with a bent interface, far from one-dimensional at the start
+    f0 = curved_front(Grid1D(4.0, 64), Grid1D(20.0, 801), 2.0)
+    assert solvernd.transverse_anisotropy(f0) > 0.5
+    opts = solvernd.FlowOptions()
+    out = solvernd.relax_to_steady(Params(6.0), f0, opts)
+    assert out.converged and out.final_residual <= opts.steady_tol
+    assert out.newton_steps >= 1
+    assert solvernd.transverse_anisotropy(out.field) <= 1e-8
+    assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
+    for end in (0, -1):
+        assert np.array_equal(out.field.u[:, end], f0.u[:, end])
+        assert np.array_equal(out.field.v[:, end], f0.v[:, end])
+
+
+def test_coarse_front_example_takes_newton_steps():
+    # the explicit example of test_relax_to_steady_never_raises_energy reaches the Newton finish
+    u, v = coarse_front()
+    f0 = SlabField(Grid1D(4.0, 8), Grid1D(4.0, 9), u, v)
+    out = solvernd.relax_to_steady(Params(3.0), f0, solvernd.FlowOptions(max_steps=100))
+    assert out.converged and out.newton_steps >= 1
+
+
+def test_rejected_newton_candidates_fall_back_to_the_flow(monkeypatch):
+    # every Newton candidate raises the energy, so the flow alone must settle the run
+    attempts = []
+
+    def uphill(p, f, ru, rv):
+        attempts.append(grid._max_norm(ru, rv))
+        u = f.u.copy()
+        u[:, 1:-1] += 0.05
+        return f.with_values(u, f.v)
+
+    monkeypatch.setattr(solvernd, "_newton_step", uphill)
+    opts = solvernd.FlowOptions(rng_seed=0)
+    out = solvernd.gibbons_run(Params(3.0), Grid1D(0.5, 8), Grid1D(20.0, 801), opts)
+    assert out.converged and out.final_residual <= opts.steady_tol
+    assert out.newton_steps == 0
+    assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
+    # each retry waits for a tenth of the last attempt's residual: from 1e-2 down
+    # to steady_tol that is at most 8 attempts
+    assert 1 <= len(attempts) <= 8
+    assert all(b <= 0.1 * a for a, b in zip(attempts, attempts[1:]))
+    assert len(attempts) <= out.rejected < out.steps
 
 
 @pytest.mark.parametrize("periodic_n", [False, True])

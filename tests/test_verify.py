@@ -1,4 +1,5 @@
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +36,34 @@ def test_flow_records_report_rejected_extrapolations(suite_report):
     for rec in flow:
         assert isinstance(rec.params["rejected"], int)
         assert 0 <= rec.params["rejected"] < rec.params["steps"]
+        # only the Dirichlet slab takes the Newton finish
+        slab = rec.name == "gibbons-anisotropy"
+        assert isinstance(rec.params["newton_steps"], int)
+        assert (rec.params["newton_steps"] >= 1) if slab else (rec.params["newton_steps"] == 0)
+
+
+def test_energy_record_margin_is_the_signed_largest_step():
+    def outcome(trace):
+        return SimpleNamespace(energy_trace=tuple(trace), steps=len(trace) - 1)
+
+    falling = verify._energy_record("e", "T-liouville-sub1", outcome([3.0, 2.0, 1.5, 1.25]), 0.5)
+    assert falling.passed and falling.margin == 0.25 == -falling.params["max_energy_jump"]
+    risen = verify._energy_record("e", "T-liouville-sub1", outcome([3.0, 2.0, 2.0 + 2e-12, 1.0]), 0.5)
+    assert not risen.passed and risen.margin < -verify.ENERGY_ROUNDING_SLACK
+    level = verify._energy_record("e", "T-liouville-sub1", outcome([1.0, 1.0]), 0.5)
+    assert level.passed and level.margin == 0.0
+
+
+def test_battery_energy_records_show_slack(suite_report):
+    # the margin is minus the largest energy step; the slab trace falls at every
+    # step, so its margin is positive (the three boxes below coupling 1 end on
+    # steps that leave the energy unchanged to the bit, and read 0)
+    report, _ = suite_report
+    energy = [r for r in report.records if r.name.endswith("energy-monotone")]
+    assert len(energy) == 5
+    for rec in energy:
+        assert rec.margin == -rec.params["max_energy_jump"]
+    assert {r.name: r for r in energy}["gibbons-energy-monotone"].margin > 0.0
 
 
 def test_full_suite_exercises_every_tag(suite_report):
