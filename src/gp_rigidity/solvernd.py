@@ -22,7 +22,7 @@ interior nodes of a Dirichlet axis, where the pinned end columns enter the
 first and last interior nodes as known neighbours.  The solve is exact up
 to rounding, with no splitting, no factorization and no BLAS.
 ``scipy.fft`` and ``scipy.fftpack`` are imported inside :func:`_diffuse`
-(and ``scipy.fftpack`` inside :func:`_newton_step`), so only commands that
+(and ``scipy.fftpack`` inside the Newton steps), so only commands that
 run the flow load them.
 
 The stabilizer S grows like 3*lam/2, so the plain step contracts slowly
@@ -49,33 +49,56 @@ formed, and the peaks are 4.66 and 0.162 MB.  The battery slab then settles
 in 42-56 steps at coupling 3 (seeds 0-9), 378 at coupling 100 and 450 at
 coupling 1.1 (seed 0).
 
-Near its end the flow still converges only linearly, so a Dirichlet slab
-finishes with Newton steps instead: pseudo-transient continuation (Kelley &
-Keyes, SIAM J. Numer. Anal. 35 (1998)).  The slab's steady state should be
-one-dimensional, so :func:`_newton_step` freezes the reaction Jacobian at
-the transverse mean (u_bar(x), v_bar(x)), the optimal circulant
-approximation of the true Jacobian (T. Chan, SIAM J. Sci. Stat. Comput. 9
-(1988)).  That operator commutes with transverse shifts, so in the
-transverse real FFT that :func:`_diffuse` uses, mode k decouples into the
-five-band 1D Newton matrix of :func:`solver1d._assemble_bands` with
--kappa_k on its interior diagonal, one banded solve per mode.  The flow
-hands over once the accepted update is below 1e-2*dt/(1 + S*dt) and both
-the certified residual and :func:`transverse_anisotropy` are at most 1e-2.
-The anisotropy test keeps Newton away from bent states, where the frozen
-Jacobian is a poor model: a prototype that switched on the residual alone
-and retried Newton at every step met a curved wide slab at coupling 6 with
-residual 7e-3 and anisotropy 0.32, and 173 of its 181 Newton candidates
-raised the energy.  A Newton candidate passes the same energy safeguard as
-an Anderson one.  A rejected candidate sends the run back to the flow, with
-an empty Anderson window, until the residual has fallen below a tenth of
-its value at the rejected attempt.  The step's operator is invertible, so
-it cannot manufacture a one-dimensional state: the run still stops only on
-the residual certificate, and the anisotropy is measured on the final
-field.  The k=0 block carries the slab's near-neutral translation mode, so
-the end state may sit a small shift away from the flow's.  Periodic boxes
-never take the Newton finish: their steady states may form a circle, and
-the bands are not periodic.  On the battery slab at coupling 3 the flow
-now takes 4 steps and Newton 2 (seeds 0-999).
+Near its end the flow still converges only linearly, so the run finishes
+with Newton steps instead: pseudo-transient continuation (Kelley & Keyes,
+SIAM J. Numer. Anal. 35 (1998)).  The Newton step freezes the reaction
+Jacobian at a mean of the field, which makes its operator diagonal or
+banded in the basis :func:`_diffuse` already uses.
+
+* On a Dirichlet slab the steady state should be one-dimensional, so
+  :func:`_newton_step` freezes the Jacobian at the transverse mean
+  (u_bar(x), v_bar(x)), the optimal circulant approximation of the true
+  Jacobian (T. Chan, SIAM J. Sci. Stat. Comput. 9 (1988)).  In the
+  transverse real FFT, mode k decouples into the five-band 1D Newton
+  matrix of :func:`solver1d._assemble_bands` with -kappa_k on its interior
+  diagonal, one banded solve per mode.
+* On a periodic box the steady states are constants (below coupling 1 the
+  constant 1/sqrt(1+lam), at coupling 1 a point of the unit circle), so
+  :func:`_box_newton_step` freezes the Jacobian at the spatial mean
+  (u_bar, v_bar).  Its coefficients are then constant, and the 2D real FFT
+  splits it into one 2x2 block [[c1 - kappa, off], [off, c2 - kappa]] per
+  spectral entry, kappa = kappa_t + kappa_n, solved in closed form over the
+  whole box at once.  Near coupling 1 this matters most: the antisymmetric
+  constant mode decays under the flow only at rate 2(1 - lam)/(1 + lam),
+  so at coupling 0.9999 a flow that stops at residual 1e-9 sat up to
+  7.4e-6 from the constant, against the 1e-6 gate of the records.
+
+The flow hands over once the accepted update is below 1e-2*dt/(1 + S*dt)
+and both the certified residual and the spread are at most 1e-2: the
+transverse spread :func:`transverse_anisotropy` on a slab, the spread over
+all nodes :func:`spatial_spread` on a box.  The spread test keeps Newton
+away from states the frozen Jacobian models poorly: a prototype that
+switched on the residual alone and retried Newton at every step met a
+curved wide slab at coupling 6 with residual 7e-3 and anisotropy 0.32, and
+173 of its 181 Newton candidates raised the energy.  A Newton candidate
+passes the same energy safeguard as an Anderson one.  A rejected candidate
+sends the run back to the flow, with an empty Anderson window, until the
+residual has fallen below a tenth of its value at the rejected attempt.
+The first flow step after the rejection starts from the rejected candidate
+when that step does not raise the energy.  Near coupling 1 the constants
+lie in a curved valley of the energy along the unit circle, and a straight
+Newton step along it climbs the valley's wall (by 1.1e-6 at coupling
+0.99999, seed 0); the flow damps that stiff radial error first and keeps
+the progress along the valley.  Without that step the run crept on at
+6e-8 per flow step and never reached the retry bound in 40000 steps.  The
+step's operator is invertible, so it cannot manufacture a one-dimensional
+or constant state: the run still stops only on the residual certificate,
+and the anisotropy and the constancy are measured on the final field.  On
+a slab the k=0 block carries the near-neutral translation mode, so the end
+state may sit a small shift away from the flow's.  On the battery slab at
+coupling 3 the flow now takes 4 steps and Newton 2 (seeds 0-999); the
+32x32 box takes 4-11 flow and 2-4 Newton steps at couplings 0.01 to 1
+(seeds 0-99), where the flow alone took 12-115.
 """
 
 from __future__ import annotations
@@ -97,12 +120,13 @@ from .model import Params
 # iterates do not depend on dt.
 DEFAULT_DT = 2.0
 
-# A Dirichlet slab switches to the Newton finish once the accepted update is
-# below _NEWTON_SWITCH*dt/(1 + S*dt) and both the certified residual and the
-# transverse anisotropy are at most _NEWTON_SWITCH.
+# A run switches to the Newton finish once the accepted update is below
+# _NEWTON_SWITCH*dt/(1 + S*dt) and both the certified residual and the spread
+# (transverse on a slab, over all nodes on a box) are at most _NEWTON_SWITCH.
 _NEWTON_SWITCH = 1e-2
 # After a rejected Newton candidate, Newton is tried again only once the
-# residual is below this fraction of its value at the rejected attempt.
+# residual is below this fraction of its value at the rejected attempt; until
+# then the residual is formed only when the update over dt/(1 + S*dt) is too.
 _NEWTON_RETRY = 0.1
 
 
@@ -166,11 +190,12 @@ def _eigenvalues(a: float, m: int, periodic: bool) -> np.ndarray:
     return 2.0 * a * (1.0 - np.cos(angles))
 
 
-def _inverse_symbol(f: SlabField, dt: float, s: float) -> np.ndarray:
-    """Inverse eigenvalues of (1 + S*dt) I - dt (D_t + D_n) in the basis :func:`_diffuse` uses."""
-    eig_t = _eigenvalues(dt / f.grid_t.h**2, f.grid_t.n, periodic=True)
-    eig_n = _eigenvalues(dt / f.grid_n.h**2, f.grid_n.n, f.periodic_n)
-    return 1.0 / ((1.0 + s * dt) + eig_t[:, None] + eig_n)
+def _axis_eigenvalues(f: SlabField, dt: float) -> tuple:
+    """dt times the eigenvalues of minus the second difference along each axis of f (:func:`_eigenvalues`)."""
+    return (
+        _eigenvalues(dt / f.grid_t.h**2, f.grid_t.n, periodic=True),
+        _eigenvalues(dt / f.grid_n.h**2, f.grid_n.n, f.periodic_n),
+    )
 
 
 def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray, dt: float) -> np.ndarray:
@@ -205,13 +230,15 @@ def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray
     return new
 
 
-def flow_step(p: Params, f: SlabField, dt: float) -> SlabField:
+def flow_step(p: Params, f: SlabField, dt: float, eigenvalues: tuple | None = None) -> SlabField:
     """One stabilized semi-implicit step: explicit reaction, implicit diffusion.
 
     Solves (1 + S*dt) u' - dt (D_t + D_n) u' = (1 + S*dt) u + dt f(u) with
-    S = :func:`stabilization`.  Dirichlet end columns are carried
-    through unchanged.  Raises SolverError when the new field is not
-    finite (the coupling or dt overflows the step).
+    S = :func:`stabilization`.  ``eigenvalues`` is the pair
+    :func:`_axis_eigenvalues` of f and dt, formed here when not given
+    (:func:`relax_to_steady` forms it once per run).  Dirichlet end
+    columns are carried through unchanged.  Raises SolverError when the
+    new field is not finite (the coupling or dt overflows the step).
     """
     s = stabilization(p, dt)
     # pinned end columns take no reaction; f's arrays were checked when f was
@@ -223,7 +250,10 @@ def flow_step(p: Params, f: SlabField, dt: float) -> SlabField:
     rhs_u += (1.0 + s * dt) * u
     rhs_v *= dt
     rhs_v += (1.0 + s * dt) * v
-    inverse = _inverse_symbol(f, dt, s)
+    eig_t, eig_n = _axis_eigenvalues(f, dt) if eigenvalues is None else eigenvalues
+    # the symbol of the operator's inverse in the basis _diffuse uses; it is formed
+    # at each step because holding it for the run would raise the run's memory peak
+    inverse = 1.0 / ((1.0 + s * dt) + eig_t[:, None] + eig_n)
     new_u = _diffuse(f, f.u, rhs_u, inverse, dt)
     new_v = _diffuse(f, f.v, rhs_v, inverse, dt)
     # read-only arrays that own their memory become the new field without a copy
@@ -277,15 +307,17 @@ def _mixed(history: list, f: tuple, g: SlabField) -> SlabField | None:
         return None
 
 
-def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray) -> SlabField | None:
+def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa_t: np.ndarray) -> SlabField | None:
     """Newton candidate from the Dirichlet slab f, with the Jacobian frozen at the transverse mean.
 
     ru, rv is the residual pair of :func:`grid.residual_slab` at f; both are
-    overwritten.  The candidate is f - d, where J_bar d = r and J_bar is the slab
-    Laplacian plus the reaction Jacobian at (u_bar, v_bar), the transverse
-    means of f, with identity end rows.  The right-hand side's end rows are
-    zeroed, so d vanishes on the pinned columns, and the candidate's end
-    columns are copied from f bit for bit.  In the transverse real FFT
+    overwritten.  kappa_t holds the eigenvalues of minus the transverse
+    second difference (:func:`_eigenvalues` with a = 1/h_t^2).  The
+    candidate is f - d, where J_bar d = r and J_bar is the slab Laplacian
+    plus the reaction Jacobian at (u_bar, v_bar), the transverse means of f,
+    with identity end rows.  The right-hand side's end rows are zeroed, so d
+    vanishes on the pinned columns, and the candidate's end columns are
+    copied from f bit for bit.  In the transverse real FFT
     (``scipy.fftpack.rfft`` layout, :func:`_eigenvalues`) J_bar is the 1D
     Newton matrix of :func:`solver1d._assemble_bands` at (u_bar, v_bar)
     with -kappa_k added on its interior diagonal, so each transverse mode k
@@ -302,11 +334,10 @@ def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray) -> Sla
     ru = scipy.fftpack.rfft(ru, axis=0, overwrite_x=True)
     rv = scipy.fftpack.rfft(rv, axis=0, overwrite_x=True)
     bands = solver1d._assemble_bands(p, f.grid_n, f.u.mean(axis=0), f.v.mean(axis=0))
-    kappa = _eigenvalues(1.0 / f.grid_t.h**2, m, periodic=True)
     for k in range(m // 2 + 1):
         rows = slice(max(2 * k - 1, 0), min(2 * k + 1, m))  # entries j with (j + 1) // 2 == k
         work = bands.copy(order="F")
-        work[4, 2:-2] -= kappa[rows.start]
+        work[4, 2:-2] -= kappa_t[rows.start]
         rhs = np.empty((2 * n, rows.stop - rows.start), order="F")
         rhs[0::2] = ru[rows].T
         rhs[1::2] = rv[rows].T
@@ -331,8 +362,63 @@ def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray) -> Sla
         return None
 
 
+def _box_newton_step(
+    p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa_t: np.ndarray, kappa_n: np.ndarray
+) -> SlabField | None:
+    """Newton candidate from the periodic box f, with the Jacobian frozen at the spatial mean.
+
+    ru, rv is the residual pair of :func:`grid.residual_slab` at f; both are
+    overwritten.  kappa_t and kappa_n hold the eigenvalues of minus the
+    second difference along each axis (:func:`_eigenvalues` with
+    a = 1/h^2).  The candidate is f - d, where J_bar d = r and J_bar is the
+    box Laplacian plus the reaction Jacobian (c1, c2, off) at the means
+    (u_bar, v_bar) of f.  Its coefficients are constant, so the 2D real FFT
+    of :func:`_diffuse` diagonalizes it: entry (i, j) of the spectra
+    solves [[c1 - kappa, off], [off, c2 - kappa]] d = r with
+    kappa = kappa_t[i] + kappa_n[j], in closed form by the adjugate over the
+    determinant.  The solve runs in ru's and rv's buffers and three
+    coefficient arrays.  Returns None when the candidate is not finite (a
+    determinant of zero gives one).
+    """
+    import scipy.fftpack
+
+    rfft, irfft = scipy.fftpack.rfft, scipy.fftpack.irfft
+    ru = rfft(rfft(ru, axis=1, overwrite_x=True), axis=0, overwrite_x=True)
+    rv = rfft(rfft(rv, axis=1, overwrite_x=True), axis=0, overwrite_x=True)
+    c1, c2, off = model.jacobian_entries(p, f.u.mean(), f.v.mean())
+    # minus the diagonal entries, k - c1 and k - c2, and the determinant
+    # (k - c1)(k - c2) - off^2; the block's inverse is adj/det, so
+    # -d_u = ((k - c2) r_u + off r_v)/det and -d_v = ((k - c1) r_v + off r_u)/det
+    minus_c1 = np.add.outer(kappa_t, kappa_n)
+    minus_c2 = minus_c1 - c2
+    minus_c1 -= c1
+    det = minus_c1 * minus_c2
+    det -= off * off
+    minus_c1 /= det
+    minus_c2 /= det
+    np.divide(off, det, out=det)
+    minus_c2 *= ru
+    minus_c1 *= rv
+    ru *= det
+    rv *= det
+    del det
+    ru += minus_c1  # -d_v
+    rv += minus_c2  # -d_u
+    del minus_c1, minus_c2
+    new = []
+    for r, old in ((rv, f.u), (ru, f.v)):
+        a = irfft(irfft(r, axis=0, overwrite_x=True), axis=1, overwrite_x=True)
+        a += old
+        a.setflags(write=False)
+        new.append(a)
+    try:
+        return f.with_values(*new)
+    except ValueError:  # the step overflowed
+        return None
+
+
 def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
-    """Iterate :func:`flow_step`, accelerated by safeguarded depth-1 Anderson mixing; finish a slab by Newton.
+    """Iterate :func:`flow_step`, accelerated by safeguarded depth-1 Anderson mixing; finish by Newton.
 
     Each flow step takes the plain step g = flow_step(x) and its update
     f = g - x, and forms the candidate of :func:`_mixed` from the previous
@@ -342,18 +428,22 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
     (``FlowOutcome.rejected``) and the old pair is dropped.  Either way
     (f, g) becomes the history for the next step.  The depth is fixed at 1:
     a deeper window holds more fields than the memory budget allows (module
-    docstring).
+    docstring).  The eigenvalues behind the implicit solve are formed once
+    per run (:func:`_axis_eigenvalues`) and shared with the Newton steps.
 
-    A Dirichlet slab switches to Newton steps (:func:`_newton_step`) once
-    the accepted update is below 1e-2*dt/(1 + S*dt) and both the certified
-    residual and :func:`transverse_anisotropy` are at most 1e-2.  A Newton
-    candidate passes the same energy safeguard.  A rejected one counts in
-    ``rejected``; that step is then a plain flow step, the run continues by
-    the flow with an empty Anderson window, and Newton is tried again only
-    once the residual is below a tenth of its value at the rejected attempt.
-    ``FlowOutcome.steps`` counts every accepted iterate, flow or Newton, and
-    ``newton_steps`` the Newton ones.  Periodic boxes never take Newton
-    steps.
+    The run switches to Newton steps once the accepted update is below
+    1e-2*dt/(1 + S*dt), the certified residual is at most newton_below,
+    and the spread is at most 1e-2; newton_below starts at 1e-2.  The
+    spread is :func:`transverse_anisotropy` on a Dirichlet slab
+    (step :func:`_newton_step`) and :func:`spatial_spread` on a periodic
+    box (step :func:`_box_newton_step`).  A Newton candidate passes the
+    same energy safeguard.  A turned-down one counts in ``rejected``, and
+    the flow step from it is taken when that does not raise the energy,
+    else the plain flow step from the current state; the run continues by
+    the flow, and newton_below becomes a tenth of the residual at the
+    turned-down attempt.  ``FlowOutcome.steps`` counts every accepted
+    iterate, flow or Newton, and ``newton_steps`` the accepted Newton
+    candidates.
 
     The energy and update traces hold the accepted iterates only.  A
     candidate never raises the energy, nor does a plain step from a state
@@ -363,22 +453,27 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
 
     A plain step's update max-norm is at most dt/(1 + S*dt) times the
     residual max-norm of the state it starts from, so the residual
-    (:func:`grid.residual_slab`) is computed only after a Newton step or
-    once the accepted update falls below steady_tol*dt/(1 + S*dt) (on a
-    Dirichlet slab, below the larger switch bound); the run stops when the
-    residual of the accepted state is at most steady_tol.  Raises
+    (:func:`grid.residual_slab`) is computed only after a Newton attempt or
+    once the accepted update falls below the larger of
+    steady_tol*dt/(1 + S*dt) and newton_below*dt/(1 + S*dt); the run stops
+    when the residual of the accepted state is at most steady_tol.  Raises
     NonConvergence (carrying the partial outcome) when max_steps accepted
     iterates do not get there.
     """
     # an overflowing coupling or dt makes inf and nan entries; the field checks
     # report them as a SolverError, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dt = opts.dt
         scale = dt / (1.0 + stabilization(p, dt) * dt)
         update_tol = opts.steady_tol * scale
-        dirichlet = not f0.periodic_n
-        switch_update = _NEWTON_SWITCH * scale if dirichlet else 0.0
-        check_update = max(update_tol, switch_update)
+        eigenvalues = _axis_eigenvalues(f0, dt)
+        # the Newton steps take the eigenvalues of minus the second differences
+        kappa = [eigenvalues[0] / dt]
+        if f0.periodic_n:
+            kappa.append(eigenvalues[1] / dt)
+            newton_step, spread = _box_newton_step, spatial_spread
+        else:
+            newton_step, spread = _newton_step, transverse_anisotropy
         newton_below = _NEWTON_SWITCH  # residual bound for the next switch to Newton
         energy = gridmod.discrete_energy_slab(p, f0)
         energies = [energy]
@@ -391,8 +486,9 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
         del f0  # a start field the caller does not hold dies after the first step
         for step in range(1, opts.max_steps + 1):
             nxt = None
+            attempt = newton  # the accepted state's update may not bound its residual then
             if newton:
-                candidate = _newton_step(p, current, *residual_pair)
+                candidate = newton_step(p, current, *residual_pair, *kappa)
                 residual_pair = None
                 if candidate is not None:
                     cand_energy = gridmod.discrete_energy_slab(p, candidate)
@@ -400,13 +496,23 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
                         nxt, energy = candidate, cand_energy
                         upd = gridmod._max_norm(candidate.u - current.u, candidate.v - current.v)
                         newton_steps += 1
-                    candidate = None
                 if nxt is None:  # back to the flow, whose window is empty
                     rejected += 1
                     newton = False
                     newton_below = _NEWTON_RETRY * residual
+                    if candidate is not None:
+                        # the flow damps first the stiff modes a Newton step overshoots in,
+                        # so its step from the turned-down candidate is taken when downhill
+                        plain = flow_step(p, candidate, dt, eigenvalues)
+                        cand_energy = gridmod.discrete_energy_slab(p, plain)
+                        if cand_energy <= energy:
+                            nxt, energy = plain, cand_energy
+                            upd = gridmod._max_norm(plain.u - current.u, plain.v - current.v)
+                            history = [(plain.u - candidate.u, plain.v - candidate.v), plain]
+                        plain = None
+                candidate = None
             if nxt is None:
-                plain = flow_step(p, current, dt)
+                plain = flow_step(p, current, dt, eigenvalues)
                 f = (plain.u - current.u, plain.v - current.v)
                 nxt, upd = plain, gridmod._max_norm(*f)
                 if history:
@@ -428,7 +534,8 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
             current = nxt
             energies.append(energy)
             updates.append(upd)
-            if newton or upd <= check_update:
+            # the residual is formed only when the update could allow the stop or a switch
+            if attempt or upd <= max(update_tol, newton_below * scale):
                 residual_pair = gridmod.residual_slab(p, current)
                 residual = gridmod._max_norm(*residual_pair)
                 if residual <= opts.steady_tol:
@@ -444,11 +551,10 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
                         update_trace=tuple(updates),
                     )
                 if (
-                    dirichlet
-                    and not newton
-                    and upd <= switch_update
+                    not newton
+                    and upd <= _NEWTON_SWITCH * scale
                     and residual <= newton_below
-                    and transverse_anisotropy(current) <= _NEWTON_SWITCH
+                    and spread(current) <= _NEWTON_SWITCH
                 ):
                     newton = True
                     history = []
@@ -480,6 +586,11 @@ def transverse_anisotropy(f: SlabField) -> float:
     spread_u = float(np.max(np.max(f.u, axis=0) - np.min(f.u, axis=0)))
     spread_v = float(np.max(np.max(f.v, axis=0) - np.min(f.v, axis=0)))
     return max(spread_u, spread_v)
+
+
+def spatial_spread(f: SlabField) -> float:
+    """Largest spread over all nodes: max of (max - min) of u and of v."""
+    return max(float(np.ptp(f.u)), float(np.ptp(f.v)))
 
 
 def extract_1d(f: SlabField, max_anisotropy: float) -> ProfilePair:

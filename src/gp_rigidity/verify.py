@@ -411,10 +411,7 @@ def unit_coupling_records(box: Grid1D, flow: solvernd.FlowOptions):
     """
     outcome = solvernd.periodic_box_run(Params(1.0), box, box, flow)
     circle_dev = float(np.max(np.abs(outcome.field.u**2 + outcome.field.v**2 - 1.0)))
-    spread = max(
-        float(np.ptp(outcome.field.u)),
-        float(np.ptp(outcome.field.v)),
-    )
+    spread = solvernd.spatial_spread(outcome.field)
     records = [
         _record(
             "unit-coupling-circle", "T-liouville-eq1", -circle_dev, LIOUVILLE_TOL,

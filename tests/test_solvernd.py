@@ -227,6 +227,11 @@ def test_gibbons_run_settles_across_couplings(lam):
     assert out.newton_steps >= 1
 
 
+def unit_eigenvalues(g, periodic):
+    """Eigenvalues of minus the second difference along one axis, in the transform order of the steps."""
+    return solvernd._eigenvalues(1.0 / g.h**2, g.n, periodic)
+
+
 def frozen_newton_matrix(p, f):
     """Dense slab Laplacian plus the reaction Jacobian at the transverse means; end rows identity.
 
@@ -258,7 +263,7 @@ def test_newton_step_matches_dense_solve(nt):
     rhs = -np.concatenate([r.ravel() for r in grid.residual_slab(p, f)])
     rhs[ends] = 0.0
     step = np.linalg.solve(jac, rhs)
-    new = solvernd._newton_step(p, f, *grid.residual_slab(p, f))
+    new = solvernd._newton_step(p, f, *grid.residual_slab(p, f), unit_eigenvalues(f.grid_t, periodic=True))
     for got, old, d in ((new.u, f.u, step[: nt * nn]), (new.v, f.v, step[nt * nn :])):
         assert np.max(np.abs(got - (old + d.reshape(nt, nn)))) <= 1e-12
         assert np.array_equal(got[:, [0, -1]], old[:, [0, -1]])
@@ -280,9 +285,128 @@ def test_newton_step_on_a_constant_field_is_the_1d_newton_step(nt):
     rhs[0::2], rhs[1::2] = -ru, -rv
     step = solver1d.solve_banded(solver1d._assemble_bands(p, g_n, u, v), rhs)
     f = solvernd.embed_profile(prof, Grid1D(2.0, nt))
-    new = solvernd._newton_step(p, f, *grid.residual_slab(p, f))
+    new = solvernd._newton_step(p, f, *grid.residual_slab(p, f), unit_eigenvalues(f.grid_t, periodic=True))
     assert np.max(np.abs(new.u - (u + step[0::2]))) <= 1e-12
     assert np.max(np.abs(new.v - (v + step[1::2]))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (5, 4), (6, 6), (7, 7)])
+def test_box_newton_step_matches_dense_solve(shape):
+    # odd and even sizes on both axes: an even axis has a lone Nyquist entry in the
+    # half-complex layout; the Jacobian is frozen at the means of random data
+    p = Params(0.75)
+    nt, nn = shape
+    rng = np.random.default_rng(nt * 10 + nn)
+    g_t, g_n = Grid1D(1.5, nt), Grid1D(2.5, nn)
+    f = SlabField(g_t, g_n, rng.uniform(0, 1, shape), rng.uniform(0, 1, shape), periodic_n=True)
+    lap = np.kron(second_difference_matrix(nt, g_t.h, periodic=True), np.eye(nn)) + np.kron(
+        np.eye(nt), second_difference_matrix(nn, g_n.h, periodic=True)
+    )
+    c1, c2, off = model.jacobian_entries(p, f.u.mean(), f.v.mean())
+    eye = np.eye(nt * nn)
+    jac = np.block([[lap + c1 * eye, off * eye], [off * eye, lap + c2 * eye]])
+    rhs = -np.concatenate([r.ravel() for r in grid.residual_slab(p, f)])
+    step = np.linalg.solve(jac, rhs)
+    kappa = unit_eigenvalues(g_t, periodic=True), unit_eigenvalues(g_n, periodic=True)
+    new = solvernd._box_newton_step(p, f, *grid.residual_slab(p, f), *kappa)
+    for got, old, d in ((new.u, f.u, step[: nt * nn]), (new.v, f.v, step[nt * nn :])):
+        assert np.max(np.abs(got - (old + d.reshape(nt, nn)))) <= 1e-12
+
+
+def test_box_newton_step_solves_a_constant_state_exactly():
+    # on a constant field the frozen Jacobian is the true one, so Newton from near
+    # the coupling-1/2 constant converges quadratically and lands on it to rounding
+    p = Params(0.5)
+    g = Grid1D(4.0, 8)
+    c = model.liouville_constant(p)
+    f = SlabField(g, g, np.full((8, 8), c + 1e-3), np.full((8, 8), c - 2e-3), periodic_n=True)
+    kappa = unit_eigenvalues(g, periodic=True), unit_eigenvalues(g, periodic=True)
+    errors = [2e-3]
+    for _ in range(3):
+        f = solvernd._box_newton_step(p, f, *grid.residual_slab(p, f), *kappa)
+        errors.append(max(np.max(np.abs(f.u - c)), np.max(np.abs(f.v - c))))
+    assert errors[1] <= 10.0 * errors[0] ** 2 and errors[2] <= 10.0 * errors[1] ** 2
+    assert errors[3] <= 1e-15
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.75, 1.0])
+def test_box_runs_finish_by_newton(lam):
+    box = Grid1D(4.0, 32)
+    opts = solvernd.FlowOptions(rng_seed=3)
+    out = solvernd.periodic_box_run(Params(lam), box, box, opts)
+    assert out.converged and out.final_residual <= opts.steady_tol
+    assert 1 <= out.newton_steps < out.steps <= 15
+    assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
+
+
+def test_box_run_forms_the_flow_eigenvalues_once(monkeypatch):
+    # one cosine per axis for the whole run, flow and Newton steps alike
+    calls = []
+    eigenvalues = solvernd._eigenvalues
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigenvalues(*args, **kwargs)
+
+    monkeypatch.setattr(solvernd, "_eigenvalues", counted)
+    box = Grid1D(4.0, 32)
+    out = solvernd.periodic_box_run(Params(0.75), box, box, solvernd.FlowOptions(rng_seed=3))
+    assert out.steps - out.newton_steps >= 5 and out.newton_steps >= 1
+    assert len(calls) == 2
+
+
+def test_flow_step_takes_the_run_eigenvalues_bit_for_bit():
+    p = Params(0.5)
+    g = Grid1D(4.0, 32)
+    rng = np.random.default_rng(5)
+    for periodic_n, g_n in ((True, g), (False, Grid1D(20.0, 41))):
+        f = SlabField(g, g_n, rng.uniform(0, 1, (32, g_n.n)), rng.uniform(0, 1, (32, g_n.n)), periodic_n)
+        for dt in (0.3, 2.0):
+            a = solvernd.flow_step(p, f, dt)
+            b = solvernd.flow_step(p, f, dt, solvernd._axis_eigenvalues(f, dt))
+            assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+@pytest.mark.parametrize("lam", [0.99999])
+def test_box_runs_near_coupling_one_settle(lam):
+    # the antisymmetric constant mode relaxes at rate 2(1 - lam)/(1 + lam) along a
+    # curved valley; a straight Newton step off the valley raises the energy, and
+    # the flow step from that candidate brings it back (seed 0 rejects one)
+    box = Grid1D(4.0, 32)
+    for seed in range(20):
+        opts = solvernd.FlowOptions(rng_seed=seed)
+        out = solvernd.periodic_box_run(Params(lam), box, box, opts)
+        assert out.converged and out.final_residual <= opts.steady_tol, seed
+        assert out.steps <= 30, seed
+        assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12, seed
+        if seed == 0:
+            assert out.rejected >= 1 and out.newton_steps >= 1
+
+
+def test_rejected_newton_candidates_skip_needless_residuals(monkeypatch):
+    # after each turned-down candidate the residual is formed once after the
+    # attempt, once to switch to the next attempt and once to stop; with the
+    # switch bound kept after a rejection the same run formed 19
+    attempts = []
+    residuals = []
+
+    def uphill(p, f, ru, rv, kappa_t):
+        attempts.append(grid._max_norm(ru, rv))
+        u = f.u.copy()
+        u[:, 1:-1] += 0.05
+        return f.with_values(u, f.v)
+
+    residual_slab = grid.residual_slab
+
+    def counted(p, f):
+        residuals.append(1)
+        return residual_slab(p, f)
+
+    monkeypatch.setattr(solvernd, "_newton_step", uphill)
+    monkeypatch.setattr(grid, "residual_slab", counted)
+    out = solvernd.gibbons_run(Params(3.0), Grid1D(0.5, 8), Grid1D(20.0, 801), solvernd.FlowOptions(rng_seed=0))
+    assert out.converged and out.newton_steps == 0
+    assert 1 <= len(attempts) and len(residuals) <= 2 * len(attempts) + 1
 
 
 def curved_front(grid_t, grid_n, displacement):
@@ -324,7 +448,7 @@ def test_rejected_newton_candidates_fall_back_to_the_flow(monkeypatch):
     # every Newton candidate raises the energy, so the flow alone must settle the run
     attempts = []
 
-    def uphill(p, f, ru, rv):
+    def uphill(p, f, ru, rv, kappa_t):
         attempts.append(grid._max_norm(ru, rv))
         u = f.u.copy()
         u[:, 1:-1] += 0.05
@@ -425,6 +549,17 @@ def test_transverse_anisotropy_basics():
     u[3, 50] += 0.1
     bumped = f.with_values(u, f.v)
     assert abs(solvernd.transverse_anisotropy(bumped) - 0.1) < 1e-12
+
+
+def test_spatial_spread_basics():
+    g = Grid1D(2.0, 8)
+    f = SlabField(g, g, np.full((8, 8), 0.5), np.full((8, 8), 0.25), periodic_n=True)
+    assert solvernd.spatial_spread(f) == 0.0
+    v = f.v.copy()
+    v[3, 5] += 0.1
+    u = f.u.copy()
+    u[0, 0] -= 0.05
+    assert abs(solvernd.spatial_spread(f.with_values(u, v)) - 0.1) < 1e-12
 
 
 def test_extract_round_trip_and_threshold():
