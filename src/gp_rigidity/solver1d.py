@@ -12,10 +12,12 @@ scipy's Python wrappers, and both are bit-identical to those wrappers:
 dgbsv that ``scipy.linalg.solve_banded((2, 2), ...)`` calls, and
 :func:`pin_phase` resamples with a private not-a-knot cubic spline that
 repeats ``scipy.interpolate.CubicSpline`` and ``PPoly`` operation for
-operation (same rows, same dgtsv solve, same coefficient and evaluation
-order).  The package therefore never imports ``scipy.interpolate``.
-``scipy.linalg`` is imported inside those two kernels, so only commands that
-solve a front or resample one load it.
+operation (same rows, same dgtsv solve, or dgesv when n = 3, same
+coefficient and evaluation order).  The routines come from
+:mod:`gp_rigidity._kernels`, which loads scipy's compiled LAPACK module on
+first use, so the package imports neither ``scipy.linalg`` nor
+``scipy.interpolate``, and only commands that solve or resample a front
+load LAPACK at all.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from . import grid as gridmod
 from . import model
 from .errors import ContinuationStall, NoCrossing, NonConvergence, RegimeError, SingularJacobian
@@ -133,9 +136,7 @@ def solve_banded(work: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhs)`` calls, so the solution is the same to the bit.  ``work`` and
     ``rhs`` are overwritten.  Raises LinAlgError when a pivot is exactly 0.
     """
-    import scipy.linalg
-
-    _, _, x, info = scipy.linalg.lapack.dgbsv(2, 2, work, rhs, overwrite_ab=1, overwrite_b=1)
+    _, _, x, info = _kernels.dgbsv(2, 2, work, rhs, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: zero pivot in column {info}")
     if info < 0:
@@ -234,15 +235,14 @@ def _not_a_knot_spline(x: np.ndarray, ys, xq: np.ndarray) -> list[np.ndarray]:
     Bit-identical to ``scipy.interpolate.CubicSpline(x, y)(xq)`` for
     ``x[0] <= xq <= x[-1]``, because it repeats scipy's arithmetic operation
     for operation: the node slopes solve the same tridiagonal rows with
-    dgtsv (the parabola system through ``scipy.linalg.solve`` when n = 3),
-    the Hermite coefficients come in scipy's order, each query uses
-    ``PPoly``'s interval (closed on the right at the last node), and the
-    polynomial is summed as ``PPoly`` sums it, from 0.0 with the constant
-    term first, which maps -0.0 to +0.0 as scipy does.  The interval index
-    and the powers of the local coordinate are shared by all of ``ys``.
+    dgtsv (when n = 3, the parabola system with dgesv, the LU solve whose
+    bits ``scipy.linalg.solve`` gives), the Hermite coefficients come in
+    scipy's order, each query uses ``PPoly``'s interval (closed on the
+    right at the last node), and the polynomial is summed as ``PPoly`` sums
+    it, from 0.0 with the constant term first, which maps -0.0 to +0.0 as
+    scipy does.  The interval index and the powers of the local coordinate
+    are shared by all of ``ys``.
     """
-    import scipy.linalg
-
     n = x.size
     dx = np.diff(x)
     idx = np.clip(np.searchsorted(x, xq, "right") - 1, 0, n - 2)
@@ -261,18 +261,16 @@ def _not_a_knot_spline(x: np.ndarray, ys, xq: np.ndarray) -> list[np.ndarray]:
         if n == 3:
             a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
             b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
-            s = scipy.linalg.solve(
-                a, b.reshape(3, 1), overwrite_a=True, overwrite_b=True, check_finite=False
-            ).reshape(3)
+            _, _, s, info = _kernels.dgesv(a, b, overwrite_a=1, overwrite_b=1)
         else:
             b = np.empty((n, 1))
             b[1:-1, 0] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
             b[0, 0] = ((dx[0] + 2 * d_start) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d_start
             b[-1, 0] = (dx[-1] ** 2 * slope[-2] + (2 * d_end + dx[-1]) * dx[-2] * slope[-1]) / d_end
-            _, _, _, s, info = scipy.linalg.lapack.dgtsv(dl, d, du, b, overwrite_b=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"spline slope system failed (dgtsv info {info})")
+            _, _, _, s, info = _kernels.dgtsv(dl, d, du, b, overwrite_b=1)
             s = s[:, 0]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"spline slope system failed (LAPACK info {info})")
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         c0 = t / dx
         c1 = (slope - s[:-1]) / dx - t

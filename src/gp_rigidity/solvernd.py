@@ -21,9 +21,11 @@ along a periodic axis and the type-I discrete sine transform over the
 interior nodes of a Dirichlet axis, where the pinned end columns enter the
 first and last interior nodes as known neighbours.  The solve is exact up
 to rounding, with no splitting, no factorization and no BLAS.
-``scipy.fft`` and ``scipy.fftpack`` are imported inside :func:`_diffuse`
-(and ``scipy.fftpack`` inside the Newton steps), so only commands that
-run the flow load them.
+The transforms are pocketfft's, called with exactly the arguments of
+``scipy.fftpack.rfft``/``irfft`` and ``scipy.fft.dst``/``idst(type=1)``
+(so the bits are theirs), through :mod:`gp_rigidity._kernels`, which loads
+the compiled module on first use without importing ``scipy.fft``,
+``scipy.fftpack`` or ``scipy.special``.
 
 The stabilizer S grows like 3*lam/2, so the plain step contracts slowly
 at large couplings and near coupling 1: on the 64x801 battery slab it took
@@ -104,10 +106,10 @@ coupling 3 the flow now takes 4 steps and Newton 2 (seeds 0-999); the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
+from . import _kernels
 from . import grid as gridmod
 from . import model
 from . import solver1d
@@ -198,6 +200,31 @@ def _axis_eigenvalues(f: SlabField, dt: float) -> tuple:
     )
 
 
+# The four transforms of the flow and the Newton steps, each in x's buffer:
+# pocketfft called with the positional arguments that scipy.fftpack.rfft/irfft
+# and scipy.fft.dst/idst(type=1) pass it when overwrite_x is set, so the bits
+# are scipy's.  The DST calls leave out the trailing ``ortho``, which older
+# scipy builds lack.  Keyword arguments would give the same bits, but after a
+# few thousand keyword calls the binding layer allocates a 0.94 MB block
+# (traced by tracemalloc) that positional calls never need.
+
+
+def _rfft(x: np.ndarray, axis: int) -> np.ndarray:
+    return _kernels.r2r_fftpack(x, (axis,), True, True, 0, x, 1)
+
+
+def _irfft(x: np.ndarray, axis: int) -> np.ndarray:
+    return _kernels.r2r_fftpack(x, (axis,), False, False, 2, x, 1)
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    return _kernels.dst(x, 1, (axis,), 0, x, 1)
+
+
+def _idst1(x: np.ndarray, axis: int) -> np.ndarray:
+    return _kernels.dst(x, 1, (axis,), 2, x, 1)
+
+
 def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray, dt: float) -> np.ndarray:
     """Apply the implicit operator's inverse, given by its symbol; Dirichlet end columns keep old's values.
 
@@ -208,23 +235,21 @@ def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray
     known neighbours.  Both transforms are real and keep the shape, so the
     solve runs in rhs's buffer; a complex spectrum would add a larger array.
     """
-    import scipy.fft
-    import scipy.fftpack
-
     if f.periodic_n:
-        forward_n, backward_n = scipy.fftpack.rfft, scipy.fftpack.irfft
+        _rfft(rhs, 1)
     else:
-        forward_n, backward_n = partial(scipy.fft.dst, type=1), partial(scipy.fft.idst, type=1)
         a_n = dt / f.grid_n.h**2
         rhs[:, 0] += a_n * old[:, 0]
         rhs[:, -1] += a_n * old[:, -1]
-    spec = scipy.fftpack.rfft(forward_n(rhs, axis=1, overwrite_x=True), axis=0, overwrite_x=True)
-    spec *= inverse
-    solved = backward_n(scipy.fftpack.irfft(spec, axis=0, overwrite_x=True), axis=1, overwrite_x=True)
+        _dst1(rhs, 1)
+    _rfft(rhs, 0)
+    rhs *= inverse
+    _irfft(rhs, 0)
     if f.periodic_n:
-        return solved
+        return _irfft(rhs, 1)
+    _idst1(rhs, 1)
     new = np.empty_like(old)
-    new[:, 1:-1] = solved
+    new[:, 1:-1] = rhs
     new[:, 0] = old[:, 0]
     new[:, -1] = old[:, -1]
     return new
@@ -325,14 +350,11 @@ def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa_
     buffer.  Returns None when the candidate is not finite or a pivot is
     exactly zero.
     """
-    import scipy.fftpack
-
     m, n = f.u.shape
     for r in (ru, rv):
         r[:, 0] = 0.0
         r[:, -1] = 0.0
-    ru = scipy.fftpack.rfft(ru, axis=0, overwrite_x=True)
-    rv = scipy.fftpack.rfft(rv, axis=0, overwrite_x=True)
+        _rfft(r, 0)
     bands = solver1d._assemble_bands(p, f.grid_n, f.u.mean(axis=0), f.v.mean(axis=0))
     for k in range(m // 2 + 1):
         rows = slice(max(2 * k - 1, 0), min(2 * k + 1, m))  # entries j with (j + 1) // 2 == k
@@ -350,7 +372,7 @@ def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa_
         rv[rows] = step[1::2].T
     new = []
     for r, old in ((ru, f.u), (rv, f.v)):
-        a = scipy.fftpack.irfft(r, axis=0, overwrite_x=True)
+        a = _irfft(r, 0)
         np.subtract(old, a, out=a)
         a[:, 0] = old[:, 0]
         a[:, -1] = old[:, -1]
@@ -380,11 +402,8 @@ def _box_newton_step(
     coefficient arrays.  Returns None when the candidate is not finite (a
     determinant of zero gives one).
     """
-    import scipy.fftpack
-
-    rfft, irfft = scipy.fftpack.rfft, scipy.fftpack.irfft
-    ru = rfft(rfft(ru, axis=1, overwrite_x=True), axis=0, overwrite_x=True)
-    rv = rfft(rfft(rv, axis=1, overwrite_x=True), axis=0, overwrite_x=True)
+    for r in (ru, rv):
+        _rfft(_rfft(r, 1), 0)
     c1, c2, off = model.jacobian_entries(p, f.u.mean(), f.v.mean())
     # minus the diagonal entries, k - c1 and k - c2, and the determinant
     # (k - c1)(k - c2) - off^2; the block's inverse is adj/det, so
@@ -407,7 +426,7 @@ def _box_newton_step(
     del minus_c1, minus_c2
     new = []
     for r, old in ((rv, f.u), (ru, f.v)):
-        a = irfft(irfft(r, axis=0, overwrite_x=True), axis=1, overwrite_x=True)
+        a = _irfft(_irfft(r, 0), 1)
         a += old
         a.setflags(write=False)
         new.append(a)

@@ -1,13 +1,29 @@
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import gp_rigidity
 from gp_rigidity import solver1d, solvernd, verify
 from gp_rigidity.grid import Grid1D
 from gp_rigidity.model import Params
 
 DEFAULT_L = 20.0
 DEFAULT_N = 2001
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runner of a script (with arguments) in a new interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(gp_rigidity.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(script, *args):
+        return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+
+    return run
 
 
 @pytest.fixture(scope="session")

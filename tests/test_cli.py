@@ -1,12 +1,8 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import gp_rigidity
 from gp_rigidity import cli
 from gp_rigidity.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK
 
@@ -33,13 +29,6 @@ def test_solve1d_refuses_sub_unit(tmp_path, capsys):
     assert "T-liouville-sub1" in err
 
 
-def _fresh_python(script):
-    """Run script in a new interpreter that imports this checkout's package."""
-    src = os.path.dirname(os.path.dirname(gp_rigidity.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-
-
 def test_solve1d_overflowing_coupling_is_a_solver_error(tmp_path, capsys):
     # the linearization overflows at coupling 1e308, so the Newton step is not finite
     code = run(["solve1d", "--lambda", "1e308", "--n", "201", "--out", str(tmp_path)])
@@ -50,11 +39,11 @@ def test_solve1d_overflowing_coupling_is_a_solver_error(tmp_path, capsys):
     assert "config error" not in err
 
 
-def test_solve1d_overflowing_coupling_prints_no_numpy_warning(tmp_path):
+def test_solve1d_overflowing_coupling_prints_no_numpy_warning(tmp_path, fresh_python):
     # the inf * 0 in the overflowing Jacobian must not put a RuntimeWarning
     # ahead of the diagnosis on a real stderr
     argv = ["solve1d", "--lambda", "1e308", "--n", "201", "--out", str(tmp_path)]
-    done = _fresh_python(f"import sys\nfrom gp_rigidity import cli\nsys.exit(cli.main({argv!r}))\n")
+    done = fresh_python(f"import sys\nfrom gp_rigidity import cli\nsys.exit(cli.main({argv!r}))\n")
     assert done.returncode == EXIT_ERROR
     assert done.stderr.startswith("solver error:"), done.stderr
     assert "RuntimeWarning" not in done.stderr
@@ -77,45 +66,57 @@ def test_relax_overflowing_flow_is_a_solver_error(tmp_path, capsys, argv, where)
 
 
 @pytest.mark.parametrize("argv, where", OVERFLOWING_FLOWS, ids=["dt", "lambda"])
-def test_relax_overflowing_flow_prints_no_numpy_warning(tmp_path, argv, where):
+def test_relax_overflowing_flow_prints_no_numpy_warning(tmp_path, fresh_python, argv, where):
     argv = [*argv, "--out", str(tmp_path)]
-    done = _fresh_python(f"import sys\nfrom gp_rigidity import cli\nsys.exit(cli.main({argv!r}))\n")
+    done = fresh_python(f"import sys\nfrom gp_rigidity import cli\nsys.exit(cli.main({argv!r}))\n")
     assert done.returncode == EXIT_ERROR
     assert done.stderr.startswith("solver error:"), done.stderr
     assert "RuntimeWarning" not in done.stderr
 
 
-# scipy subpackages a fresh command must not load: none at all before any
-# work is done, no FFT (which also pulls in scipy.special) in the 1D
-# commands, no LAPACK in the periodic-box relaxations
-NO_SCIPY = ("scipy",)
-NO_FFT = ("scipy.fft", "scipy.fftpack", "scipy.special")
-NO_LAPACK = ("scipy.linalg",)
+# the only scipy modules a fresh command may load: none before any work is
+# done, the compiled LAPACK module in the 1D commands, pocketfft in the
+# periodic-box relaxations, and both where a Dirichlet slab runs (the flow
+# transforms, the Newton finish band-solves); never a scipy package
+# (scipy.linalg, scipy.fft, scipy.special, scipy._lib's array-API layer)
+LAPACK = {"scipy.linalg._flapack"}
+FFT = {"scipy.fft._pocketfft.pypocketfft"}
 
 
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, allowed",
     [
-        (None, NO_SCIPY),
-        (["verify", "--list-checks"], NO_SCIPY),
-        (["solve1d", "--n", "201"], NO_FFT),
-        (["sweep", "--n", "201"], NO_FFT),
-        (["verify", "--stages", "solves,counterexample", "--n", "401"], NO_FFT),
-        (["relax", "--mode", "liouville"], NO_LAPACK),
-        (["relax", "--mode", "lambda1"], NO_LAPACK),
+        (None, set()),
+        (["verify", "--list-checks"], set()),
+        (["solve1d", "--n", "201"], LAPACK),
+        (["sweep", "--n", "201"], LAPACK),
+        (["verify", "--stages", "solves,counterexample", "--n", "401"], LAPACK),
+        (["relax", "--mode", "liouville"], FFT),
+        (["relax", "--mode", "lambda1"], FFT),
+        (["relax", "--mode", "gibbons", "--n", "201"], LAPACK | FFT),
+        (["verify", "--n", "401", "--stages", "solves,liouville,counterexample"], LAPACK | FFT),
     ],
-    ids=["import", "list-checks", "solve1d", "sweep", "verify-1d", "relax-liouville", "relax-lambda1"],
+    ids=[
+        "import",
+        "list-checks",
+        "solve1d",
+        "sweep",
+        "verify-1d",
+        "relax-liouville",
+        "relax-lambda1",
+        "relax-gibbons",
+        "verify-liouville",
+    ],
 )
-def test_command_loads_only_the_scipy_it_runs(tmp_path, argv, absent):
+def test_command_loads_only_the_scipy_it_runs(tmp_path, fresh_python, argv, allowed):
     script = "import json, sys\nfrom gp_rigidity import cli\n"
     if argv is not None:
         script += f"assert cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0\n"
     script += "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))\n"
-    done = _fresh_python(script)
+    done = fresh_python(script)
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout.splitlines()[-1])
-    for pkg in (*absent, "scipy.interpolate"):
-        assert not [m for m in loaded if m == pkg or m.startswith(pkg + ".")], pkg
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert loaded == allowed
 
 
 def test_solve1d_config_error_names_field(tmp_path, capsys):
