@@ -334,15 +334,18 @@ _CSV_BLOCK_ROWS = 64
 def _write_csv_rows(fh, row_format: str, *columns) -> None:
     """Write the rows of equal-length 1D arrays, each as ``row_format % row``.
 
-    The arrays are sliced into blocks of _CSV_BLOCK_ROWS rows; each slice is
-    turned into Python numbers with ``.tolist()`` and each block is written
-    with one ``fh.write``.
+    The arrays are sliced into blocks of _CSV_BLOCK_ROWS rows.  Each slice
+    is turned into Python numbers with ``.tolist()``, the block's values are
+    interleaved row by row, and the block is formatted with one ``%`` against
+    the row format repeated once per row and written with one ``fh.write``.
     """
-    n = len(columns[0])
+    n, width = len(columns[0]), len(columns)
     for start in range(0, n, _CSV_BLOCK_ROWS):
-        stop = start + _CSV_BLOCK_ROWS
-        rows = zip(*[c[start:stop].tolist() for c in columns])
-        fh.write("".join([row_format % row for row in rows]))
+        rows = min(_CSV_BLOCK_ROWS, n - start)
+        values = [None] * (rows * width)
+        for k, c in enumerate(columns):
+            values[k::width] = c[start : start + rows].tolist()
+        fh.write(row_format * rows % tuple(values))
 
 
 def save_profile_csv(path, prof: ProfilePair) -> None:

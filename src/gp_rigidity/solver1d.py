@@ -6,6 +6,10 @@ block-tridiagonal system with 2x2 blocks, assembled into five scalar bands
 and eliminated directly (LAPACK banded LU, exact and O(n)).  Steps are
 damped by residual-decrease backtracking with a floor.
 
+A solve holds one (7, 2n) band buffer and a fixed number of node vectors:
+its peak is 168 bytes a node (112 for the buffer, 56 for seven vectors),
+3.36 MB at n = 20001; :func:`pin_phase` peaks at 128 bytes a node.
+
 Both numerical kernels call LAPACK directly instead of going through
 scipy's Python wrappers, and both are bit-identical to those wrappers:
 :func:`solve_banded` hands the bands, already in dgbsv's layout, to the
@@ -106,9 +110,9 @@ def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray) -> np.nd
 
     work = np.zeros((7, m), order="F")
     ab = work[2:]
-    # main diagonal
-    ab[2, 0::2] = -2.0 * inv_h2 + c1
-    ab[2, 1::2] = -2.0 * inv_h2 + c2
+    # main diagonal, written in place
+    np.add(-2.0 * inv_h2, c1, out=ab[2, 0::2])
+    np.add(-2.0 * inv_h2, c2, out=ab[2, 1::2])
     # +1 diagonal: dfu/dv at the same node (u-rows only)
     ab[1, 1::2] = off
     # -1 diagonal: dfv/du at the same node (v-rows only)
@@ -167,8 +171,8 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
     if gridmod.heteroclinic_boundary_defect(guess) > GUESS_BOUNDARY_TOL:
         raise ValueError("guess does not satisfy the heteroclinic boundary rows")
 
-    u = guess.u.copy()
-    v = guess.v.copy()
+    # the guess arrays are read-only and every update makes new ones
+    u, v = guess.u, guess.v
     ru, rv = _residual_arrays(p, g, u, v)
     rnorm = gridmod._max_norm(ru, rv)
     history = [rnorm]
@@ -183,17 +187,22 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
                 lam=p.lam,
                 residual_history=tuple(history),
             )
+        # one band buffer is alive at a time: the right-hand side is formed
+        # and the residual pair dropped before assembly, the factored
+        # buffer right after the solve
+        rhs = np.empty(2 * g.n)
+        np.negative(ru, out=rhs[0::2])
+        np.negative(rv, out=rhs[1::2])
+        del ru, rv
         # an overflowing coupling makes inf and inf*0 entries; the finiteness
         # check on the step reports them, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             work = _assemble_bands(p, g, u, v)
-        rhs = np.empty(2 * g.n)
-        rhs[0::2] = -ru
-        rhs[1::2] = -rv
         try:
             step = solve_banded(work, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(p.lam, iteration) from exc
+        del work
         if not np.all(np.isfinite(step)):
             raise SingularJacobian(p.lam, iteration, "non-finite linearization or Newton step")
         du = step[0::2]
@@ -210,6 +219,7 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
             s = max(s / 2.0, DAMPING_MIN)
         u, v, ru, rv, rnorm = tu, tv, tru, trv, tnorm
         history.append(rnorm)
+        del step, du, dv, tu, tv, tru, trv
 
     outcome = SolveOutcome(
         profile=ProfilePair(g, u, v),
@@ -249,12 +259,6 @@ def _not_a_knot_spline(x: np.ndarray, ys, xq: np.ndarray) -> list[np.ndarray]:
     z1 = xq - x[idx]
     z2 = z1 * z1
     z3 = z2 * z1
-    if n > 3:
-        # diagonals of the slope system: not-a-knot first and last rows
-        d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
-        du = np.concatenate(([x[2] - x[0]], dx[:-1]))
-        dl = np.concatenate((dx[1:], [x[-1] - x[-3]]))
-        d_start, d_end = du[0], dl[-1]
     values = []
     for y in ys:
         slope = np.diff(y) / dx
@@ -263,21 +267,33 @@ def _not_a_knot_spline(x: np.ndarray, ys, xq: np.ndarray) -> list[np.ndarray]:
             b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
             _, _, s, info = _kernels.dgesv(a, b, overwrite_a=1, overwrite_b=1)
         else:
+            # the slope system, not-a-knot first and last rows; dgtsv
+            # overwrites the diagonals, so each component builds its own
+            d_start, d_end = x[2] - x[0], x[-1] - x[-3]
             b = np.empty((n, 1))
             b[1:-1, 0] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
             b[0, 0] = ((dx[0] + 2 * d_start) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d_start
             b[-1, 0] = (dx[-1] ** 2 * slope[-2] + (2 * d_end + dx[-1]) * dx[-2] * slope[-1]) / d_end
-            _, _, _, s, info = _kernels.dgtsv(dl, d, du, b, overwrite_b=1)
+            d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+            du = np.concatenate(([d_start], dx[:-1]))
+            dl = np.concatenate((dx[1:], [d_end]))
+            _, _, _, s, info = _kernels.dgtsv(
+                dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
+            )
+            del b, d, du, dl
             s = s[:, 0]
         if info != 0:
             raise np.linalg.LinAlgError(f"spline slope system failed (LAPACK info {info})")
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         c0 = t / dx
         c1 = (slope - s[:-1]) / dx - t
+        del slope, t
         res = 0.0 + y[idx]
-        res = res + s[idx] * z1
-        res = res + c1[idx] * z2
-        values.append(res + c0[idx] * z3)
+        res += s[idx] * z1
+        res += c1[idx] * z2
+        res += c0[idx] * z3
+        values.append(res)
+        del s, c0, c1
     return values
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,21 @@ def fresh_python():
 
     def run(script, *args):
         return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """Runner of a callable that returns the largest traced allocation during the call, in bytes."""
+
+    def run(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     return run
 

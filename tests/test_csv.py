@@ -4,8 +4,6 @@ The block writers must produce the same bytes as formatting every value on
 its own with ``grid.CSV_FLOAT``, which is what the reference writers below do.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,16 +154,7 @@ def test_slab_csv_reload_is_bitwise(tmp_path_factory, half_lengths, data):
 MEMORY_BOUND = 256 * 1024  # bytes; the whole 20001-row profile text is about 1.4 MB
 
 
-def traced_peak(write) -> int:
-    tracemalloc.start()
-    try:
-        write()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_profile_csv_memory_stays_bounded(tmp_path):
+def test_profile_csv_memory_stays_bounded(tmp_path, traced_peak):
     rng = np.random.default_rng(5)
     g = Grid1D(20.0, 20001)
     prof = ProfilePair(g, rng.uniform(-1, 1, g.n), rng.uniform(-1, 1, g.n))
@@ -173,7 +162,7 @@ def test_profile_csv_memory_stays_bounded(tmp_path):
     assert peak < MEMORY_BOUND
 
 
-def test_slab_csv_memory_stays_bounded(tmp_path):
+def test_slab_csv_memory_stays_bounded(tmp_path, traced_peak):
     rng = np.random.default_rng(6)
     shape = (64, 801)
     f = SlabField(Grid1D(4.0, 64), Grid1D(20.0, 801), rng.uniform(0, 1, shape), rng.uniform(0, 1, shape))

@@ -85,6 +85,34 @@ def test_solve_banded_zero_column_is_singular():
         solver1d.solve_banded(work, np.ones(8))
 
 
+def test_band_assembly_is_the_plain_expressions_bitwise():
+    # the bands as plain numpy expressions; the assembly writes them in place
+    rng = np.random.default_rng(11)
+    g = Grid1D(7.0, 501)
+    m = 2 * g.n
+    for lam in (1.1, 3.0, 1000.0):
+        p = Params(lam)
+        u, v = rng.uniform(-1.5, 1.5, (2, g.n))
+        inv_h2 = 1.0 / g.h**2
+        c1, c2, off = model.jacobian_entries(p, u, v)
+        expected = np.zeros((7, m), order="F")
+        ab = expected[2:]
+        ab[2, 0::2] = -2.0 * inv_h2 + c1
+        ab[2, 1::2] = -2.0 * inv_h2 + c2
+        ab[1, 1::2] = off
+        ab[3, 0::2] = off
+        ab[0, 2:] = inv_h2
+        ab[4, :-2] = inv_h2
+        ab[2, [0, 1, m - 2, m - 1]] = 1.0
+        ab[1, [1, m - 1]] = 0.0
+        ab[3, [0, m - 2]] = 0.0
+        ab[0, [2, 3]] = 0.0
+        ab[4, [m - 4, m - 3]] = 0.0
+        work = solver1d._assemble_bands(p, g, u, v)
+        assert work.flags.f_contiguous
+        assert bitwise_equal(work, expected)
+
+
 signed_values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
 
 
@@ -224,6 +252,33 @@ def test_newton_nonconvergence_carries_outcome(default_grid):
         solver1d.newton_solve(Params(6.0), default_grid, solver1d.initial_guess(Params(6.0), default_grid), opts)
     assert info.value.outcome is not None
     assert not info.value.outcome.converged
+
+
+# The working set per node of the n = 20001 front: Newton holds one (7, 2n)
+# band buffer (112 bytes a node) and 7 node vectors (56), pin_phase 16 node
+# vectors; the bounds leave one node vector of slack.
+PEAK_GRID = Grid1D(20.0, 20001)
+
+
+@pytest.fixture(scope="module")
+def peak_front():
+    # a small solve first, so that loading LAPACK is not counted
+    p = Params(1.1)
+    small = Grid1D(20.0, 201)
+    solver1d.newton_solve(p, small, solver1d.initial_guess(p, small), solver1d.SolveOptions())
+    return solver1d.newton_solve(p, PEAK_GRID, solver1d.initial_guess(p, PEAK_GRID), solver1d.SolveOptions())
+
+
+def test_newton_keeps_one_band_buffer(peak_front, traced_peak):
+    p = Params(1.1)
+    guess = solver1d.initial_guess(p, PEAK_GRID)
+    peak = traced_peak(lambda: solver1d.newton_solve(p, PEAK_GRID, guess, solver1d.SolveOptions()))
+    assert peak <= (112 + 8 * 8) * PEAK_GRID.n
+
+
+def test_pin_phase_memory_stays_bounded(peak_front, traced_peak):
+    peak = traced_peak(lambda: solver1d.pin_phase(peak_front.profile))
+    assert peak <= 17 * 8 * PEAK_GRID.n
 
 
 def test_solve_options_need_an_iteration():
