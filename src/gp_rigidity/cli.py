@@ -1,10 +1,10 @@
 """Command-line front end: solve, sweep, relax, verify.
 
 Exit codes: 0 = pass, 2 = a rigidity check failed, 1 = usage or solver
-error.  Every command writes a config sidecar with the fully resolved run
-configuration; re-running with ``--config <sidecar>`` reproduces the outputs
-byte for byte.  Configuration precedence: built-in defaults, then the config
-file, then explicit flags.
+error.  Every command writes a JSON sidecar ``<command>.config.json`` with
+the fully resolved run configuration; re-running with ``--config <sidecar>``
+reproduces the outputs byte for byte.  Configuration precedence: built-in
+defaults, then the config file, then explicit flags.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ EXIT_CHECK_FAILED = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters, serializable to key=value text."""
+    """Fully resolved run parameters, written as the JSON sidecar."""
 
     command: str = "solve1d"
     lam: float = 3.0
@@ -46,16 +46,9 @@ class RunConfig:
     lambda_from: float = 2.0
     lambda_to: float = 6.0
     step: float = 0.5
-    dt: float = 0.0  # 0 means solvernd.DEFAULT_DT; every dt is stable (stabilized step)
     steady_tol: float = 1e-9
     max_steps: int = 40000
     stages: str = ",".join(verifymod.ALL_STAGES)
-
-    def to_text(self) -> str:
-        lines = ["[run]"]
-        for f in fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)!r}")
-        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -64,7 +57,7 @@ class RunConfig:
 _INT_FIELDS = {"n", "max_iters", "seed", "max_steps"}
 _FLOAT_FIELDS = {
     "lam", "half_length", "newton_tol", "lambda_from", "lambda_to",
-    "step", "dt", "steady_tol",
+    "step", "steady_tol",
 }
 
 
@@ -144,10 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("relax", help="gradient-flow relaxation experiments")
     common(sp)
     sp.add_argument("--mode", dest="mode", choices=("gibbons", "liouville", "lambda1"))
-    sp.add_argument(
-        "--dt", dest="dt", type=float,
-        help=f"pseudo-time step; every positive step is stable (default {solvernd.DEFAULT_DT})",
-    )
     sp.add_argument("--steady-tol", dest="steady_tol", type=float)
     sp.add_argument("--max-steps", dest="max_steps", type=int)
 
@@ -191,8 +180,6 @@ def _write_sidecar(cfg: RunConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{cfg.command}.config.json"), "w", encoding="ascii") as fh:
         fh.write(cfg.to_json() + "\n")
-    with open(os.path.join(out_dir, f"{cfg.command}.config.cfg"), "w", encoding="ascii") as fh:
-        fh.write(cfg.to_text())
 
 
 def _solve_options(cfg: RunConfig) -> solver1d.SolveOptions:
@@ -271,7 +258,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_relax(cfg: RunConfig) -> int:
     flow_opts = solvernd.FlowOptions(
-        dt=cfg.dt or None,
         steady_tol=cfg.steady_tol,
         max_steps=cfg.max_steps,
         rng_seed=cfg.seed,

@@ -1,106 +1,55 @@
 """Stabilized semi-implicit gradient-flow relaxation on 2D slabs and periodic boxes.
 
-One pseudo-time step treats the Laplacian implicitly and the reaction
-explicitly, with a stabilizing term S*dt*u added to both sides (Shen & Yang,
-DCDS-A 28 (2010); Eyre's convex splitting):
+One flow step treats the Laplacian implicitly and the reaction explicitly,
+with a stabilizing term sigma*u on both sides (Shen & Yang, DCDS-A 28
+(2010); Eyre's convex splitting):
 
-    (1 + S*dt) u' - dt (D_t + D_n) u' = (1 + S*dt) u + dt f(u),
-    S = max(0, (2 + 3*lam)/2 - 1/dt).
+    sigma u' - (D_t + D_n) u' = sigma u + f(u),    sigma = (2 + 3*lam)/2.
 
 The potential's Hessian is bounded by 2 + 3*lam over [-1,1]^2 (Gershgorin
-on the c1/c2/off entries of the reaction Jacobian).  With 1/dt + S at least
-half that bound, the usual energy argument shows that the step cannot raise
-the discrete energy while the iterates stay in [-1,1]^2, whatever dt is.  S
-is the smallest such value: for dt <= 2/(2 + 3*lam) it is 0 and the step is
-the plain explicit-reaction step; for larger dt the step no longer depends
-on dt.  A state is a fixed point of the step exactly when its discrete
-steady residual vanishes.
+on the c1/c2/off entries of the reaction Jacobian).  With sigma half that
+bound, the usual energy argument shows that the step cannot raise the
+discrete energy while the iterates stay in [-1,1]^2.  A state is a fixed
+point of the step exactly when its discrete steady residual vanishes, and
+the step's update max-norm is at most 1/sigma times that residual's.
 
 The implicit operator is diagonal in a fixed tensor basis: the real FFT
 along a periodic axis and the type-I discrete sine transform over the
 interior nodes of a Dirichlet axis, where the pinned end columns enter the
 first and last interior nodes as known neighbours.  The solve is exact up
-to rounding, with no splitting, no factorization and no BLAS.
-The transforms are pocketfft's, called with exactly the arguments of
-``scipy.fftpack.rfft``/``irfft`` and ``scipy.fft.dst``/``idst(type=1)``
-(so the bits are theirs), through :mod:`gp_rigidity._kernels`, which loads
-the compiled module on first use without importing ``scipy.fft``,
-``scipy.fftpack`` or ``scipy.special``.
+to rounding, with no splitting, no factorization and no BLAS.  The
+transforms are pocketfft's, loaded by :mod:`gp_rigidity._kernels` without
+importing a scipy package.
 
-The stabilizer S grows like 3*lam/2, so the plain step contracts slowly
-at large couplings and near coupling 1: on the 64x801 battery slab it took
-3780 steps at coupling 100 and had not settled after 40000 at coupling
-1.1.  :func:`relax_to_steady` therefore accelerates the step as a
-fixed-point map with depth-1 Anderson mixing (Anderson, J. ACM 12 (1965);
-Walker & Ni, SIAM J. Numer. Anal. 49 (2011)).  From the state x, the plain
-step g = flow_step(x) and its update f = g - x, and the previous pair
-(f_prev, g_prev), it forms
+sigma grows like 3*lam/2, so the plain step contracts slowly at large
+couplings and near coupling 1.  :func:`relax_to_steady` therefore
+accelerates it with depth-1 Anderson mixing (Anderson, J. ACM 12 (1965);
+Walker & Ni, SIAM J. Numer. Anal. 49 (2011)) behind an energy safeguard.
+The depth is 1 because memory bounds the flow as much as time does: each
+further level keeps two more fields alive, and a depth-5 window tripled
+the traced allocation peak of the default battery.
 
-    gamma = -<f_prev - f, f> / |f_prev - f|^2,   candidate = g + gamma (g_prev - g),
+Near its end the flow converges only linearly, so the run finishes with
+Newton steps whose reaction Jacobian is frozen at a mean of the field,
+which makes their operator diagonal or banded in the flow's basis: the
+transverse mean on a Dirichlet slab (:func:`_newton_step`, the optimal
+circulant approximation; T. Chan, SIAM J. Sci. Stat. Comput. 9 (1988)),
+the spatial mean on a periodic box (:func:`_box_newton_step`).  The flow
+hands over only once the spread (transverse on a slab, over all nodes on a
+box) is small as well as the residual: the frozen Jacobian models a
+structured state poorly, and on a curved slab the energy safeguard then
+turns down nearly every Newton candidate.  The flow step from a
+turned-down candidate is taken when it is downhill, because near coupling
+1 the constants lie in a curved energy valley along the unit circle: a
+straight Newton step climbs the valley's wall, and the flow damps that
+stiff radial error first while keeping the progress along the valley.
 
-with the inner products summed over both fields as (a*b).sum().  An energy
-safeguard keeps the run a descent: the candidate is taken only when it is
-finite and its discrete energy is at most the last accepted one; otherwise
-the plain step is taken, the old pair is dropped and the window restarts
-from the current one.  The depth is 1 and fixed, because memory bounds the
-flow as much as time does: a depth-5 prototype raised the traced
-(tracemalloc) allocation peak of the default `verify` from 5.48 to 16.5 MB
-and of a 32x32 box run from 0.172 to 0.26 MB.  Depth 1 keeps one previous
-pair, which is overwritten in place and dropped before any energy is
-formed, and the peaks are 4.66 and 0.162 MB.  The battery slab then settles
-in 42-56 steps at coupling 3 (seeds 0-9), 378 at coupling 100 and 450 at
-coupling 1.1 (seed 0).
-
-Near its end the flow still converges only linearly, so the run finishes
-with Newton steps instead: pseudo-transient continuation (Kelley & Keyes,
-SIAM J. Numer. Anal. 35 (1998)).  The Newton step freezes the reaction
-Jacobian at a mean of the field, which makes its operator diagonal or
-banded in the basis :func:`_diffuse` already uses.
-
-* On a Dirichlet slab the steady state should be one-dimensional, so
-  :func:`_newton_step` freezes the Jacobian at the transverse mean
-  (u_bar(x), v_bar(x)), the optimal circulant approximation of the true
-  Jacobian (T. Chan, SIAM J. Sci. Stat. Comput. 9 (1988)).  In the
-  transverse real FFT, mode k decouples into the five-band 1D Newton
-  matrix of :func:`solver1d._assemble_bands` with -kappa_k on its interior
-  diagonal, one banded solve per mode.
-* On a periodic box the steady states are constants (below coupling 1 the
-  constant 1/sqrt(1+lam), at coupling 1 a point of the unit circle), so
-  :func:`_box_newton_step` freezes the Jacobian at the spatial mean
-  (u_bar, v_bar).  Its coefficients are then constant, and the 2D real FFT
-  splits it into one 2x2 block [[c1 - kappa, off], [off, c2 - kappa]] per
-  spectral entry, kappa = kappa_t + kappa_n, solved in closed form over the
-  whole box at once.  Near coupling 1 this matters most: the antisymmetric
-  constant mode decays under the flow only at rate 2(1 - lam)/(1 + lam),
-  so at coupling 0.9999 a flow that stops at residual 1e-9 sat up to
-  7.4e-6 from the constant, against the 1e-6 gate of the records.
-
-The flow hands over once the accepted update is below 1e-2*dt/(1 + S*dt)
-and both the certified residual and the spread are at most 1e-2: the
-transverse spread :func:`transverse_anisotropy` on a slab, the spread over
-all nodes :func:`spatial_spread` on a box.  The spread test keeps Newton
-away from states the frozen Jacobian models poorly: a prototype that
-switched on the residual alone and retried Newton at every step met a
-curved wide slab at coupling 6 with residual 7e-3 and anisotropy 0.32, and
-173 of its 181 Newton candidates raised the energy.  A Newton candidate
-passes the same energy safeguard as an Anderson one.  A rejected candidate
-sends the run back to the flow, with an empty Anderson window, until the
-residual has fallen below a tenth of its value at the rejected attempt.
-The first flow step after the rejection starts from the rejected candidate
-when that step does not raise the energy.  Near coupling 1 the constants
-lie in a curved valley of the energy along the unit circle, and a straight
-Newton step along it climbs the valley's wall (by 1.1e-6 at coupling
-0.99999, seed 0); the flow damps that stiff radial error first and keeps
-the progress along the valley.  Without that step the run crept on at
-6e-8 per flow step and never reached the retry bound in 40000 steps.  The
-step's operator is invertible, so it cannot manufacture a one-dimensional
-or constant state: the run still stops only on the residual certificate,
-and the anisotropy and the constancy are measured on the final field.  On
-a slab the k=0 block carries the near-neutral translation mode, so the end
-state may sit a small shift away from the flow's.  On the battery slab at
-coupling 3 the flow now takes 4 steps and Newton 2 (seeds 0-999); the
-32x32 box takes 4-11 flow and 2-4 Newton steps at couplings 0.01 to 1
-(seeds 0-99), where the flow alone took 12-115.
+Newton's operator is invertible, so it cannot manufacture a
+one-dimensional or constant state: a run stops only on the residual
+certificate, and the anisotropy and the constancy are measured on the
+final field.  On a slab the k=0 block carries the near-neutral translation
+mode, so the end state may sit a small shift away from the flow's.  The
+pinned end columns stay those of the start field bit for bit.
 """
 
 from __future__ import annotations
@@ -117,18 +66,13 @@ from .errors import NonConvergence, SolverError, TooAnisotropic
 from .grid import Grid1D, ProfilePair, SlabField
 from .model import Params
 
-# Pseudo-time step when none is given.  It exceeds 2/(2 + 3*lam) at every
-# positive coupling, so default runs take the stabilized step (S > 0), whose
-# iterates do not depend on dt.
-DEFAULT_DT = 2.0
-
 # A run switches to the Newton finish once the accepted update is below
-# _NEWTON_SWITCH*dt/(1 + S*dt) and both the certified residual and the spread
+# _NEWTON_SWITCH/sigma and both the certified residual and the spread
 # (transverse on a slab, over all nodes on a box) are at most _NEWTON_SWITCH.
 _NEWTON_SWITCH = 1e-2
 # After a rejected Newton candidate, Newton is tried again only once the
 # residual is below this fraction of its value at the rejected attempt; until
-# then the residual is formed only when the update over dt/(1 + S*dt) is too.
+# then the residual is formed only when the update times sigma is too.
 _NEWTON_RETRY = 0.1
 
 
@@ -136,24 +80,19 @@ _NEWTON_RETRY = 0.1
 class FlowOptions:
     """Relaxation controls.
 
-    ``dt=None`` selects DEFAULT_DT.  Once the max-norm of an accepted
-    update falls below ``steady_tol * dt/(1 + S*dt)``, or after a Newton
-    step, the run computes the max-norm of the steady residual
+    Once the max-norm of an accepted update falls below
+    ``steady_tol/sigma`` (:func:`stabilization`), or after a Newton step,
+    the run computes the max-norm of the steady residual
     (:func:`grid.residual_slab`) and stops when that is at most
     ``steady_tol``; otherwise it keeps stepping.  ``max_steps`` bounds the
     accepted iterates, flow and Newton together.
     """
 
-    dt: float | None = DEFAULT_DT
     steady_tol: float = 1e-9
     max_steps: int = 40000
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.dt is None:
-            object.__setattr__(self, "dt", DEFAULT_DT)
-        if not self.dt > 0.0:
-            raise ValueError(f"dt: must be positive, got {self.dt!r}")
         if not self.steady_tol > 0.0:
             raise ValueError(f"steady_tol: must be positive, got {self.steady_tol!r}")
 
@@ -171,9 +110,9 @@ class FlowOutcome:
     update_trace: tuple = field(default=(), repr=False)
 
 
-def stabilization(p: Params, dt: float) -> float:
-    """Smallest S >= 0 with 1/dt + S >= (2 + 3*lam)/2, half the potential's Hessian bound."""
-    return max(0.0, (2.0 + 3.0 * p.lam) / 2.0 - 1.0 / dt)
+def stabilization(p: Params) -> float:
+    """sigma = (2 + 3*lam)/2, half the potential's Hessian bound over [-1,1]^2."""
+    return (2.0 + 3.0 * p.lam) / 2.0
 
 
 def _eigenvalues(a: float, m: int, periodic: bool) -> np.ndarray:
@@ -192,11 +131,11 @@ def _eigenvalues(a: float, m: int, periodic: bool) -> np.ndarray:
     return 2.0 * a * (1.0 - np.cos(angles))
 
 
-def _axis_eigenvalues(f: SlabField, dt: float) -> tuple:
-    """dt times the eigenvalues of minus the second difference along each axis of f (:func:`_eigenvalues`)."""
+def _axis_eigenvalues(f: SlabField) -> tuple:
+    """The eigenvalues (kappa_t, kappa_n) of minus the second difference along each axis of f (:func:`_eigenvalues`)."""
     return (
-        _eigenvalues(dt / f.grid_t.h**2, f.grid_t.n, periodic=True),
-        _eigenvalues(dt / f.grid_n.h**2, f.grid_n.n, f.periodic_n),
+        _eigenvalues(1.0 / f.grid_t.h**2, f.grid_t.n, periodic=True),
+        _eigenvalues(1.0 / f.grid_n.h**2, f.grid_n.n, f.periodic_n),
     )
 
 
@@ -225,7 +164,7 @@ def _idst1(x: np.ndarray, axis: int) -> np.ndarray:
     return _kernels.dst(x, 1, (axis,), 2, x, 1)
 
 
-def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray, dt: float) -> np.ndarray:
+def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """Apply the implicit operator's inverse, given by its symbol; Dirichlet end columns keep old's values.
 
     rhs holds the right-hand side on every node of a periodic box, and on
@@ -238,7 +177,7 @@ def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray
     if f.periodic_n:
         _rfft(rhs, 1)
     else:
-        a_n = dt / f.grid_n.h**2
+        a_n = 1.0 / f.grid_n.h**2
         rhs[:, 0] += a_n * old[:, 0]
         rhs[:, -1] += a_n * old[:, -1]
         _dst1(rhs, 1)
@@ -255,39 +194,37 @@ def _diffuse(f: SlabField, old: np.ndarray, rhs: np.ndarray, inverse: np.ndarray
     return new
 
 
-def flow_step(p: Params, f: SlabField, dt: float, eigenvalues: tuple | None = None) -> SlabField:
+def flow_step(p: Params, f: SlabField, kappa: tuple | None = None) -> SlabField:
     """One stabilized semi-implicit step: explicit reaction, implicit diffusion.
 
-    Solves (1 + S*dt) u' - dt (D_t + D_n) u' = (1 + S*dt) u + dt f(u) with
-    S = :func:`stabilization`.  ``eigenvalues`` is the pair
-    :func:`_axis_eigenvalues` of f and dt, formed here when not given
+    Solves sigma u' - (D_t + D_n) u' = sigma u + f(u) with
+    sigma = :func:`stabilization`.  ``kappa`` is the pair
+    :func:`_axis_eigenvalues` of f, formed here when not given
     (:func:`relax_to_steady` forms it once per run).  Dirichlet end
     columns are carried through unchanged.  Raises SolverError when the
-    new field is not finite (the coupling or dt overflows the step).
+    new field is not finite (the coupling overflows the step).
     """
-    s = stabilization(p, dt)
+    sigma = stabilization(p)
     # pinned end columns take no reaction; f's arrays were checked when f was
     # built, so the unchecked kernel suffices
     cols = slice(None) if f.periodic_n else slice(1, -1)
     u, v = f.u[:, cols], f.v[:, cols]
     rhs_u, rhs_v = model._reaction(p.lam, u, v)
-    rhs_u *= dt
-    rhs_u += (1.0 + s * dt) * u
-    rhs_v *= dt
-    rhs_v += (1.0 + s * dt) * v
-    eig_t, eig_n = _axis_eigenvalues(f, dt) if eigenvalues is None else eigenvalues
+    rhs_u += sigma * u
+    rhs_v += sigma * v
+    kappa_t, kappa_n = _axis_eigenvalues(f) if kappa is None else kappa
     # the symbol of the operator's inverse in the basis _diffuse uses; it is formed
     # at each step because holding it for the run would raise the run's memory peak
-    inverse = 1.0 / ((1.0 + s * dt) + eig_t[:, None] + eig_n)
-    new_u = _diffuse(f, f.u, rhs_u, inverse, dt)
-    new_v = _diffuse(f, f.v, rhs_v, inverse, dt)
+    inverse = 1.0 / (sigma + kappa_t[:, None] + kappa_n)
+    new_u = _diffuse(f, f.u, rhs_u, inverse)
+    new_v = _diffuse(f, f.v, rhs_v, inverse)
     # read-only arrays that own their memory become the new field without a copy
     new_u.setflags(write=False)
     new_v.setflags(write=False)
     try:
         return f.with_values(new_u, new_v)
     except ValueError as exc:  # the field check is the step's only finiteness test
-        raise SolverError(f"flow step at coupling {p.lam} with dt {dt}: {exc}") from exc
+        raise SolverError(f"flow step at coupling {p.lam}: {exc}") from exc
 
 
 def _mixed(history: list, f: tuple, g: SlabField) -> SlabField | None:
@@ -439,111 +376,100 @@ def _box_newton_step(
 def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
     """Iterate :func:`flow_step`, accelerated by safeguarded depth-1 Anderson mixing; finish by Newton.
 
-    Each flow step takes the plain step g = flow_step(x) and its update
-    f = g - x, and forms the candidate of :func:`_mixed` from the previous
-    (f, g) pair.  The candidate is accepted when it is finite and its
-    discrete energy is at most the last accepted energy; otherwise the
-    plain step g is taken, the extrapolation counts as rejected
-    (``FlowOutcome.rejected``) and the old pair is dropped.  Either way
-    (f, g) becomes the history for the next step.  The depth is fixed at 1:
-    a deeper window holds more fields than the memory budget allows (module
-    docstring).  The eigenvalues behind the implicit solve are formed once
-    per run (:func:`_axis_eigenvalues`) and shared with the Newton steps.
+    A candidate is accepted when it is finite and its discrete energy is at
+    most the last accepted one.  A flow step from x offers the candidate of
+    :func:`_mixed`, formed from the plain step g = flow_step(x), its update
+    g - x and the previous such pair, and otherwise takes g; either way
+    (g - x, g) becomes the next window.  The run switches to Newton once
+    the accepted update is below 1e-2/sigma, the certified residual is at
+    most newton_below (first 1e-2) and the spread is at most 1e-2.  A
+    Newton step (:func:`_newton_step` on a Dirichlet slab,
+    :func:`_box_newton_step` on a periodic box) offers its candidate; when
+    that is turned down, the flow step from the candidate, and otherwise a
+    flow step from x with an empty window.  The run then continues by the
+    flow, with newton_below a tenth of the residual at the attempt.
+    ``FlowOutcome.rejected`` counts the turned-down Anderson and Newton
+    candidates, ``steps`` every accepted iterate and ``newton_steps`` the
+    Newton ones.  The eigenvalues :func:`_axis_eigenvalues` are formed once
+    per run and shared by the flow and Newton steps.
 
-    The run switches to Newton steps once the accepted update is below
-    1e-2*dt/(1 + S*dt), the certified residual is at most newton_below,
-    and the spread is at most 1e-2; newton_below starts at 1e-2.  The
-    spread is :func:`transverse_anisotropy` on a Dirichlet slab
-    (step :func:`_newton_step`) and :func:`spatial_spread` on a periodic
-    box (step :func:`_box_newton_step`).  A Newton candidate passes the
-    same energy safeguard.  A turned-down one counts in ``rejected``, and
-    the flow step from it is taken when that does not raise the energy,
-    else the plain flow step from the current state; the run continues by
-    the flow, and newton_below becomes a tenth of the residual at the
-    turned-down attempt.  ``FlowOutcome.steps`` counts every accepted
-    iterate, flow or Newton, and ``newton_steps`` the accepted Newton
-    candidates.
-
-    The energy and update traces hold the accepted iterates only.  A
-    candidate never raises the energy, nor does a plain step from a state
-    in [-1,1]^2, so the trace is non-increasing up to rounding there; the
-    records check it rather than assume it.  The pinned end columns stay
-    those of f0 bit for bit.
-
-    A plain step's update max-norm is at most dt/(1 + S*dt) times the
-    residual max-norm of the state it starts from, so the residual
-    (:func:`grid.residual_slab`) is computed only after a Newton attempt or
-    once the accepted update falls below the larger of
-    steady_tol*dt/(1 + S*dt) and newton_below*dt/(1 + S*dt); the run stops
-    when the residual of the accepted state is at most steady_tol.  Raises
-    NonConvergence (carrying the partial outcome) when max_steps accepted
-    iterates do not get there.
+    The residual (:func:`grid.residual_slab`) is formed after each Newton
+    attempt, or once the accepted update is below the larger of
+    steady_tol/sigma and newton_below/sigma (the module docstring bounds a
+    flow step's update by the residual over sigma), and the run stops when
+    it is at most steady_tol.  The energy and update traces hold the
+    accepted iterates; the records check that the energy never rose rather
+    than assume it.  Raises NonConvergence (carrying the partial outcome)
+    when max_steps accepted iterates do not get there.
     """
-    # an overflowing coupling or dt makes inf and nan entries; the field checks
+    # an overflowing coupling makes inf and nan entries; the field checks
     # report them as a SolverError, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dt = opts.dt
-        scale = dt / (1.0 + stabilization(p, dt) * dt)
+        scale = 1.0 / stabilization(p)
         update_tol = opts.steady_tol * scale
-        eigenvalues = _axis_eigenvalues(f0, dt)
-        # the Newton steps take the eigenvalues of minus the second differences
-        kappa = [eigenvalues[0] / dt]
+        kappa = _axis_eigenvalues(f0)
         if f0.periodic_n:
-            kappa.append(eigenvalues[1] / dt)
-            newton_step, spread = _box_newton_step, spatial_spread
+            newton_step, newton_kappa, spread = _box_newton_step, kappa, spatial_spread
         else:
-            newton_step, spread = _newton_step, transverse_anisotropy
+            newton_step, newton_kappa, spread = _newton_step, kappa[:1], transverse_anisotropy
         newton_below = _NEWTON_SWITCH  # residual bound for the next switch to Newton
         energy = gridmod.discrete_energy_slab(p, f0)
         energies = [energy]
         updates = []
         rejected = 0
         newton_steps = 0
-        newton = False  # the next step is a Newton step from current and its residual pair
+        residual_pair = None  # held only while the next step is a Newton step from current
         history = []
         current = f0
         del f0  # a start field the caller does not hold dies after the first step
-        for step in range(1, opts.max_steps + 1):
+
+        def downhill(candidate, last=False):
+            """candidate if it is finite (not None) and not above the accepted energy, else None.
+
+            An accepted candidate's energy and update become the run's.  The
+            update from current is measured first; with last no fallback needs
+            current, so it dies before the candidate's energy is formed.
+            """
+            nonlocal current, energy, upd
+            if candidate is None:
+                return None
+            cand_upd = gridmod._max_norm(candidate.u - current.u, candidate.v - current.v)
+            if last:
+                current = None
+            cand_energy = gridmod.discrete_energy_slab(p, candidate)
+            if not cand_energy <= energy:
+                return None
+            energy, upd = cand_energy, cand_upd
+            return candidate
+
+        converged = False
+        for _ in range(opts.max_steps):
+            attempt = residual_pair is not None  # the accepted state's update may not bound its residual then
             nxt = None
-            attempt = newton  # the accepted state's update may not bound its residual then
-            if newton:
-                candidate = newton_step(p, current, *residual_pair, *kappa)
+            newton = False  # the Newton candidate was accepted, so the next step is one too
+            if attempt:
+                candidate = newton_step(p, current, *residual_pair, *newton_kappa)
                 residual_pair = None
-                if candidate is not None:
-                    cand_energy = gridmod.discrete_energy_slab(p, candidate)
-                    if cand_energy <= energy:
-                        nxt, energy = candidate, cand_energy
-                        upd = gridmod._max_norm(candidate.u - current.u, candidate.v - current.v)
-                        newton_steps += 1
-                if nxt is None:  # back to the flow, whose window is empty
+                nxt = downhill(candidate)
+                newton = nxt is not None
+                if newton:
+                    newton_steps += 1
+                else:  # back to the flow, whose window is empty
                     rejected += 1
-                    newton = False
                     newton_below = _NEWTON_RETRY * residual
                     if candidate is not None:
-                        # the flow damps first the stiff modes a Newton step overshoots in,
-                        # so its step from the turned-down candidate is taken when downhill
-                        plain = flow_step(p, candidate, dt, eigenvalues)
-                        cand_energy = gridmod.discrete_energy_slab(p, plain)
-                        if cand_energy <= energy:
-                            nxt, energy = plain, cand_energy
-                            upd = gridmod._max_norm(plain.u - current.u, plain.v - current.v)
-                            history = [(plain.u - candidate.u, plain.v - candidate.v), plain]
-                        plain = None
+                        # the flow damps first the stiff modes a Newton step overshoots in
+                        nxt = downhill(flow_step(p, candidate, kappa))
+                        if nxt is not None:
+                            history = [(nxt.u - candidate.u, nxt.v - candidate.v), nxt]
                 candidate = None
             if nxt is None:
-                plain = flow_step(p, current, dt, eigenvalues)
+                plain = flow_step(p, current, kappa)
                 f = (plain.u - current.u, plain.v - current.v)
                 nxt, upd = plain, gridmod._max_norm(*f)
                 if history:
-                    candidate = _mixed(history, f, plain)
-                    if candidate is not None:
-                        cand_upd = gridmod._max_norm(candidate.u - current.u, candidate.v - current.v)
-                        # the previous state is no longer needed while the energy is formed
-                        current = None
-                        cand_energy = gridmod.discrete_energy_slab(p, candidate)
-                        if cand_energy <= energy:
-                            nxt, upd, energy = candidate, cand_upd, cand_energy
-                        candidate = None
+                    # plain is the fallback, so current is not needed for the candidate's energy
+                    nxt = downhill(_mixed(history, f, plain), last=True) or plain
                     if nxt is plain:
                         rejected += 1
                 if nxt is plain:
@@ -557,47 +483,38 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
             if attempt or upd <= max(update_tol, newton_below * scale):
                 residual_pair = gridmod.residual_slab(p, current)
                 residual = gridmod._max_norm(*residual_pair)
-                if residual <= opts.steady_tol:
-                    return FlowOutcome(
-                        field=current,
-                        steps=step,
-                        final_update=upd,
-                        final_residual=residual,
-                        converged=True,
-                        rejected=rejected,
-                        newton_steps=newton_steps,
-                        energy_trace=tuple(energies),
-                        update_trace=tuple(updates),
-                    )
-                if (
-                    not newton
-                    and upd <= _NEWTON_SWITCH * scale
-                    and residual <= newton_below
-                    and spread(current) <= _NEWTON_SWITCH
+                converged = residual <= opts.steady_tol
+                if converged:
+                    break
+                if newton or (
+                    upd <= _NEWTON_SWITCH * scale and residual <= newton_below and spread(current) <= _NEWTON_SWITCH
                 ):
-                    newton = True
                     history = []
-                if not newton:
+                else:
                     residual_pair = None
+        if not converged:
+            residual = gridmod._max_norm(*gridmod.residual_slab(p, current))
         outcome = FlowOutcome(
             field=current,
-            steps=opts.max_steps,
+            steps=len(updates),
             final_update=updates[-1] if updates else float("nan"),
-            final_residual=gridmod._max_norm(*gridmod.residual_slab(p, current)),
-            converged=False,
+            final_residual=residual,
+            converged=converged,
             rejected=rejected,
             newton_steps=newton_steps,
             energy_trace=tuple(energies),
             update_trace=tuple(updates),
         )
-        raise NonConvergence(
-            f"relaxation did not settle within {opts.max_steps} steps at coupling "
-            f"{p.lam} (last update {outcome.final_update:.3e}, "
-            f"residual {outcome.final_residual:.3e}, "
-            f"{outcome.newton_steps} Newton steps, "
-            f"{outcome.rejected} candidates rejected)",
-            outcome=outcome,
-        )
+    if converged:
+        return outcome
+    raise NonConvergence(
+        f"relaxation did not settle within {opts.max_steps} steps at coupling "
+        f"{p.lam} (last update {outcome.final_update:.3e}, "
+        f"residual {outcome.final_residual:.3e}, "
+        f"{outcome.newton_steps} Newton steps, "
+        f"{outcome.rejected} candidates rejected)",
+        outcome=outcome,
+    )
 
 
 def transverse_anisotropy(f: SlabField) -> float:

@@ -291,11 +291,11 @@ def _energy_record(name, theorem, outcome, lam):
     )
 
 
-def _flow_params(outcome, dt) -> dict:
+def _flow_params(outcome) -> dict:
     """How a relaxation ran, for the first record of each flow experiment."""
     return dict(
         steps=outcome.steps, newton_steps=outcome.newton_steps, rejected=outcome.rejected,
-        final_residual=outcome.final_residual, dt=dt,
+        final_residual=outcome.final_residual,
     )
 
 
@@ -347,7 +347,7 @@ def gibbons_records(
     records = [
         _record(
             "gibbons-anisotropy", "T1.1-monotone-symmetry", -ani,
-            GIBBONS_ANISOTROPY_TOL, lam=lam, anisotropy=ani, **_flow_params(outcome, flow.dt),
+            GIBBONS_ANISOTROPY_TOL, lam=lam, anisotropy=ani, **_flow_params(outcome),
         )
     ]
 
@@ -392,7 +392,7 @@ def liouville_records(p: Params, box: Grid1D, flow: solvernd.FlowOptions):
     records = [
         _record(
             "liouville-constant", "T-liouville-sub1", -dev, LIOUVILLE_TOL,
-            lam=lam, constant=c, max_deviation=dev, **_flow_params(outcome, flow.dt),
+            lam=lam, constant=c, max_deviation=dev, **_flow_params(outcome),
         ),
         _record(
             "liouville-bounds", "T1.3-bounds-iii", bounds.sum_squares_margin, tol,
@@ -415,7 +415,7 @@ def unit_coupling_records(box: Grid1D, flow: solvernd.FlowOptions):
     records = [
         _record(
             "unit-coupling-circle", "T-liouville-eq1", -circle_dev, LIOUVILLE_TOL,
-            lam=1.0, max_circle_deviation=circle_dev, **_flow_params(outcome, flow.dt),
+            lam=1.0, max_circle_deviation=circle_dev, **_flow_params(outcome),
         ),
         _record(
             "unit-coupling-constant", "T-liouville-eq1", -spread, LIOUVILLE_TOL,

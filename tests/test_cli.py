@@ -14,9 +14,8 @@ def run(argv):
 def test_solve1d_default(tmp_path):
     out = tmp_path / "run"
     assert run(["solve1d", "--lambda", "3", "--out", str(out)]) == EXIT_OK
-    assert (out / "profile.csv").exists()
-    assert (out / "report.json").exists()
-    assert (out / "solve1d.config.json").exists()
+    # the JSON sidecar is the only config file written
+    assert sorted(p.name for p in out.iterdir()) == ["profile.csv", "report.json", "solve1d.config.json"]
     report = json.loads((out / "report.json").read_text())
     assert report["records"] and all(r["pass"] for r in report["records"])
 
@@ -49,15 +48,13 @@ def test_solve1d_overflowing_coupling_prints_no_numpy_warning(tmp_path, fresh_py
     assert "RuntimeWarning" not in done.stderr
 
 
-# a flow step whose coupling or pseudo-time step overflows yields a
-# non-finite field
+# a flow step whose coupling overflows yields a non-finite field
 OVERFLOWING_FLOWS = [
-    (["relax", "--mode", "liouville", "--dt", "1e308", "--max-steps", "5"], "coupling 0.5 with dt 1e+308"),
-    (["relax", "--mode", "gibbons", "--lambda", "1e308", "--max-steps", "5"], "coupling 1e+308 with dt 2.0"),
+    (["relax", "--mode", "gibbons", "--lambda", "1e308", "--max-steps", "5"], "coupling 1e+308"),
 ]
 
 
-@pytest.mark.parametrize("argv, where", OVERFLOWING_FLOWS, ids=["dt", "lambda"])
+@pytest.mark.parametrize("argv, where", OVERFLOWING_FLOWS, ids=["lambda"])
 def test_relax_overflowing_flow_is_a_solver_error(tmp_path, capsys, argv, where):
     assert run([*argv, "--out", str(tmp_path)]) == EXIT_ERROR
     err = capsys.readouterr().err
@@ -65,7 +62,7 @@ def test_relax_overflowing_flow_is_a_solver_error(tmp_path, capsys, argv, where)
     assert f"flow step at {where}: u: non-finite entries rejected" in err
 
 
-@pytest.mark.parametrize("argv, where", OVERFLOWING_FLOWS, ids=["dt", "lambda"])
+@pytest.mark.parametrize("argv, where", OVERFLOWING_FLOWS, ids=["lambda"])
 def test_relax_overflowing_flow_prints_no_numpy_warning(tmp_path, fresh_python, argv, where):
     argv = [*argv, "--out", str(tmp_path)]
     done = fresh_python(f"import sys\nfrom gp_rigidity import cli\nsys.exit(cli.main({argv!r}))\n")
@@ -136,8 +133,10 @@ def test_solve1d_config_error_names_field(tmp_path, capsys):
         ),
         # the unit-coupling run records the coupling it used, not the default 3
         (["relax", "--mode", "lambda1", "--seed", "200"], ["field.csv", "energy_trace.csv", "report.json"], 1.0),
+        (["relax", "--mode", "gibbons", "--seed", "3"], ["field.csv", "energy_trace.csv", "report.json"], 3.0),
+        (["verify", "--stages", "gibbons,liouville"], ["suite_report.json"], 3.0),
     ],
-    ids=["solve1d", "relax-liouville", "relax-lambda1"],
+    ids=["solve1d", "relax-liouville", "relax-lambda1", "relax-gibbons", "verify-gibbons-liouville"],
 )
 def test_solve1d_rerun_from_sidecar_is_byte_identical(tmp_path, argv, outputs, lam):
     out1 = tmp_path / "a"
@@ -317,10 +316,15 @@ def test_relax_rejects_extra_transverse_dims(tmp_path, capsys):
     assert "transverse_dims" in capsys.readouterr().err
 
 
-def test_relax_rejects_negative_dt(tmp_path, capsys):
-    code = run(["relax", "--mode", "lambda1", "--dt", "-0.1", "--out", str(tmp_path)])
-    assert code == EXIT_ERROR
-    assert "config error: dt:" in capsys.readouterr().err
+def test_relax_takes_no_pseudo_time_step(tmp_path, capsys):
+    # the stabilized step does not depend on a pseudo-time step, so there is no dt knob
+    assert run(["relax", "--mode", "lambda1", "--dt", "2", "--out", str(tmp_path / "flag")]) == EXIT_ERROR
+    assert not (tmp_path / "flag").exists()
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text("dt = 2.0\n")
+    capsys.readouterr()
+    assert run(["relax", "--mode", "lambda1", "--config", str(cfg), "--out", str(tmp_path / "file")]) == EXIT_ERROR
+    assert "config error: config field dt: unknown" in capsys.readouterr().err
 
 
 def test_verify_list_checks(capsys):

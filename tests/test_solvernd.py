@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.fftpack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -25,10 +27,9 @@ def test_embedded_front_nearly_stationary():
     g_n = Grid1D(20.0, 801)
     g_t = Grid1D(4.0, 64)
     f = solvernd.embed_profile(front_profile(g_n), g_t)
-    dt = solvernd.DEFAULT_DT
-    f1 = solvernd.flow_step(p, f, dt)
+    f1 = solvernd.flow_step(p, f)
     upd = max(np.max(np.abs(f1.u - f.u)), np.max(np.abs(f1.v - f.v)))
-    assert upd <= 10.0 * g_n.h**2 * dt
+    assert upd <= 20.0 * g_n.h**2
 
 
 def test_dirichlet_columns_unchanged():
@@ -42,7 +43,7 @@ def test_dirichlet_columns_unchanged():
     u[:, 1:-1] += rng.uniform(-0.05, 0.05, (16, 99))
     v[:, 1:-1] += rng.uniform(-0.05, 0.05, (16, 99))
     f = f.with_values(u, v)
-    f1 = solvernd.flow_step(p, f, solvernd.DEFAULT_DT)
+    f1 = solvernd.flow_step(p, f)
     assert np.array_equal(f1.u[:, 0], f.u[:, 0])
     assert np.array_equal(f1.v[:, 0], f.v[:, 0])
     assert np.array_equal(f1.u[:, -1], f.u[:, -1])
@@ -61,51 +62,73 @@ def second_difference_matrix(m, h, periodic):
 
 
 SHAPES = [(3, 3, False), (3, 3, True), (5, 8, False), (5, 8, True), (8, 5, False), (8, 5, True), (64, 801, False)]
-# the explicit step of coupling 3 (S = 0) keeps the plain ids; dt = 1 and 2 take S > 0
-EXPLICIT_DT = 0.9 / 11.0
 
 
-@pytest.mark.parametrize(
-    "nt, nn, periodic_n, dt",
-    [pytest.param(*shape, EXPLICIT_DT, id="-".join(map(str, shape))) for shape in SHAPES]
-    + [
-        pytest.param(*shape, dt, id="-".join(map(str, shape)) + f"-dt{dt:g}")
-        for shape in SHAPES
-        for dt in (1.0, 2.0)
-    ],
-)
-def test_flow_step_matches_dense_solve(nt, nn, periodic_n, dt):
+@pytest.mark.parametrize("nt, nn, periodic_n", SHAPES, ids=["-".join(map(str, shape)) for shape in SHAPES])
+def test_flow_step_matches_dense_solve(nt, nn, periodic_n):
     # random data everywhere, so the pinned end columns vary along the transverse axis;
-    # the oracle assembles (1 + S*dt) I - dt (D_t + D_n) on all nodes, with identity
-    # rows at the pinned end columns, and solves it directly
+    # the oracle assembles sigma I - (D_t + D_n) on all nodes, with identity rows at
+    # the pinned end columns, and solves it directly
     p = Params(3.0)
     g_t = Grid1D(1.5, nt)
     g_n = Grid1D(20.0 if nn > 100 else 0.5, nn)
     rng = np.random.default_rng(nt * 1000 + nn)
     f = SlabField(g_t, g_n, rng.uniform(-1, 1, (nt, nn)), rng.uniform(-1, 1, (nt, nn)), periodic_n)
-    s = solvernd.stabilization(p, dt)
-    assert (s == 0.0) == (dt == EXPLICIT_DT)
-    new = solvernd.flow_step(p, f, dt)
+    sigma = solvernd.stabilization(p)
+    assert sigma == 5.5
+    new = solvernd.flow_step(p, f)
     lap = sparse.kron(second_difference_matrix(nt, g_t.h, periodic=True), sparse.identity(nn)) + sparse.kron(
         sparse.identity(nt), second_difference_matrix(nn, g_n.h, periodic_n)
     )
     free = np.ones((nt, nn))
     if not periodic_n:
         free[:, [0, -1]] = 0.0
-    op = sparse.diags(free.ravel()) @ ((1.0 + s * dt) * sparse.identity(nt * nn) - dt * lap) + sparse.diags(
-        1.0 - free.ravel()
-    )
+    op = sparse.diags(free.ravel()) @ (sigma * sparse.identity(nt * nn) - lap) + sparse.diags(1.0 - free.ravel())
     for old, react, got in zip((f.u, f.v), model.reaction(p, f.u, f.v), (new.u, new.v)):
-        rhs = np.where(free == 1.0, (1.0 + s * dt) * old + dt * react, old)
+        rhs = np.where(free == 1.0, sigma * old + react, old)
         expected = spsolve(op.tocsc(), rhs.ravel()).reshape(nt, nn)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+def test_flow_step_is_the_pseudo_time_step_two_bitwise():
+    # the step as it read with pseudo-time step dt = 2 and S = (2 + 3*lam)/2 - 1/dt:
+    # (1 + S*dt) u' - dt (D_t + D_n) u' = (1 + S*dt) u + dt f(u).  Divided by exactly
+    # 2 it is the sigma step, so every rounding scales exactly and the bits agree.
+    rng = np.random.default_rng(13)
+    g_t = Grid1D(4.0, 32)
+    dt = 2.0
+    for lam in (0.5, 3.0, 100.0):
+        p = Params(lam)
+        s = max(0.0, (2.0 + 3.0 * lam) / 2.0 - 1.0 / dt)
+        for periodic_n, g_n in ((False, Grid1D(7.0, 41)), (True, g_t)):
+            f = SlabField(g_t, g_n, rng.uniform(0, 1, (32, g_n.n)), rng.uniform(0, 1, (32, g_n.n)), periodic_n)
+            eig_t = solvernd._eigenvalues(dt / g_t.h**2, g_t.n, periodic=True)
+            eig_n = solvernd._eigenvalues(dt / g_n.h**2, g_n.n, periodic_n)
+            inverse = 1.0 / ((1.0 + s * dt) + eig_t[:, None] + eig_n)
+            cols = slice(None) if periodic_n else slice(1, -1)
+            new = solvernd.flow_step(p, f)
+            for old, react, got in zip((f.u, f.v), model._reaction(lam, f.u[:, cols], f.v[:, cols]), (new.u, new.v)):
+                rhs = dt * react + (1.0 + s * dt) * old[:, cols]
+                if periodic_n:
+                    spec = scipy.fftpack.rfft(scipy.fftpack.rfft(rhs, axis=1), axis=0)
+                else:
+                    rhs[:, 0] += dt / g_n.h**2 * old[:, 0]
+                    rhs[:, -1] += dt / g_n.h**2 * old[:, -1]
+                    spec = scipy.fftpack.rfft(scipy.fft.dst(rhs, type=1, axis=1), axis=0)
+                spec = scipy.fftpack.irfft(spec * inverse, axis=0)
+                if periodic_n:
+                    expected = scipy.fftpack.irfft(spec, axis=1)
+                else:
+                    expected = old.copy()
+                    expected[:, 1:-1] = scipy.fft.idst(spec, type=1, axis=1)
+                assert np.array_equal(got, expected), (lam, periodic_n)
+
+
 # A checkerboard on the saddle u = v = 1/2 of the coupling-3 potential, on a grid
 # coarse enough (h = 20/7) for the checkerboard to lower the energy.  A step whose
-# implicit operator is the factorized (I - dt D_t)(I - dt D_n) + S*dt*I damps it
-# and raises the energy (by 2e-6 relative at dt = 2): its split term
-# dt^2 D_t D_n acts on the new state, not on the update.
+# implicit operator is split by axis, (I - 2 D_t)(I - 2 D_n)/2 + (sigma - 1/2) I,
+# damps it and raises the energy (by 2e-6 relative): its split term 2 D_t D_n
+# acts on the new state, not on the update.
 _CHECKERBOARD = (-1.0) ** np.add.outer(np.arange(8), np.arange(9))
 SADDLE_U = 0.5 + 1e-2 * _CHECKERBOARD
 SADDLE_V = 0.5 - 1e-2 * _CHECKERBOARD
@@ -121,14 +144,13 @@ unit_data = arrays(float, (8, 9), elements=st.floats(0.0, 1.0))
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     lam=log_uniform(0.05, 1000.0),
-    dt=log_uniform(1e-3, 1e3),
     half_length=st.floats(0.5, 20.0),
     periodic_n=st.booleans(),
     u=unit_data,
     v=unit_data,
 )
-@example(lam=3.0, dt=2.0, half_length=10.0, periodic_n=True, u=SADDLE_U, v=SADDLE_V)
-def test_flow_step_never_raises_energy(lam, dt, half_length, periodic_n, u, v):
+@example(lam=3.0, half_length=10.0, periodic_n=True, u=SADDLE_U, v=SADDLE_V)
+def test_flow_step_never_raises_energy(lam, half_length, periodic_n, u, v):
     # an 8x8 periodic box or an 8x9 Dirichlet slab holding data in [0,1]^2
     g_t = Grid1D(half_length, 8)
     if periodic_n:
@@ -137,7 +159,7 @@ def test_flow_step_never_raises_energy(lam, dt, half_length, periodic_n, u, v):
         f = SlabField(g_t, Grid1D(half_length, 9), u, v)
     p = Params(lam)
     e0 = grid.discrete_energy_slab(p, f)
-    e1 = grid.discrete_energy_slab(p, solvernd.flow_step(p, f, dt))
+    e1 = grid.discrete_energy_slab(p, solvernd.flow_step(p, f))
     assert e1 - e0 <= 1e-12 * max(1.0, abs(e0))
 
 
@@ -361,10 +383,9 @@ def test_flow_step_takes_the_run_eigenvalues_bit_for_bit():
     rng = np.random.default_rng(5)
     for periodic_n, g_n in ((True, g), (False, Grid1D(20.0, 41))):
         f = SlabField(g, g_n, rng.uniform(0, 1, (32, g_n.n)), rng.uniform(0, 1, (32, g_n.n)), periodic_n)
-        for dt in (0.3, 2.0):
-            a = solvernd.flow_step(p, f, dt)
-            b = solvernd.flow_step(p, f, dt, solvernd._axis_eigenvalues(f, dt))
-            assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+        a = solvernd.flow_step(p, f)
+        b = solvernd.flow_step(p, f, solvernd._axis_eigenvalues(f))
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
 @pytest.mark.parametrize("lam", [0.99999])
@@ -475,7 +496,7 @@ def test_flow_rejects_overflowing_data(periodic_n):
     f = SlabField(g, g, big, big, periodic_n)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverError, match="non-finite"):
-            solvernd.flow_step(p, f, solvernd.DEFAULT_DT)
+            solvernd.flow_step(p, f)
     with pytest.raises(SolverError, match="non-finite"):
         solvernd.relax_to_steady(p, f, solvernd.FlowOptions())
 
@@ -486,13 +507,13 @@ def test_constant_fixed_points():
     p = Params(0.5)
     c = model.liouville_constant(p)
     f = SlabField(box, box, np.full((32, 32), c), np.full((32, 32), c), periodic_n=True)
-    f1 = solvernd.flow_step(p, f, solvernd.DEFAULT_DT)
+    f1 = solvernd.flow_step(p, f)
     assert np.max(np.abs(f1.u - f.u)) <= 1e-13
     assert np.max(np.abs(f1.v - f.v)) <= 1e-13
     # pure equilibria at any coupling
     for pair in ((1.0, 0.0), (0.0, 1.0)):
         f = SlabField(box, box, np.full((32, 32), pair[0]), np.full((32, 32), pair[1]), periodic_n=True)
-        f1 = solvernd.flow_step(Params(4.0), f, solvernd.DEFAULT_DT)
+        f1 = solvernd.flow_step(Params(4.0), f)
         assert np.max(np.abs(f1.u - f.u)) <= 1e-13
         assert np.max(np.abs(f1.v - f.v)) <= 1e-13
 
@@ -509,7 +530,7 @@ def test_one_step_decreases_energy_from_perturbed_state():
     u[:, -1], v[:, -1] = grid.RIGHT_STATE
     f = f.with_values(u, v)
     e0 = grid.discrete_energy_slab(p, f)
-    f1 = solvernd.flow_step(p, f, solvernd.DEFAULT_DT)
+    f1 = solvernd.flow_step(p, f)
     e1 = grid.discrete_energy_slab(p, f1)
     assert e1 < e0
 
@@ -520,10 +541,9 @@ def test_bound_absorption():
     box = Grid1D(3.0, 24)
     rng = np.random.default_rng(6)
     f = SlabField(box, box, rng.uniform(-1, 1, (24, 24)), rng.uniform(-1, 1, (24, 24)), periodic_n=True)
-    dt = solvernd.DEFAULT_DT
     cap = 1.0 + 10.0 * box.h**2
     for _ in range(50):
-        f = solvernd.flow_step(p, f, dt)
+        f = solvernd.flow_step(p, f)
         assert np.max(np.abs(f.u)) <= cap
         assert np.max(np.abs(f.v)) <= cap
 
