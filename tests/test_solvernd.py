@@ -64,11 +64,22 @@ def second_difference_matrix(m, h, periodic):
 SHAPES = [(3, 3, False), (3, 3, True), (5, 8, False), (5, 8, True), (8, 5, False), (8, 5, True), (64, 801, False)]
 
 
-@pytest.mark.parametrize("nt, nn, periodic_n", SHAPES, ids=["-".join(map(str, shape)) for shape in SHAPES])
-def test_flow_step_matches_dense_solve(nt, nn, periodic_n):
+# the plain ids take the oracle in sigma form; the -dt1 and -dt2 ids take the former
+# pseudo-time step at that dt, (1 + S*dt) u' - dt (D_t + D_n) u' = (1 + S*dt) u + dt f(u)
+# with S = sigma - 1/dt, which for dt >= 1/sigma is the sigma step whatever dt is
+@pytest.mark.parametrize(
+    "nt, nn, periodic_n, dt",
+    [pytest.param(*shape, None, id="-".join(map(str, shape))) for shape in SHAPES]
+    + [
+        pytest.param(*shape, dt, id="-".join(map(str, shape)) + f"-dt{dt:g}")
+        for shape in SHAPES
+        for dt in (1.0, 2.0)
+    ],
+)
+def test_flow_step_matches_dense_solve(nt, nn, periodic_n, dt):
     # random data everywhere, so the pinned end columns vary along the transverse axis;
-    # the oracle assembles sigma I - (D_t + D_n) on all nodes, with identity rows at
-    # the pinned end columns, and solves it directly
+    # the oracle assembles a I - b (D_t + D_n) on all nodes, with identity rows at the
+    # pinned end columns, and solves it directly
     p = Params(3.0)
     g_t = Grid1D(1.5, nt)
     g_n = Grid1D(20.0 if nn > 100 else 0.5, nn)
@@ -76,6 +87,7 @@ def test_flow_step_matches_dense_solve(nt, nn, periodic_n):
     f = SlabField(g_t, g_n, rng.uniform(-1, 1, (nt, nn)), rng.uniform(-1, 1, (nt, nn)), periodic_n)
     sigma = solvernd.stabilization(p)
     assert sigma == 5.5
+    a, b = (sigma, 1.0) if dt is None else (1.0 + (sigma - 1.0 / dt) * dt, dt)
     new = solvernd.flow_step(p, f)
     lap = sparse.kron(second_difference_matrix(nt, g_t.h, periodic=True), sparse.identity(nn)) + sparse.kron(
         sparse.identity(nt), second_difference_matrix(nn, g_n.h, periodic_n)
@@ -83,9 +95,9 @@ def test_flow_step_matches_dense_solve(nt, nn, periodic_n):
     free = np.ones((nt, nn))
     if not periodic_n:
         free[:, [0, -1]] = 0.0
-    op = sparse.diags(free.ravel()) @ (sigma * sparse.identity(nt * nn) - lap) + sparse.diags(1.0 - free.ravel())
+    op = sparse.diags(free.ravel()) @ (a * sparse.identity(nt * nn) - b * lap) + sparse.diags(1.0 - free.ravel())
     for old, react, got in zip((f.u, f.v), model.reaction(p, f.u, f.v), (new.u, new.v)):
-        rhs = np.where(free == 1.0, sigma * old + react, old)
+        rhs = np.where(free == 1.0, a * old + b * react, old)
         expected = spsolve(op.tocsc(), rhs.ravel()).reshape(nt, nn)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
