@@ -104,7 +104,15 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("solve1d", "sweep", "relax", "verify")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or only ``command``'s.
+
+    A parser built for one command prints the same usage line and errors as
+    the full one for every command line that starts with that command's name.
+    """
     parser = argparse.ArgumentParser(
         prog="gp-rigidity",
         description=(
@@ -113,8 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        # the top-level usage line still names every command
+        sub.metavar = "{%s}" % ",".join(COMMANDS)
 
-    def common(sp, coupling=True):
+    def add(name, summary, coupling=True):
+        sp = sub.add_parser(name, help=summary)
         if coupling:  # the battery fixes its own couplings, a sweep takes a range
             sp.add_argument("--lambda", dest="lam", type=float, help="coupling constant")
         sp.add_argument("--L", dest="half_length", type=float, help="half length of the axis")
@@ -124,27 +136,28 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", dest="seed", type=int)
         sp.add_argument("--out", dest="out_dir", help=f"output directory (default ${OUT_ENV_VAR} or .)")
         sp.add_argument("--config", dest="config", help="config file (key=value or JSON sidecar)")
+        return sp
 
-    sp = sub.add_parser("solve1d", help="solve one heteroclinic profile and verify it")
-    common(sp)
+    if command in (None, "solve1d"):
+        add("solve1d", "solve one heteroclinic profile and verify it")
 
-    sp = sub.add_parser("sweep", help="continuation sweep over a coupling range")
-    common(sp, coupling=False)
-    sp.add_argument("--lambda-from", dest="lambda_from", type=float)
-    sp.add_argument("--lambda-to", dest="lambda_to", type=float)
-    sp.add_argument("--step", dest="step", type=float)
+    if command in (None, "sweep"):
+        sp = add("sweep", "continuation sweep over a coupling range", coupling=False)
+        sp.add_argument("--lambda-from", dest="lambda_from", type=float)
+        sp.add_argument("--lambda-to", dest="lambda_to", type=float)
+        sp.add_argument("--step", dest="step", type=float)
 
-    sp = sub.add_parser("relax", help="gradient-flow relaxation experiments")
-    common(sp)
-    sp.add_argument("--mode", dest="mode", choices=("gibbons", "liouville", "lambda1"))
-    sp.add_argument("--steady-tol", dest="steady_tol", type=float)
-    sp.add_argument("--max-steps", dest="max_steps", type=int)
+    if command in (None, "relax"):
+        sp = add("relax", "gradient-flow relaxation experiments")
+        sp.add_argument("--mode", dest="mode", choices=("gibbons", "liouville", "lambda1"))
+        sp.add_argument("--steady-tol", dest="steady_tol", type=float)
+        sp.add_argument("--max-steps", dest="max_steps", type=int)
 
-    sp = sub.add_parser("verify", help="run the full rigidity battery")
-    common(sp, coupling=False)
-    sp.add_argument("--stages", dest="stages", help="comma list of stages, empty for none")
-    sp.add_argument("--steady-tol", dest="steady_tol", type=float)
-    sp.add_argument("--list-checks", action="store_true", help="print the check catalog and exit")
+    if command in (None, "verify"):
+        sp = add("verify", "run the full rigidity battery", coupling=False)
+        sp.add_argument("--stages", dest="stages", help="comma list of stages, empty for none")
+        sp.add_argument("--steady-tol", dest="steady_tol", type=float)
+        sp.add_argument("--list-checks", action="store_true", help="print the check catalog and exit")
     return parser
 
 
@@ -318,7 +331,15 @@ def cmd_verify(cfg: RunConfig, list_checks: bool = False) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line and return its exit code.
+
+    Only the named command's parser is built; a command line that does not
+    start with a command name (``--help``, none, an unknown name) gets the
+    full parser, whose usage and errors list every command.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

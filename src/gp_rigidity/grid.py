@@ -147,9 +147,9 @@ def _second_difference(a: np.ndarray, h: float) -> np.ndarray:
 
 
 def _add_wrapped_second_difference(out: np.ndarray, a: np.ndarray, h: float, axis: int) -> None:
-    """Add the central second difference of a along a periodic axis to out, in place."""
-    out = np.moveaxis(out, axis, -1)
-    a = np.moveaxis(a, axis, -1)
+    """Add the central second difference of 2D a along a periodic axis to out, in place."""
+    if axis == 0:
+        out, a = out.T, a.T
     out[..., 1:-1] += _second_difference(a, h)
     out[..., 0] += (a[..., -1] - 2.0 * a[..., 0] + a[..., 1]) / h**2
     out[..., -1] += (a[..., -2] - 2.0 * a[..., -1] + a[..., 0]) / h**2
@@ -205,9 +205,9 @@ def discrete_energy_slab(p: Params, f: SlabField) -> float:
     w = model._potential(p.lam, u, v)
     w -= model.PURE_STATE_POTENTIAL
     if f.periodic_n:
-        pot = float(np.sum(w))
+        pot = float(w.sum())
     else:  # trapezoidal weights along the pinned axis
-        pot = float(np.sum(w[:, 1:-1])) + 0.5 * (float(np.sum(w[:, 0])) + float(np.sum(w[:, -1])))
+        pot = float(w[:, 1:-1].sum()) + 0.5 * (float(w[:, 0].sum()) + float(w[:, -1].sum()))
     return grad_t + grad_n + pot * ht * hn
 
 
@@ -215,24 +215,29 @@ def _squared_steps(u: np.ndarray, v: np.ndarray, axis: int, wrap: bool) -> float
     """Sum of the squared forward differences of u and v along one axis.
 
     With wrap the step from the last slice back to the first is included.
-    The squares are formed in the differences' buffers.
+    The squares are formed in the differences' buffers.  Along axis 0 the
+    differences are taken between columns of the transposes: they then lie
+    in memory as u does, so each sum adds the same values in the same order
+    as along rows of the untransposed arrays.
     """
-    du = np.diff(u, axis=axis)
+    if axis == 0:
+        u, v = u.T, v.T
+    du = u[:, 1:] - u[:, :-1]
     du *= du
-    dv = np.diff(v, axis=axis)
+    dv = v[:, 1:] - v[:, :-1]
     dv *= dv
     du += dv
-    total = float(np.sum(du))
+    total = float(du.sum())
     if wrap:
-        du = u.take(0, axis) - u.take(-1, axis)
-        dv = v.take(0, axis) - v.take(-1, axis)
-        total += float(np.sum(du * du + dv * dv))
+        du = u[:, 0] - u[:, -1]
+        dv = v[:, 0] - v[:, -1]
+        total += float((du * du + dv * dv).sum())
     return total
 
 
 def _max_norm(a: np.ndarray, b: np.ndarray) -> float:
     """Max-norm of a pair of arrays: the largest |entry| of a and b."""
-    return max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return max(float(abs(a).max()), float(abs(b).max()))
 
 
 def check_discrete_monotone(prof: ProfilePair):
@@ -334,8 +339,9 @@ _CSV_BLOCK_ROWS = 64
 def _write_csv_rows(fh, row_format: str, *columns) -> None:
     """Write the rows of equal-length 1D arrays, each as ``row_format % row``.
 
-    The arrays are sliced into blocks of _CSV_BLOCK_ROWS rows.  Each slice
-    is turned into Python numbers with ``.tolist()``, the block's values are
+    A column is a float array, or an object array of texts for ``%s``.  The
+    arrays are sliced into blocks of _CSV_BLOCK_ROWS rows.  Each slice is
+    turned into Python objects with ``.tolist()``, the block's values are
     interleaved row by row, and the block is formatted with one ``%`` against
     the row format repeated once per row and written with one ``fh.write``.
     """
@@ -366,16 +372,18 @@ def load_profile_csv(path) -> ProfilePair:
 def save_slab_csv(path, f: SlabField) -> None:
     """Write header `xp,xn,u,v` and one row per node, transverse index outer.
 
-    Rows go out one transverse slice at a time: the slice's xp is formatted
-    once into the row format (a formatted finite float holds no '%'), so no
+    Rows go out one transverse slice at a time.  The xn texts are formatted
+    once per file and every slice takes them as ``%s``; the slice's xp is
+    formatted once into the row format (a formatted finite float holds no
+    '%').  So the only coordinate text kept is one xn list, and no
     coordinate array of the whole slab is built.
     """
-    xn = f.grid_n.nodes()
-    row_tail = ",".join([CSV_FLOAT] * 3) + "\n"
+    xn_text = np.array([CSV_FLOAT % x for x in f.grid_n.nodes().tolist()], dtype=object)
+    row_tail = ",%s," + ",".join([CSV_FLOAT] * 2) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("xp,xn,u,v\n")
         for i, xp in enumerate(f.grid_t.nodes().tolist()):
-            _write_csv_rows(fh, CSV_FLOAT % xp + "," + row_tail, xn, f.u[i], f.v[i])
+            _write_csv_rows(fh, CSV_FLOAT % xp + row_tail, xn_text, f.u[i], f.v[i])
 
 
 def load_slab_csv(path, periodic_n: bool = False) -> SlabField:

@@ -84,8 +84,8 @@ class FlowOptions:
     ``steady_tol/sigma`` (:func:`stabilization`), or after a Newton step,
     the run computes the max-norm of the steady residual
     (:func:`grid.residual_slab`) and stops when that is at most
-    ``steady_tol``; otherwise it keeps stepping.  ``max_steps`` bounds the
-    accepted iterates, flow and Newton together.
+    ``steady_tol``; otherwise it keeps stepping.  ``max_steps`` (at least 1)
+    bounds the accepted iterates, flow and Newton together.
     """
 
     steady_tol: float = 1e-9
@@ -95,6 +95,8 @@ class FlowOptions:
     def __post_init__(self):
         if not self.steady_tol > 0.0:
             raise ValueError(f"steady_tol: must be positive, got {self.steady_tol!r}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps: must be at least 1, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)

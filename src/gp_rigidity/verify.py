@@ -456,6 +456,8 @@ class SuiteOptions:
         unknown = [s for s in self.stages if s not in ALL_STAGES]
         if unknown:
             raise ValueError(f"stages: unknown stage names {unknown}")
+        # the flow stages' option checks, before any stage runs
+        solvernd.FlowOptions(steady_tol=self.steady_tol, max_steps=self.max_steps)
 
 
 def full_suite(opts: SuiteOptions | None = None) -> VerifyReport:

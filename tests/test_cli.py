@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -382,6 +383,160 @@ def test_verify_check_failure_exit_code(tmp_path):
 def test_usage_error_is_exit_1(capsys):
     assert run(["solve1d", "--lambda", "not-a-number"]) == EXIT_ERROR
     capsys.readouterr()
+
+
+# stdout or stderr of each command line at 80 columns, as argparse printed them
+# with every subcommand's parser built; the exit code is 0 for help, 1 otherwise
+PARSER_TEXTS = {
+    '--help': ("out", """\
+usage: gp-rigidity [-h] {solve1d,sweep,relax,verify} ...
+
+Compute heteroclinic profiles of the two-component cubic system and check the
+rigidity catalog against them.
+
+positional arguments:
+  {solve1d,sweep,relax,verify}
+    solve1d             solve one heteroclinic profile and verify it
+    sweep               continuation sweep over a coupling range
+    relax               gradient-flow relaxation experiments
+    verify              run the full rigidity battery
+
+options:
+  -h, --help            show this help message and exit
+"""),
+    'solve1d --help': ("out", """\
+usage: gp-rigidity solve1d [-h] [--lambda LAM] [--L HALF_LENGTH] [--n N]
+                           [--tol NEWTON_TOL] [--max-iters MAX_ITERS]
+                           [--seed SEED] [--out OUT_DIR] [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --lambda LAM          coupling constant
+  --L HALF_LENGTH       half length of the axis
+  --n N                 node count (>= 3)
+  --tol NEWTON_TOL      residual target
+  --max-iters MAX_ITERS
+  --seed SEED
+  --out OUT_DIR         output directory (default $GP_RIGIDITY_OUT or .)
+  --config CONFIG       config file (key=value or JSON sidecar)
+"""),
+    'sweep --help': ("out", """\
+usage: gp-rigidity sweep [-h] [--L HALF_LENGTH] [--n N] [--tol NEWTON_TOL]
+                         [--max-iters MAX_ITERS] [--seed SEED] [--out OUT_DIR]
+                         [--config CONFIG] [--lambda-from LAMBDA_FROM]
+                         [--lambda-to LAMBDA_TO] [--step STEP]
+
+options:
+  -h, --help            show this help message and exit
+  --L HALF_LENGTH       half length of the axis
+  --n N                 node count (>= 3)
+  --tol NEWTON_TOL      residual target
+  --max-iters MAX_ITERS
+  --seed SEED
+  --out OUT_DIR         output directory (default $GP_RIGIDITY_OUT or .)
+  --config CONFIG       config file (key=value or JSON sidecar)
+  --lambda-from LAMBDA_FROM
+  --lambda-to LAMBDA_TO
+  --step STEP
+"""),
+    'relax --help': ("out", """\
+usage: gp-rigidity relax [-h] [--lambda LAM] [--L HALF_LENGTH] [--n N]
+                         [--tol NEWTON_TOL] [--max-iters MAX_ITERS]
+                         [--seed SEED] [--out OUT_DIR] [--config CONFIG]
+                         [--mode {gibbons,liouville,lambda1}]
+                         [--steady-tol STEADY_TOL] [--max-steps MAX_STEPS]
+
+options:
+  -h, --help            show this help message and exit
+  --lambda LAM          coupling constant
+  --L HALF_LENGTH       half length of the axis
+  --n N                 node count (>= 3)
+  --tol NEWTON_TOL      residual target
+  --max-iters MAX_ITERS
+  --seed SEED
+  --out OUT_DIR         output directory (default $GP_RIGIDITY_OUT or .)
+  --config CONFIG       config file (key=value or JSON sidecar)
+  --mode {gibbons,liouville,lambda1}
+  --steady-tol STEADY_TOL
+  --max-steps MAX_STEPS
+"""),
+    'verify --help': ("out", """\
+usage: gp-rigidity verify [-h] [--L HALF_LENGTH] [--n N] [--tol NEWTON_TOL]
+                          [--max-iters MAX_ITERS] [--seed SEED]
+                          [--out OUT_DIR] [--config CONFIG] [--stages STAGES]
+                          [--steady-tol STEADY_TOL] [--list-checks]
+
+options:
+  -h, --help            show this help message and exit
+  --L HALF_LENGTH       half length of the axis
+  --n N                 node count (>= 3)
+  --tol NEWTON_TOL      residual target
+  --max-iters MAX_ITERS
+  --seed SEED
+  --out OUT_DIR         output directory (default $GP_RIGIDITY_OUT or .)
+  --config CONFIG       config file (key=value or JSON sidecar)
+  --stages STAGES       comma list of stages, empty for none
+  --steady-tol STEADY_TOL
+  --list-checks         print the check catalog and exit
+"""),
+    'bogus': ("err", """\
+usage: gp-rigidity [-h] {solve1d,sweep,relax,verify} ...
+gp-rigidity: error: argument command: invalid choice: 'bogus' (choose from 'solve1d', 'sweep', 'relax', 'verify')
+"""),
+    'relax --bogus': ("err", """\
+usage: gp-rigidity [-h] {solve1d,sweep,relax,verify} ...
+gp-rigidity: error: unrecognized arguments: --bogus
+"""),
+}
+
+
+@pytest.mark.parametrize("line", list(PARSER_TEXTS))
+def test_parser_texts_are_unchanged(monkeypatch, capsys, line):
+    # a parser built for one command prints what the full parser printed,
+    # including the top-level usage line and its "unrecognized arguments"
+    monkeypatch.setenv("COLUMNS", "80")
+    stream, text = PARSER_TEXTS[line]
+    code = run(line.split())
+    expected = (text, "") if stream == "out" else ("", text)
+    assert code == (EXIT_OK if stream == "out" else EXIT_ERROR)
+    assert capsys.readouterr() == expected
+
+
+def test_relax_command_builds_only_the_relax_parser(tmp_path, monkeypatch):
+    built = []
+    build = cli._build_parser
+
+    def recorded(command=None):
+        built.append(build(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    assert run(["relax", "--mode", "liouville", "--out", str(tmp_path)]) == EXIT_OK
+    assert run(["--help"]) == EXIT_OK
+
+    def subcommands(parser):
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert [subcommands(parser) for parser in built] == [["relax"], list(cli.COMMANDS)]
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_relax_max_steps_below_one_is_a_config_error(tmp_path, capsys, steps):
+    out = tmp_path / "out"
+    assert run(["relax", "--mode", "liouville", "--max-steps", steps, "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"config error: max_steps: must be at least 1, got {steps}\n"
+    assert not out.exists()
+
+
+def test_verify_max_steps_below_one_is_a_config_error(tmp_path, capsys):
+    # the battery's flow options would turn it into four failed records
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_steps = 0\n")
+    out = tmp_path / "out"
+    assert run(["verify", "--stages", "liouville", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "config error: max_steps: must be at least 1, got 0\n"
+    assert not out.exists()
 
 
 def test_profile_csv_has_17_digit_floats(tmp_path):

@@ -73,7 +73,9 @@ def test_profile_csv_matches_per_value_writer(tmp_path, n):
     assert path.read_text(encoding="ascii") == reference_profile_text(prof)
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (3, BLOCK - 1), (4, BLOCK), (5, BLOCK + 1), (BLOCK + 1, 3)])
+@pytest.mark.parametrize(
+    "shape", [(3, 3), (3, BLOCK - 1), (4, BLOCK), (5, BLOCK + 1), (BLOCK + 1, 3), (6, 2 * BLOCK + 3)]
+)
 def test_slab_csv_matches_per_value_writer(tmp_path, shape):
     nt, nn = shape
     u = edge_column(nt * nn, 2).reshape(shape)

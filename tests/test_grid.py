@@ -232,6 +232,102 @@ def test_energy_slab_matches_plain_expressions_bitwise(periodic_n, lam):
         assert grid.discrete_energy_slab(p, f) == plain_energy_slab(p, f)
 
 
+# The slab kernels in the np.moveaxis, np.diff, take and np.sum forms they
+# replaced.  The views and array methods must give the same bits.
+
+def moveaxis_wrapped_second_difference(out, a, h, axis):
+    out = np.moveaxis(out, axis, -1)
+    a = np.moveaxis(a, axis, -1)
+    out[..., 1:-1] += (a[..., :-2] - 2.0 * a[..., 1:-1] + a[..., 2:]) / h**2
+    out[..., 0] += (a[..., -1] - 2.0 * a[..., 0] + a[..., 1]) / h**2
+    out[..., -1] += (a[..., -2] - 2.0 * a[..., -1] + a[..., 0]) / h**2
+
+
+def diff_squared_steps(u, v, axis, wrap):
+    du = np.diff(u, axis=axis)
+    du *= du
+    dv = np.diff(v, axis=axis)
+    dv *= dv
+    du += dv
+    total = float(np.sum(du))
+    if wrap:
+        du = u.take(0, axis) - u.take(-1, axis)
+        dv = v.take(0, axis) - v.take(-1, axis)
+        total += float(np.sum(du * du + dv * dv))
+    return total
+
+
+def np_sum_energy_slab(p, f):
+    ht, hn = f.grid_t.h, f.grid_n.h
+    grad_t = diff_squared_steps(f.u, f.v, 0, True) * hn / (2.0 * ht)
+    grad_n = diff_squared_steps(f.u, f.v, 1, f.periodic_n) * ht / (2.0 * hn)
+    w = model._potential(p.lam, f.u, f.v)
+    w -= model.PURE_STATE_POTENTIAL
+    if f.periodic_n:
+        pot = float(np.sum(w))
+    else:
+        pot = float(np.sum(w[:, 1:-1])) + 0.5 * (float(np.sum(w[:, 0])) + float(np.sum(w[:, -1])))
+    return grad_t + grad_n + pot * ht * hn
+
+
+def moveaxis_residual_slab(p, f):
+    ht, hn = f.grid_t.h, f.grid_n.h
+    ru, rv = model.reaction(p, f.u, f.v)
+    cols = slice(None) if f.periodic_n else slice(1, -1)
+    for r, a in ((ru, f.u), (rv, f.v)):
+        if f.periodic_n:
+            moveaxis_wrapped_second_difference(r, a, hn, axis=1)
+        else:
+            r[:, 1:-1] += (a[:, :-2] - 2.0 * a[:, 1:-1] + a[:, 2:]) / hn**2
+        moveaxis_wrapped_second_difference(r[:, cols], a[:, cols], ht, axis=0)
+    if not f.periodic_n:
+        ru[:, 0] = f.u[:, 0] - grid.LEFT_STATE[0]
+        rv[:, 0] = f.v[:, 0] - grid.LEFT_STATE[1]
+        ru[:, -1] = f.u[:, -1] - grid.RIGHT_STATE[0]
+        rv[:, -1] = f.v[:, -1] - grid.RIGHT_STATE[1]
+    return ru, rv
+
+
+def np_max_norm(a, b):
+    return max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# 3x3, odd and even sizes, the 32x32 box, and the battery's 64x801 slab
+SLAB_SHAPES = [(3, 3), (3, 8), (8, 3), (5, 7), (6, 9), (7, 10), (32, 32), (33, 31), (64, 801)]
+
+
+@pytest.mark.parametrize("periodic_n", [False, True], ids=["dirichlet", "box"])
+@pytest.mark.parametrize("shape", SLAB_SHAPES, ids=[f"{nt}x{nn}" for nt, nn in SLAB_SHAPES])
+def test_slab_kernels_match_numpy_wrapper_forms_bitwise(periodic_n, shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    nt, nn = shape
+    u, v = rng.uniform(-1.2, 1.2, (2, nt, nn))
+    f = SlabField(Grid1D(4.0, nt), Grid1D(20.0, nn), u, v, periodic_n)
+    for axis in (0, 1):
+        for wrap in (False, True):
+            assert same_bits(grid._squared_steps(u, v, axis, wrap), diff_squared_steps(u, v, axis, wrap))
+        out = rng.uniform(-1.0, 1.0, (nt, nn))
+        expected = out.copy()
+        moveaxis_wrapped_second_difference(expected, u, 0.3, axis)
+        grid._add_wrapped_second_difference(out, u, 0.3, axis)
+        assert same_bits(out, expected)
+    for lam in (0.05, 1.0, 3.0, 1000.0):
+        p = Params(lam)
+        assert same_bits(grid.discrete_energy_slab(p, f), np_sum_energy_slab(p, f))
+        residual = grid.residual_slab(p, f)
+        expected = moveaxis_residual_slab(p, f)
+        assert same_bits(residual[0], expected[0]) and same_bits(residual[1], expected[1])
+        assert same_bits(grid._max_norm(*residual), np_max_norm(*expected))
+    signed = np.array([[-0.0, 0.0, -3.5], [2.0, -0.0, 1e-300]])
+    assert same_bits(grid._max_norm(signed, -signed), np_max_norm(signed, -signed))
+    assert same_bits(grid._max_norm(u[:, 1:], v.T), np_max_norm(u[:, 1:], v.T))
+
+
 def test_check_discrete_monotone():
     g = Grid1D(20.0, 401)
     prof = sampled_front(g)

@@ -16,6 +16,18 @@ def test_record_rejects_unknown_tag():
         CheckRecord(name="x", theorem="T-made-up", passed=True, margin=0.0, tolerance=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("max_steps", 0, "max_steps: must be at least 1, got 0"),
+     ("max_steps", -5, "max_steps: must be at least 1, got -5"),
+     ("steady_tol", 0.0, "steady_tol: must be positive, got 0.0")],
+)
+def test_suite_options_check_the_flow_options_up_front(field, value, message):
+    # also where no flow stage runs, so a bad value never passes silently
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SuiteOptions(stages=("solves",), **{field: value})
+
+
 def test_report_round_trip(suite_report):
     report, _ = suite_report
     clone = VerifyReport.from_json(report.to_json())
