@@ -32,7 +32,7 @@ EXIT_CHECK_FAILED = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters, written as the JSON sidecar."""
+    """Fully resolved run parameters, written as the JSON sidecar (without lam for UNCOUPLED commands)."""
 
     command: str = "solve1d"
     lam: float = 3.0
@@ -51,7 +51,10 @@ class RunConfig:
     stages: str = ",".join(verifymod.ALL_STAGES)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        values = asdict(self)
+        if self.command in UNCOUPLED:
+            del values["lam"]
+        return json.dumps(values, indent=2)
 
 
 _INT_FIELDS = {"n", "max_iters", "seed", "max_steps"}
@@ -105,6 +108,8 @@ def load_config_file(path: str) -> dict:
 
 
 COMMANDS = ("solve1d", "sweep", "relax", "verify")
+# commands that take no coupling: the battery fixes its own, a sweep takes a range
+UNCOUPLED = ("sweep", "verify")
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -125,9 +130,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         # the top-level usage line still names every command
         sub.metavar = "{%s}" % ",".join(COMMANDS)
 
-    def add(name, summary, coupling=True):
+    def add(name, summary):
         sp = sub.add_parser(name, help=summary)
-        if coupling:  # the battery fixes its own couplings, a sweep takes a range
+        if name not in UNCOUPLED:
             sp.add_argument("--lambda", dest="lam", type=float, help="coupling constant")
         sp.add_argument("--L", dest="half_length", type=float, help="half length of the axis")
         sp.add_argument("--n", dest="n", type=int, help="node count (>= 3)")
@@ -142,7 +147,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         add("solve1d", "solve one heteroclinic profile and verify it")
 
     if command in (None, "sweep"):
-        sp = add("sweep", "continuation sweep over a coupling range", coupling=False)
+        sp = add("sweep", "continuation sweep over a coupling range")
         sp.add_argument("--lambda-from", dest="lambda_from", type=float)
         sp.add_argument("--lambda-to", dest="lambda_to", type=float)
         sp.add_argument("--step", dest="step", type=float)
@@ -154,7 +159,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--max-steps", dest="max_steps", type=int)
 
     if command in (None, "verify"):
-        sp = add("verify", "run the full rigidity battery", coupling=False)
+        sp = add("verify", "run the full rigidity battery")
         sp.add_argument("--stages", dest="stages", help="comma list of stages, empty for none")
         sp.add_argument("--steady-tol", dest="steady_tol", type=float)
         sp.add_argument("--list-checks", action="store_true", help="print the check catalog and exit")
@@ -167,6 +172,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         file_values = load_config_file(args.config)
         file_values.pop("command", None)
+        if args.command in UNCOUPLED and "lam" in file_values:
+            raise ValueError(f"lam: {args.command} takes no coupling, got {file_values['lam']!r}")
         cfg = replace(cfg, **file_values)
     overrides = {}
     for f in fields(RunConfig):

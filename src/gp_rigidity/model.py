@@ -82,15 +82,39 @@ def reaction_jacobian(p: Params, u, v):
     return np.array([[c1, off], [off, c2]])
 
 
-def jacobian_entries(p: Params, u, v):
-    """Jacobian entries (d fu/du, d fv/dv, d fu/dv) vectorized over arrays."""
+def jacobian_entries(p: Params, u, v, out=None):
+    """Jacobian entries (d fu/du, d fv/dv, d fu/dv) vectorized over arrays.
+
+    The entries c1 = 1 - 3u^2 - lam*v^2, c2 = 1 - 3v^2 - lam*u^2 and
+    off = -2*lam*u*v, rounded as those plain expressions, are written into
+    ``out``, a triple of float arrays of the broadcast shape of u and v
+    (strided views are fine), or into three new arrays; one scratch array is
+    the only other buffer.  Returns the triple.
+    """
     _require_finite("jacobian_entries", u, v)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    c1 = 1.0 - 3.0 * u**2 - p.lam * v**2
-    c2 = 1.0 - 3.0 * v**2 - p.lam * u**2
-    off = -2.0 * p.lam * u * v
-    return c1, c2, off
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    if out is None:
+        out = (np.empty(shape), np.empty(shape), np.empty(shape))
+    c1, c2, off = out
+    # the scratch holds each partial term, so that each output is written
+    # at most twice and read at most once: out may be strided band rows,
+    # where a pass costs several times one over the scratch
+    sq = np.square(u, out=np.empty(shape))
+    np.multiply(p.lam, sq, out=c2)  # lam*u^2
+    np.multiply(3.0, sq, out=sq)
+    np.subtract(1.0, sq, out=c1)  # 1 - 3u^2
+    np.square(v, out=sq)
+    np.multiply(p.lam, sq, out=sq)
+    np.subtract(c1, sq, out=c1)
+    np.square(v, out=sq)
+    np.multiply(3.0, sq, out=sq)
+    np.subtract(1.0, sq, out=sq)  # 1 - 3v^2
+    np.subtract(sq, c2, out=c2)
+    np.multiply(-2.0 * p.lam, u, out=sq)
+    np.multiply(sq, v, out=off)
+    return out
 
 
 def potential(p: Params, u, v):

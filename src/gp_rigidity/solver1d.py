@@ -6,9 +6,11 @@ block-tridiagonal system with 2x2 blocks, assembled into five scalar bands
 and eliminated directly (LAPACK banded LU, exact and O(n)).  Steps are
 damped by residual-decrease backtracking with a floor.
 
-A solve holds one (7, 2n) band buffer and a fixed number of node vectors:
-its peak is 168 bytes a node (112 for the buffer, 56 for seven vectors),
-3.36 MB at n = 20001; :func:`pin_phase` peaks at 128 bytes a node.
+A solve holds one (7, 2n) band buffer and a fixed number of node vectors,
+and the reaction Jacobian is written straight into the buffer's band rows:
+its peak is 152 bytes a node (112 for the buffer, 8 for the pivots, 16
+each for the iterate and the right-hand side), 3.04 MB at n = 20001;
+:func:`pin_phase` peaks at 128 bytes a node.
 
 Both numerical kernels call LAPACK directly instead of going through
 scipy's Python wrappers, and both are bit-identical to those wrappers:
@@ -102,21 +104,20 @@ def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray) -> np.nd
     ordering gives bandwidth 2 on each side: the u-equation at node i
     couples u_{i-1}, u_i, v_i, u_{i+1}; the v-equation couples v_{i-1},
     u_i, v_i, v_{i+1}.  End rows are identity (Dirichlet defects).
+    The reaction Jacobian is written straight into its band rows, so the
+    buffer and one scratch vector are the only allocations.
     """
     n = g.n
     m = 2 * n
     inv_h2 = 1.0 / g.h**2
-    c1, c2, off = model.jacobian_entries(p, u, v)
 
     work = np.zeros((7, m), order="F")
     ab = work[2:]
-    # main diagonal, written in place
-    np.add(-2.0 * inv_h2, c1, out=ab[2, 0::2])
-    np.add(-2.0 * inv_h2, c2, out=ab[2, 1::2])
-    # +1 diagonal: dfu/dv at the same node (u-rows only)
-    ab[1, 1::2] = off
+    # main diagonal c1, c2 and +1 diagonal dfu/dv at the same node (u-rows only)
+    model.jacobian_entries(p, u, v, out=(ab[2, 0::2], ab[2, 1::2], ab[1, 1::2]))
+    ab[2] += -2.0 * inv_h2
     # -1 diagonal: dfv/du at the same node (v-rows only)
-    ab[3, 0::2] = off
+    ab[3, 0::2] = ab[1, 1::2]
     # +-2 diagonals: neighbor couplings
     ab[0, 2:] = inv_h2
     ab[4, :-2] = inv_h2
@@ -173,6 +174,11 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
 
     # the guess arrays are read-only and every update makes new ones
     u, v = guess.u, guess.v
+    # since CPython 3.11 a call moves its arguments into the callee's frame,
+    # so a guess built inline by the caller (``newton_solve(p, g,
+    # initial_guess(p, g), opts)``) dies with the first update once this
+    # name is gone; on older versions the caller keeps it alive
+    del guess
     ru, rv = _residual_arrays(p, g, u, v)
     rnorm = gridmod._max_norm(ru, rv)
     history = [rnorm]

@@ -135,7 +135,8 @@ def test_solve1d_config_error_names_field(tmp_path, capsys):
         # the unit-coupling run records the coupling it used, not the default 3
         (["relax", "--mode", "lambda1", "--seed", "200"], ["field.csv", "energy_trace.csv", "report.json"], 1.0),
         (["relax", "--mode", "gibbons", "--seed", "3"], ["field.csv", "energy_trace.csv", "report.json"], 3.0),
-        (["verify", "--stages", "gibbons,liouville"], ["suite_report.json"], 3.0),
+        # the battery takes no coupling, so its sidecar records none
+        (["verify", "--stages", "gibbons,liouville"], ["suite_report.json"], None),
     ],
     ids=["solve1d", "relax-liouville", "relax-lambda1", "relax-gibbons", "verify-gibbons-liouville"],
 )
@@ -144,7 +145,7 @@ def test_solve1d_rerun_from_sidecar_is_byte_identical(tmp_path, argv, outputs, l
     out2 = tmp_path / "b"
     assert run([*argv, "--out", str(out1)]) == EXIT_OK
     sidecar = out1 / f"{argv[0]}.config.json"
-    assert json.loads(sidecar.read_text())["lam"] == lam
+    assert json.loads(sidecar.read_text()).get("lam") == lam
     assert run([argv[0], "--config", str(sidecar), "--out", str(out2)]) == EXIT_OK
     for name in outputs:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -537,6 +538,30 @@ def test_verify_max_steps_below_one_is_a_config_error(tmp_path, capsys):
     assert run(["verify", "--stages", "liouville", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
     assert capsys.readouterr().err == "config error: max_steps: must be at least 1, got 0\n"
     assert not out.exists()
+
+
+UNCOUPLED_RUNS = {
+    "verify": ["verify", "--stages", "counterexample"],
+    "sweep": ["sweep", "--lambda-from", "2", "--lambda-to", "2", "--n", "201"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNCOUPLED_RUNS))
+def test_uncoupled_command_rejects_a_config_coupling(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lam = 7.0\n")
+    out = tmp_path / "out"
+    assert run([*UNCOUPLED_RUNS[command], "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"config error: lam: {command} takes no coupling, got 7.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(UNCOUPLED_RUNS))
+def test_uncoupled_command_sidecar_has_no_coupling(tmp_path, command):
+    out = tmp_path / "out"
+    assert run([*UNCOUPLED_RUNS[command], "--out", str(out)]) == EXIT_OK
+    resolved = json.loads((out / f"{command}.config.json").read_text())
+    assert "lam" not in resolved and resolved["command"] == command
 
 
 def test_profile_csv_has_17_digit_floats(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.interpolate
@@ -111,6 +113,28 @@ def test_band_assembly_is_the_plain_expressions_bitwise():
         work = solver1d._assemble_bands(p, g, u, v)
         assert work.flags.f_contiguous
         assert bitwise_equal(work, expected)
+
+
+def test_jacobian_entries_are_the_plain_expressions_bitwise():
+    # written into strided band-row views as into new arrays
+    rng = np.random.default_rng(12)
+    n = 301
+    for lam in (0.5, 1.1, 3.0, 1000.0):
+        p = Params(lam)
+        u, v = rng.uniform(-1.5, 1.5, (2, n))
+        u[:3] = [0.0, -0.0, 1.0]
+        v[:3] = [-0.0, 1.0, 0.0]
+        expected = (1.0 - 3.0 * u**2 - lam * v**2, 1.0 - 3.0 * v**2 - lam * u**2, -2.0 * lam * u * v)
+        ab = np.full((5, 2 * n), np.nan, order="F")
+        out = (ab[2, 0::2], ab[2, 1::2], ab[1, 1::2])
+        assert model.jacobian_entries(p, u, v, out=out) is out
+        for got, new, want in zip(out, model.jacobian_entries(p, u, v), expected):
+            assert bitwise_equal(got, want) and bitwise_equal(new, want)
+        # nothing outside the three rows' strided slots is written
+        assert np.isnan(ab[[0, 3, 4]]).all() and np.isnan(ab[1, 0::2]).all()
+        # a scalar pair, as the box Newton step passes its means
+        for got, want in zip(model.jacobian_entries(p, u[5], v[5]), expected):
+            assert bitwise_equal(np.asarray(got), want[5:6].reshape(()))
 
 
 signed_values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
@@ -255,8 +279,9 @@ def test_newton_nonconvergence_carries_outcome(default_grid):
 
 
 # The working set per node of the n = 20001 front: Newton holds one (7, 2n)
-# band buffer (112 bytes a node) and 7 node vectors (56), pin_phase 16 node
-# vectors; the bounds leave one node vector of slack.
+# band buffer (112 bytes a node), the pivots (one node vector), the iterate
+# and the right-hand side (two each), pin_phase 16 node vectors; the bounds
+# leave one node vector of slack.
 PEAK_GRID = Grid1D(20.0, 20001)
 
 
@@ -273,7 +298,17 @@ def test_newton_keeps_one_band_buffer(peak_front, traced_peak):
     p = Params(1.1)
     guess = solver1d.initial_guess(p, PEAK_GRID)
     peak = traced_peak(lambda: solver1d.newton_solve(p, PEAK_GRID, guess, solver1d.SolveOptions()))
-    assert peak <= (112 + 8 * 8) * PEAK_GRID.n
+    assert peak <= (112 + 6 * 8) * PEAK_GRID.n
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 the caller keeps call arguments alive")
+def test_newton_drops_a_guess_built_inline(peak_front, traced_peak):
+    # the guess is built inside the traced call and dies with the first update
+    p = Params(1.1)
+    peak = traced_peak(
+        lambda: solver1d.newton_solve(p, PEAK_GRID, solver1d.initial_guess(p, PEAK_GRID), solver1d.SolveOptions())
+    )
+    assert peak <= (112 + 6 * 8) * PEAK_GRID.n
 
 
 def test_pin_phase_memory_stays_bounded(peak_front, traced_peak):

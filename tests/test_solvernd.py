@@ -560,6 +560,17 @@ def test_bound_absorption():
         assert np.max(np.abs(f.v)) <= cap
 
 
+def test_box_run_drops_the_accepted_field_before_the_mixed_energy(traced_peak):
+    # the plain step is the fallback of an Anderson candidate, so the accepted
+    # field is dropped before the candidate's energy is formed: the run peaks
+    # at 11.9 field arrays, and 12.7 if the field stayed alive
+    box = Grid1D(4.0, 32)
+    opts = solvernd.FlowOptions(rng_seed=1)
+    solvernd.periodic_box_run(Params(0.5), box, box, opts)  # pocketfft loads untraced
+    peak = traced_peak(lambda: solvernd.periodic_box_run(Params(0.5), box, box, opts))
+    assert peak <= 12.25 * 8 * box.n**2
+
+
 def test_relax_nonconvergence_carries_outcome():
     p = Params(0.5)
     box = Grid1D(4.0, 16)
