@@ -1,7 +1,7 @@
 """scipy's compiled LAPACK and pocketfft routines, loaded without scipy's packages.
 
-The solvers call five compiled routines: LAPACK's dgbsv, dgtsv and dgesv
-from ``scipy.linalg._flapack``, and pocketfft's dst and r2r_fftpack from
+The solvers call three compiled routines: LAPACK's dgbsv from
+``scipy.linalg._flapack``, and pocketfft's dst and r2r_fftpack from
 ``scipy.fft._pocketfft.pypocketfft``.  Importing them through
 ``scipy.linalg`` or ``scipy.fft`` runs those packages' ``__init__``, which
 load scipy's array-API layer (and with it ``numpy.testing``, ``numpy.ma``,
@@ -31,7 +31,7 @@ import sys
 
 _FLAPACK = "scipy.linalg._flapack"
 _POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
-_SOURCES = {"dgbsv": _FLAPACK, "dgtsv": _FLAPACK, "dgesv": _FLAPACK, "dst": _POCKETFFT, "r2r_fftpack": _POCKETFFT}
+_SOURCES = {"dgbsv": _FLAPACK, "dst": _POCKETFFT, "r2r_fftpack": _POCKETFFT}
 
 
 def _extension_path(name: str) -> str | None:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 = pass, 2 = a rigidity check failed, 1 = usage or solver
 error.  Every command writes a JSON sidecar ``<command>.config.json`` with
-the fully resolved run configuration; re-running with ``--config <sidecar>``
+the resolved values of the fields it reads; re-running with ``--config <sidecar>``
 reproduces the outputs byte for byte.  Configuration precedence: built-in
 defaults, then the config file, then explicit flags.
 """
@@ -32,7 +32,7 @@ EXIT_CHECK_FAILED = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters, written as the JSON sidecar (without lam for UNCOUPLED commands)."""
+    """Fully resolved run parameters; the JSON sidecar holds the fields the command reads."""
 
     command: str = "solve1d"
     lam: float = 3.0
@@ -51,9 +51,8 @@ class RunConfig:
     stages: str = ",".join(verifymod.ALL_STAGES)
 
     def to_json(self) -> str:
-        values = asdict(self)
-        if self.command in UNCOUPLED:
-            del values["lam"]
+        reads = READS[self.command]
+        values = {k: v for k, v in asdict(self).items() if k == "command" or k in reads}
         return json.dumps(values, indent=2)
 
 
@@ -107,9 +106,16 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-COMMANDS = ("solve1d", "sweep", "relax", "verify")
-# commands that take no coupling: the battery fixes its own, a sweep takes a range
-UNCOUPLED = ("sweep", "verify")
+# the RunConfig fields each command reads: they alone get flags, enter the
+# sidecar and may be set by a config file
+READS = {
+    "solve1d": ("lam", "half_length", "n", "newton_tol", "max_iters", "seed", "out_dir"),
+    "sweep": ("half_length", "n", "newton_tol", "max_iters", "lambda_from", "lambda_to", "step", "out_dir"),
+    "relax": ("lam", "mode", "half_length", "n", "newton_tol", "max_iters", "seed", "steady_tol", "max_steps",
+              "out_dir"),
+    "verify": ("half_length", "n", "newton_tol", "max_iters", "seed", "steady_tol", "max_steps", "stages", "out_dir"),
+}
+COMMANDS = tuple(READS)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -132,14 +138,18 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     def add(name, summary):
         sp = sub.add_parser(name, help=summary)
-        if name not in UNCOUPLED:
-            sp.add_argument("--lambda", dest="lam", type=float, help="coupling constant")
-        sp.add_argument("--L", dest="half_length", type=float, help="half length of the axis")
-        sp.add_argument("--n", dest="n", type=int, help="node count (>= 3)")
-        sp.add_argument("--tol", dest="newton_tol", type=float, help="residual target")
-        sp.add_argument("--max-iters", dest="max_iters", type=int)
-        sp.add_argument("--seed", dest="seed", type=int)
-        sp.add_argument("--out", dest="out_dir", help=f"output directory (default ${OUT_ENV_VAR} or .)")
+
+        def shared(flag, dest, **kwargs):
+            if dest in READS[name]:
+                sp.add_argument(flag, dest=dest, **kwargs)
+
+        shared("--lambda", "lam", type=float, help="coupling constant")
+        shared("--L", "half_length", type=float, help="half length of the axis")
+        shared("--n", "n", type=int, help="node count (>= 3)")
+        shared("--tol", "newton_tol", type=float, help="residual target")
+        shared("--max-iters", "max_iters", type=int)
+        shared("--seed", "seed", type=int)
+        shared("--out", "out_dir", help=f"output directory (default ${OUT_ENV_VAR} or .)")
         sp.add_argument("--config", dest="config", help="config file (key=value or JSON sidecar)")
         return sp
 
@@ -172,8 +182,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         file_values = load_config_file(args.config)
         file_values.pop("command", None)
-        if args.command in UNCOUPLED and "lam" in file_values:
-            raise ValueError(f"lam: {args.command} takes no coupling, got {file_values['lam']!r}")
+        for key in file_values:
+            if key not in READS[args.command]:
+                raise ValueError(f"{key}: {args.command} does not read it")
         cfg = replace(cfg, **file_values)
     overrides = {}
     for f in fields(RunConfig):

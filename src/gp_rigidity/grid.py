@@ -129,7 +129,8 @@ def residual_1d(p: Params, prof: ProfilePair):
     """
     h = prof.grid.h
     u, v = prof.u, prof.v
-    fu, fv = model.reaction(p, u, v)
+    # a ProfilePair's arrays were checked finite when it was made
+    fu, fv = model._reaction(p.lam, u, v)
     ru = np.empty_like(u)
     rv = np.empty_like(v)
     ru[1:-1] = _second_difference(u, h) + fu[1:-1]
@@ -164,7 +165,7 @@ def residual_slab(p: Params, f: SlabField):
     into the reaction's arrays, so no shifted copies of the field are made.
     """
     ht, hn = f.grid_t.h, f.grid_n.h
-    ru, rv = model.reaction(p, f.u, f.v)
+    ru, rv = model._reaction(p.lam, f.u, f.v)
     cols = slice(None) if f.periodic_n else slice(1, -1)
     for r, a in ((ru, f.u), (rv, f.v)):
         if f.periodic_n:
@@ -191,7 +192,8 @@ def discrete_energy_1d(p: Params, prof: ProfilePair) -> float:
     du = np.diff(prof.u)
     dv = np.diff(prof.v)
     grad = float(np.sum(du * du + dv * dv)) / (2.0 * h)
-    w = np.asarray(model.potential(p, prof.u, prof.v)) - model.PURE_STATE_POTENTIAL
+    w = model._potential(p.lam, prof.u, prof.v)
+    w -= model.PURE_STATE_POTENTIAL
     pot = float(np.trapezoid(w, dx=h))
     return grad + pot
 

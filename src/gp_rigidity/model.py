@@ -44,36 +44,30 @@ def reaction(p: Params, u, v):
     Equals minus the gradient of :func:`potential`.
     """
     _require_finite("reaction", u, v)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    fu = u - u**3 - p.lam * u * v**2
-    fv = v - v**3 - p.lam * u**2 * v
-    return fu, fv
+    return _reaction(p.lam, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 
-def _reaction(lam: float, u: np.ndarray, v: np.ndarray):
-    """Unchecked reaction for float arrays already known finite, each square formed once.
+def _reaction(lam: float, u, v):
+    """Unchecked kernel of :func:`reaction` for floats or float arrays already known finite.
 
-    Equals :func:`reaction` up to rounding in the factored form
-    u(1 - u^2 - lam*v^2), which needs no u**3 (a power five times dearer
-    than a product).  :func:`reaction` keeps its own arithmetic for the Newton
-    solves: a front pinned on [-L, L] has a nearly neutral translation mode,
-    which turns one ulp in the reaction into a shift of about 2e-8 in the
-    solved profile and of about 1e-10 in reported margins.  At most four
-    field-sized buffers are alive at once; every value is rounded as in the
-    plain expressions u*(1 - u2 - lam*v2) and v*(1 - v2 - lam*u2).
+    Forms the factored pair u(1 - u^2 - lam*v^2), v(1 - v^2 - lam*u^2),
+    each square once and with products only, so the bits do not depend on
+    which SIMD power kernel numpy dispatches.  At most four field-sized
+    buffers are alive at once; every value is rounded as in the plain
+    expressions u*(1 - u2 - lam*v2) and v*(1 - v2 - lam*u2).
     """
     u2 = u * u
     v2 = v * v
     fu = 1.0 - u2
     fu -= lam * v2
     fu *= u
-    # fv is formed in v2's buffer once fu no longer needs it
-    np.subtract(1.0, v2, out=v2)
+    # fv is formed in v2's buffer once fu no longer needs it (a scalar v2,
+    # from scalar or 0-d input, has no buffer)
+    fv = np.subtract(1.0, v2, out=v2 if isinstance(v2, np.ndarray) else None)
     u2 *= lam
-    v2 -= u2
-    v2 *= v
-    return fu, v2
+    fv -= u2
+    fv *= v
+    return fu, fv
 
 
 def reaction_jacobian(p: Params, u, v):
@@ -185,14 +179,14 @@ def ac_compose(w1, w2):
 
 
 def allen_cahn_reaction(w):
-    """Scalar double-well reaction w - w^3.
+    """Scalar double-well reaction w - w^3, formed as w*(1 - w*w) like :func:`reaction`.
 
     At coupling 3 both sum and difference coordinates of a solution pair obey
     the scalar equation with this right-hand side.
     """
     _require_finite("allen_cahn_reaction", w)
     w = np.asarray(w, dtype=float)
-    return w - w**3
+    return w * (1.0 - w * w)
 
 
 def liouville_constant(p: Params) -> float:

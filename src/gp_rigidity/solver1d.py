@@ -10,20 +10,16 @@ A solve holds one (7, 2n) band buffer and a fixed number of node vectors,
 and the reaction Jacobian is written straight into the buffer's band rows:
 its peak is 152 bytes a node (112 for the buffer, 8 for the pivots, 16
 each for the iterate and the right-hand side), 3.04 MB at n = 20001;
-:func:`pin_phase` peaks at 128 bytes a node.
+:func:`pin_phase` peaks at 88 bytes a node.
 
-Both numerical kernels call LAPACK directly instead of going through
-scipy's Python wrappers, and both are bit-identical to those wrappers:
-:func:`solve_banded` hands the bands, already in dgbsv's layout, to the
-dgbsv that ``scipy.linalg.solve_banded((2, 2), ...)`` calls, and
-:func:`pin_phase` resamples with a private not-a-knot cubic spline that
-repeats ``scipy.interpolate.CubicSpline`` and ``PPoly`` operation for
-operation (same rows, same dgtsv solve, or dgesv when n = 3, same
-coefficient and evaluation order).  The routines come from
+:func:`solve_banded` calls LAPACK's dgbsv directly instead of going
+through scipy's Python wrapper, and is bit-identical to it: it hands the
+bands, already in dgbsv's layout, to the dgbsv that
+``scipy.linalg.solve_banded((2, 2), ...)`` calls.  The routine comes from
 :mod:`gp_rigidity._kernels`, which loads scipy's compiled LAPACK module on
-first use, so the package imports neither ``scipy.linalg`` nor
-``scipy.interpolate``, and only commands that solve or resample a front
-load LAPACK at all.
+first use, so the package imports no ``scipy.linalg``, and only commands
+that solve a front load LAPACK at all.  :func:`pin_phase` resamples with a
+fixed four-point stencil and needs no solve.
 """
 
 from __future__ import annotations
@@ -183,49 +179,49 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
     rnorm = gridmod._max_norm(ru, rv)
     history = [rnorm]
 
-    for iteration in range(opts.max_iters):
-        if rnorm <= opts.newton_tol:
-            return SolveOutcome(
-                profile=ProfilePair(g, u, v),
-                iterations=iteration,
-                final_residual=rnorm,
-                converged=True,
-                lam=p.lam,
-                residual_history=tuple(history),
-            )
-        # one band buffer is alive at a time: the right-hand side is formed
-        # and the residual pair dropped before assembly, the factored
-        # buffer right after the solve
-        rhs = np.empty(2 * g.n)
-        np.negative(ru, out=rhs[0::2])
-        np.negative(rv, out=rhs[1::2])
-        del ru, rv
-        # an overflowing coupling makes inf and inf*0 entries; the finiteness
-        # check on the step reports them, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing coupling makes inf and inf*0 entries in the Jacobian and
+    # trial residuals; the step and residual tests report them, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(opts.max_iters):
+            if rnorm <= opts.newton_tol:
+                return SolveOutcome(
+                    profile=ProfilePair(g, u, v),
+                    iterations=iteration,
+                    final_residual=rnorm,
+                    converged=True,
+                    lam=p.lam,
+                    residual_history=tuple(history),
+                )
+            # one band buffer is alive at a time: the right-hand side is formed
+            # and the residual pair dropped before assembly, the factored
+            # buffer right after the solve
+            rhs = np.empty(2 * g.n)
+            np.negative(ru, out=rhs[0::2])
+            np.negative(rv, out=rhs[1::2])
+            del ru, rv
             work = _assemble_bands(p, g, u, v)
-        try:
-            step = solve_banded(work, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(p.lam, iteration) from exc
-        del work
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian(p.lam, iteration, "non-finite linearization or Newton step")
-        du = step[0::2]
-        dv = step[1::2]
+            try:
+                step = solve_banded(work, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SingularJacobian(p.lam, iteration) from exc
+            del work
+            if not np.all(np.isfinite(step)):
+                raise SingularJacobian(p.lam, iteration, "non-finite linearization or Newton step")
+            du = step[0::2]
+            dv = step[1::2]
 
-        s = 1.0
-        while True:
-            tu = u + s * du
-            tv = v + s * dv
-            tru, trv = _residual_arrays(p, g, tu, tv)
-            tnorm = gridmod._max_norm(tru, trv)
-            if tnorm < rnorm or s <= DAMPING_MIN:
-                break
-            s = max(s / 2.0, DAMPING_MIN)
-        u, v, ru, rv, rnorm = tu, tv, tru, trv, tnorm
-        history.append(rnorm)
-        del step, du, dv, tu, tv, tru, trv
+            s = 1.0
+            while True:
+                tu = u + s * du
+                tv = v + s * dv
+                tru, trv = _residual_arrays(p, g, tu, tv)
+                tnorm = gridmod._max_norm(tru, trv)
+                if tnorm < rnorm or s <= DAMPING_MIN:
+                    break
+                s = max(s / 2.0, DAMPING_MIN)
+            u, v, ru, rv, rnorm = tu, tv, tru, trv, tnorm
+            history.append(rnorm)
+            del step, du, dv, tu, tv, tru, trv
 
     outcome = SolveOutcome(
         profile=ProfilePair(g, u, v),
@@ -245,79 +241,20 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
     )
 
 
-def _not_a_knot_spline(x: np.ndarray, ys, xq: np.ndarray) -> list[np.ndarray]:
-    """Not-a-knot cubic spline through (x, y) for each y in ``ys``, at ``xq``.
-
-    Bit-identical to ``scipy.interpolate.CubicSpline(x, y)(xq)`` for
-    ``x[0] <= xq <= x[-1]``, because it repeats scipy's arithmetic operation
-    for operation: the node slopes solve the same tridiagonal rows with
-    dgtsv (when n = 3, the parabola system with dgesv, the LU solve whose
-    bits ``scipy.linalg.solve`` gives), the Hermite coefficients come in
-    scipy's order, each query uses ``PPoly``'s interval (closed on the
-    right at the last node), and the polynomial is summed as ``PPoly`` sums
-    it, from 0.0 with the constant term first, which maps -0.0 to +0.0 as
-    scipy does.  The interval index and the powers of the local coordinate
-    are shared by all of ``ys``.
-    """
-    n = x.size
-    dx = np.diff(x)
-    idx = np.clip(np.searchsorted(x, xq, "right") - 1, 0, n - 2)
-    z1 = xq - x[idx]
-    z2 = z1 * z1
-    z3 = z2 * z1
-    values = []
-    for y in ys:
-        slope = np.diff(y) / dx
-        if n == 3:
-            a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
-            b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
-            _, _, s, info = _kernels.dgesv(a, b, overwrite_a=1, overwrite_b=1)
-        else:
-            # the slope system, not-a-knot first and last rows; dgtsv
-            # overwrites the diagonals, so each component builds its own
-            d_start, d_end = x[2] - x[0], x[-1] - x[-3]
-            b = np.empty((n, 1))
-            b[1:-1, 0] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-            b[0, 0] = ((dx[0] + 2 * d_start) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d_start
-            b[-1, 0] = (dx[-1] ** 2 * slope[-2] + (2 * d_end + dx[-1]) * dx[-2] * slope[-1]) / d_end
-            d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
-            du = np.concatenate(([d_start], dx[:-1]))
-            dl = np.concatenate((dx[1:], [d_end]))
-            _, _, _, s, info = _kernels.dgtsv(
-                dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
-            )
-            del b, d, du, dl
-            s = s[:, 0]
-        if info != 0:
-            raise np.linalg.LinAlgError(f"spline slope system failed (LAPACK info {info})")
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        c0 = t / dx
-        c1 = (slope - s[:-1]) / dx - t
-        del slope, t
-        res = 0.0 + y[idx]
-        res += s[idx] * z1
-        res += c1[idx] * z2
-        res += c0[idx] * z3
-        values.append(res)
-        del s, c0, c1
-    return values
-
-
 def pin_phase(prof: ProfilePair) -> ProfilePair:
     """Translate a profile so the u-v crossing sits at x = 0.
 
-    Locates the sign change of u-v by linear interpolation, then resamples
-    both components at the shifted nodes with a not-a-knot cubic spline
-    (queries beyond the grid are clamped to the end values; the tails are
-    flat).  Cubic resampling keeps the error near h^4, which the uniqueness
-    probe needs: solves from different seeds settle at slightly different
-    translations, and linear resampling would leave each with its own
-    O(h^2) artifact.  The spline is private and bit-identical to
-    ``scipy.interpolate.CubicSpline`` (see :func:`_not_a_knot_spline`), so
-    the resampled profiles are exactly scipy's without importing
-    ``scipy.interpolate``.  Idempotent up to interpolation error.  Raises
-    NoCrossing when u-v never changes sign (for instance on constant
-    profiles).
+    Locates the sign change of u-v by linear interpolation, at x*, and
+    resamples both components at x + x* with the four-point cubic Lagrange
+    stencil.  All nodes share one fractional offset, so this is one fixed
+    4-tap filter, summed as the middle tap plus weighted differences from
+    it so that flat stretches keep their bits.  Taps past either end take
+    the end value; queries beyond the grid keep the end values bit for bit.
+    The O(h^4) error is what the uniqueness probe needs: solves from
+    different seeds settle at slightly different translations, and linear
+    resampling would leave each with its own O(h^2) artifact.  Idempotent up
+    to interpolation error.  Raises NoCrossing when u-v never changes sign
+    (for instance on constant profiles).
     """
     x = prof.grid.nodes()
     d = prof.u - prof.v
@@ -332,9 +269,29 @@ def pin_phase(prof: ProfilePair) -> ProfilePair:
         x_star = float(x[i] - d[i] * prof.grid.h / (d[i + 1] - d[i]))
     if x_star == 0.0:
         return prof
-    shifted = np.clip(x + x_star, x[0], x[-1])
-    new_u, new_v = _not_a_knot_spline(x, (prof.u, prof.v), shifted)
-    return ProfilePair(prof.grid, new_u, new_v)
+    # node i is resampled at index i + k + t, between nodes j = i + k and
+    # j + 1; w0, w2, w3 weigh nodes j - 1, j + 1 and j + 2 against node j
+    n = prof.grid.n
+    offset = x_star / prof.grid.h
+    k = math.floor(offset)
+    t = offset - k
+    w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
+    w2 = -(t + 1.0) * t * (t - 2.0) / 2.0
+    w3 = (t + 1.0) * t * (t - 1.0) / 6.0
+    # nodes lo <= i < hi have 0 <= j <= n - 2; the others query past an end
+    lo, hi = min(max(-k, 0), n), min(max(n - 1 - k, 0), n)
+    resampled = []
+    for y in (prof.u, prof.v):
+        out = np.empty(n)
+        out[:lo] = y[0]
+        out[hi:] = y[-1]
+        # the taps of node i are padded[i + k : i + k + 4]
+        padded = np.concatenate(([y[0]], y, [y[-1], y[-1]]))
+        base = padded[lo + k + 1 : hi + k + 1]
+        s0, s2, s3 = (padded[lo + k + tap : hi + k + tap] - base for tap in (0, 2, 3))
+        out[lo:hi] = base + (w0 * s0 + w2 * s2 + w3 * s3)
+        resampled.append(out)
+    return ProfilePair(prof.grid, *resampled)
 
 
 def _lambda_samples(lambda_from: float, lambda_to: float, step: float):

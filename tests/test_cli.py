@@ -40,13 +40,15 @@ def test_solve1d_overflowing_coupling_is_a_solver_error(tmp_path, capsys):
 
 
 def test_solve1d_overflowing_coupling_prints_no_numpy_warning(tmp_path, fresh_python):
-    # the inf * 0 in the overflowing Jacobian must not put a RuntimeWarning
-    # ahead of the diagnosis on a real stderr
-    argv = ["solve1d", "--lambda", "1e308", "--n", "201", "--out", str(tmp_path)]
-    done = fresh_python(f"import sys\nfrom gp_rigidity import cli\nsys.exit(cli.main({argv!r}))\n")
-    assert done.returncode == EXIT_ERROR
-    assert done.stderr.startswith("solver error:"), done.stderr
-    assert "RuntimeWarning" not in done.stderr
+    # neither the inf * 0 in the overflowing Jacobian (1e308) nor the
+    # overflowing trial residuals of the backtracking (1e150) may put a
+    # RuntimeWarning ahead of the diagnosis on a real stderr
+    for lam in ("1e308", "1e150"):
+        argv = ["solve1d", "--lambda", lam, "--n", "201", "--out", str(tmp_path)]
+        done = fresh_python(f"import sys\nfrom gp_rigidity import cli\nsys.exit(cli.main({argv!r}))\n")
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr.startswith("solver error:"), done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
 
 # a flow step whose coupling overflows yields a non-finite field
@@ -423,7 +425,7 @@ options:
 """),
     'sweep --help': ("out", """\
 usage: gp-rigidity sweep [-h] [--L HALF_LENGTH] [--n N] [--tol NEWTON_TOL]
-                         [--max-iters MAX_ITERS] [--seed SEED] [--out OUT_DIR]
+                         [--max-iters MAX_ITERS] [--out OUT_DIR]
                          [--config CONFIG] [--lambda-from LAMBDA_FROM]
                          [--lambda-to LAMBDA_TO] [--step STEP]
 
@@ -433,7 +435,6 @@ options:
   --n N                 node count (>= 3)
   --tol NEWTON_TOL      residual target
   --max-iters MAX_ITERS
-  --seed SEED
   --out OUT_DIR         output directory (default $GP_RIGIDITY_OUT or .)
   --config CONFIG       config file (key=value or JSON sidecar)
   --lambda-from LAMBDA_FROM
@@ -552,7 +553,7 @@ def test_uncoupled_command_rejects_a_config_coupling(tmp_path, capsys, command):
     cfg.write_text("lam = 7.0\n")
     out = tmp_path / "out"
     assert run([*UNCOUPLED_RUNS[command], "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
-    assert capsys.readouterr().err == f"config error: lam: {command} takes no coupling, got 7.0\n"
+    assert capsys.readouterr().err == f"config error: lam: {command} does not read it\n"
     assert not out.exists()
 
 
@@ -572,3 +573,66 @@ def test_profile_csv_has_17_digit_floats(tmp_path):
     # parse back exactly
     prof = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
     assert float(u) == prof[4, 1]
+
+
+# a command run per command, and a field each of them does not read
+COMMAND_RUNS = {
+    "solve1d": (["solve1d", "--n", "201"], "mode"),
+    "sweep": (["sweep", "--lambda-from", "2", "--lambda-to", "2", "--n", "201"], "seed"),
+    "relax": (["relax", "--mode", "liouville"], "stages"),
+    "verify": (["verify", "--stages", "counterexample"], "lambda_to"),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_RUNS))
+def test_sidecar_and_config_hold_only_the_fields_the_command_reads(tmp_path, capsys, command):
+    argv, unread = COMMAND_RUNS[command]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == EXIT_OK
+    sidecar = out / f"{command}.config.json"
+    assert list(json.loads(sidecar.read_text())) == ["command"] + [
+        name for name in cli.RunConfig.__dataclass_fields__ if name in cli.READS[command]
+    ]
+    # the sidecar is a valid config file; a field the command does not read is not
+    assert run([command, "--config", str(sidecar), "--out", str(tmp_path / "again")]) == EXIT_OK
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{unread} = 1\n")
+    capsys.readouterr()
+    assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"config error: {unread}: {command} does not read it\n"
+    assert not (tmp_path / "bad").exists()
+
+
+def _found_dispatch_targets_above_x86_v3():
+    from numpy._core import _multiarray_umath as umath
+
+    dispatch = list(umath.__cpu_dispatch__)
+    above = dispatch[dispatch.index("X86_V3") + 1 :] if "X86_V3" in dispatch else []
+    return [name for name in above if umath.__cpu_features__.get(name)]
+
+
+# runs solve1d in a fresh interpreter with the CPU features named by argv[1]
+# disabled (none if empty) and prints which of them numpy still dispatches
+DISPATCH_RUN = """
+import json, os, sys
+os.environ["NPY_DISABLE_CPU_FEATURES"] = sys.argv[1]
+from numpy._core import _multiarray_umath as umath
+from gp_rigidity import cli
+code = cli.main(["solve1d", "--lambda", "2", "--n", "2001", "--out", sys.argv[2]])
+print(json.dumps([code, [name for name in sys.argv[1].split() if umath.__cpu_features__.get(name)]]))
+"""
+
+
+def test_solve1d_outputs_do_not_depend_on_avx512_dispatch(tmp_path, fresh_python):
+    # one reaction kernel of products only: no power kernel whose rounding
+    # depends on the SIMD width numpy picks
+    targets = _found_dispatch_targets_above_x86_v3()
+    if not targets:
+        pytest.skip("numpy dispatches no kernels above X86_V3 on this CPU")
+    outs = []
+    for disabled in ("", " ".join(targets)):
+        outs.append(tmp_path / f"run{len(outs)}")
+        done = fresh_python(DISPATCH_RUN, disabled, str(outs[-1]))
+        assert json.loads(done.stdout.splitlines()[-1]) == [EXIT_OK, []], done.stderr
+    for name in ("profile.csv", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -68,7 +68,7 @@ print(json.dumps(grown))
     assert max(_last_json(fresh_python(script))) < 10_000
 
 
-# a pinned Newton solve (dgbsv, dgtsv) and a slab and a box relaxation (every
+# a pinned Newton solve (dgbsv) and a slab and a box relaxation (every
 # transform, the slab Newton finish's dgbsv), their arrays saved to a file
 SOLVE_AND_RELAX = """
 import numpy as np
@@ -116,7 +116,7 @@ def test_public_scipy_import_reuses_the_loaded_kernels(fresh_python):
 import json, sys
 import numpy as np
 from gp_rigidity import _kernels
-names = ["dgbsv", "dgtsv", "dgesv"]
+names = ["dgbsv"]
 lapack = [getattr(_kernels, name) for name in names]
 dst = _kernels.dst
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

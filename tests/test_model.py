@@ -123,6 +123,9 @@ def test_kernels_match_plain_expressions_bitwise(lam):
         fu, fv = model._reaction(lam, a, b)
         assert np.array_equal(fu, a * (1.0 - a2 - lam * b2))
         assert np.array_equal(fv, b * (1.0 - b2 - lam * a2))
+    # floats and 0-d arrays are rounded as the plain expressions too
+    for a, b in ((float(u[3, 5]), float(v[3, 5])), (u[3, 5, ...], v[3, 5, ...])):
+        assert model._reaction(lam, a, b) == (a * (1.0 - a * a - lam * (b * b)), b * (1.0 - b * b - lam * (a * a)))
     # the inputs are left alone
     assert np.array_equal(u, inputs[0]) and np.array_equal(v, inputs[1])
 
