@@ -20,7 +20,7 @@ from .errors import (
     SolverError,
     TooAnisotropic,
 )
-from .grid import BoundReport, Grid1D, ProfilePair, SlabField, SumReport
+from .grid import Grid1D, ProfilePair, SlabField
 from .model import Params
 from .solver1d import SolveOptions, SolveOutcome
 from .solvernd import FlowOptions, FlowOutcome
@@ -29,7 +29,6 @@ from .verify import CheckRecord, SuiteOptions, THEOREM_TAGS, VerifyReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "CheckRecord",
     "ContinuationStall",
     "FlowOptions",
@@ -45,7 +44,6 @@ __all__ = [
     "SolveOptions",
     "SolveOutcome",
     "SolverError",
-    "SumReport",
     "SuiteOptions",
     "THEOREM_TAGS",
     "TooAnisotropic",

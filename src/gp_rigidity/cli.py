@@ -51,7 +51,7 @@ class RunConfig:
     stages: str = ",".join(verifymod.ALL_STAGES)
 
     def to_json(self) -> str:
-        reads = READS[self.command]
+        reads = _reader(self.command, self.mode)[1]
         values = {k: v for k, v in asdict(self).items() if k == "command" or k in reads}
         return json.dumps(values, indent=2)
 
@@ -64,23 +64,33 @@ _FLOAT_FIELDS = {
 
 
 def _coerce(name: str, raw):
+    """Field ``name``'s value from a config file: a text, or a JSON value of the field's type."""
     if isinstance(raw, str):
         raw = raw.strip().strip("'\"")
     try:
+        # a bool is no field's value, and an integer field takes no fraction
+        if isinstance(raw, bool) or (name in _INT_FIELDS and isinstance(raw, float) and not raw.is_integer()):
+            raise ValueError
         if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
-        return str(raw)
+            value = int(raw)
+        elif name in _FLOAT_FIELDS:
+            value = float(raw)
+        elif isinstance(raw, str):  # a text field takes no JSON number or null
+            value = raw
+        else:
+            raise TypeError
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config field {name}: cannot parse {raw!r}") from exc
+    if name == "mode" and value not in MODES:
+        raise ValueError(f"config field mode: {value!r} is not one of {', '.join(MODES)}")
+    return value
 
 
 def load_config_file(path: str) -> dict:
     """Parse a config file: JSON if it starts with '{', else key=value lines.
 
     Section headers like ``[run]`` are allowed and ignored; keys must match
-    RunConfig field names.
+    RunConfig field names.  The values are returned as read, unchecked.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -102,20 +112,34 @@ def load_config_file(path: str) -> dict:
     for key, raw_val in items:
         if key not in known:
             raise ValueError(f"config field {key}: unknown")
-        values[key] = _coerce(key, raw_val)
+        values[key] = raw_val
     return values
 
 
-# the RunConfig fields each command reads: they alone get flags, enter the
-# sidecar and may be set by a config file
+# the RunConfig fields each command reads, and each relax mode (the box
+# modes run on verify.LIOUVILLE_BOX, lambda1 at coupling 1): they alone enter
+# the sidecar and may be set by a flag or a config file
+RELAX_READS = {
+    "gibbons": ("lam", "mode", "half_length", "n", "newton_tol", "max_iters", "seed", "steady_tol", "max_steps",
+                "out_dir"),
+    "liouville": ("lam", "mode", "seed", "steady_tol", "max_steps", "out_dir"),
+    "lambda1": ("mode", "seed", "steady_tol", "max_steps", "out_dir"),
+}
+MODES = tuple(RELAX_READS)
 READS = {
     "solve1d": ("lam", "half_length", "n", "newton_tol", "max_iters", "seed", "out_dir"),
     "sweep": ("half_length", "n", "newton_tol", "max_iters", "lambda_from", "lambda_to", "step", "out_dir"),
-    "relax": ("lam", "mode", "half_length", "n", "newton_tol", "max_iters", "seed", "steady_tol", "max_steps",
-              "out_dir"),
+    "relax": RELAX_READS["gibbons"],  # every mode's fields get flags
     "verify": ("half_length", "n", "newton_tol", "max_iters", "seed", "steady_tol", "max_steps", "stages", "out_dir"),
 }
 COMMANDS = tuple(READS)
+
+
+def _reader(command: str, mode: str) -> tuple[str, tuple]:
+    """(who, fields): the command, or for relax the command in its mode, and the fields it reads."""
+    if command == "relax":
+        return f"relax --mode {mode}", RELAX_READS[mode]
+    return command, READS[command]
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -164,7 +188,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if command in (None, "relax"):
         sp = add("relax", "gradient-flow relaxation experiments")
-        sp.add_argument("--mode", dest="mode", choices=("gibbons", "liouville", "lambda1"))
+        sp.add_argument("--mode", dest="mode", choices=MODES)
         sp.add_argument("--steady-tol", dest="steady_tol", type=float)
         sp.add_argument("--max-steps", dest="max_steps", type=int)
 
@@ -177,22 +201,23 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = load_config_file(args.config)
-        file_values.pop("command", None)
-        for key in file_values:
-            if key not in READS[args.command]:
-                raise ValueError(f"{key}: {args.command} does not read it")
-        cfg = replace(cfg, **file_values)
+    raw = load_config_file(args.config) if getattr(args, "config", None) else {}
+    raw.pop("command", None)
     overrides = {}
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None and f.name != "command":
             overrides[f.name] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    # which fields are read is checked before any value; relax's mode decides it
+    mode = RunConfig.mode
+    if args.command == "relax":
+        mode = overrides.get("mode") or _coerce("mode", raw.get("mode", mode))
+    who, reads = _reader(args.command, mode)
+    for key in [*raw, *overrides]:
+        if key not in reads:
+            raise ValueError(f"{key}: {who} does not read it")
+    file_values = {key: _coerce(key, value) for key, value in raw.items()}
+    cfg = replace(RunConfig(command=args.command), **{**file_values, **overrides})
     touched = set(file_values) | set(overrides)
     if args.command == "relax" and "n" not in touched:
         # relaxation runs use a coarser default axis than the Newton solver
@@ -293,9 +318,6 @@ def cmd_relax(cfg: RunConfig) -> int:
         max_steps=cfg.max_steps,
         rng_seed=cfg.seed,
     )
-    if cfg.mode == "lambda1":
-        # the unit-coupling experiment runs at coupling 1 whatever --lambda says
-        cfg = replace(cfg, lam=1.0)
     _write_sidecar(cfg, cfg.out_dir)
     if cfg.mode == "gibbons":
         records, outcome = verifymod.gibbons_records(
@@ -311,7 +333,7 @@ def cmd_relax(cfg: RunConfig) -> int:
     solvernd.save_energy_trace_csv(os.path.join(cfg.out_dir, "energy_trace.csv"), outcome)
     report = _write_report(os.path.join(cfg.out_dir, "report.json"), cfg.seed, records)
     print(
-        f"relax mode={cfg.mode} coupling={cfg.lam}: {outcome.steps} steps "
+        f"relax mode={cfg.mode} coupling={records[0].params['lam']}: {outcome.steps} steps "
         f"({outcome.newton_steps} Newton, {outcome.rejected} candidates rejected), "
         f"final update {outcome.final_update:.3e}, "
         f"final residual {outcome.final_residual:.3e}, "

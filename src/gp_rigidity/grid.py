@@ -251,80 +251,6 @@ def check_discrete_monotone(prof: ProfilePair):
     return float(np.min(np.diff(prof.u))), float(np.max(np.diff(prof.v)))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Measured extremes against the regime-appropriate a priori bounds."""
-
-    max_abs_u: float
-    max_abs_v: float
-    max_sum_squares: float
-    sum_squares_bound: float
-    component_margin: float
-    sum_squares_margin: float
-
-
-def check_bounds(p: Params, u, v) -> BoundReport:
-    """Margins of |u|,|v| <= 1 and of the coupling-dependent bound on u^2+v^2.
-
-    For coupling >= 1 the sum of squares is compared against 1, below 1
-    against 2/(1+lam).  Margins are signed: positive means slack, negative
-    the violation size; the verdict is the caller's record.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    max_u = float(np.max(np.abs(u)))
-    max_v = float(np.max(np.abs(v)))
-    max_ss = float(np.max(u * u + v * v))
-    ss_bound = 1.0 if p.lam >= 1.0 else 2.0 / (p.lam + 1.0)
-    comp_margin = 1.0 - max(max_u, max_v)
-    ss_margin = ss_bound - max_ss
-    return BoundReport(
-        max_abs_u=max_u,
-        max_abs_v=max_v,
-        max_sum_squares=max_ss,
-        sum_squares_bound=ss_bound,
-        component_margin=comp_margin,
-        sum_squares_margin=ss_margin,
-    )
-
-
-@dataclass(frozen=True)
-class SumReport:
-    """Ordering of u+v against 1 over interior nodes."""
-
-    min_sum: float
-    max_sum: float
-    regime: str  # "below-one" | "above-one" | "equal-one"
-    margin: float
-
-
-def check_sum_vs_one(p: Params, prof: ProfilePair) -> SumReport:
-    """Margin of u+v against 1 over interior nodes, keyed by the coupling.
-
-    Above coupling 3 the sum must stay below 1, below 3 above 1; at exactly 3
-    the margin is minus the largest |u+v-1|.  End rows are constrained data
-    and excluded.
-    """
-    s = prof.u[1:-1] + prof.v[1:-1]
-    min_sum = float(np.min(s))
-    max_sum = float(np.max(s))
-    if p.lam > 3.0:
-        regime = "below-one"
-        margin = 1.0 - max_sum
-    elif p.lam < 3.0:
-        regime = "above-one"
-        margin = min_sum - 1.0
-    else:
-        regime = "equal-one"
-        margin = -float(np.max(np.abs(s - 1.0)))
-    return SumReport(
-        min_sum=min_sum,
-        max_sum=max_sum,
-        regime=regime,
-        margin=margin,
-    )
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization (17 significant digits so reloads are bit-exact)
 #
@@ -364,10 +290,16 @@ def save_profile_csv(path, prof: ProfilePair) -> None:
         _write_csv_rows(fh, row_format, prof.grid.nodes(), prof.u, prof.v)
 
 
+def _check_nodes(path, x: np.ndarray, nodes: np.ndarray) -> None:
+    if not np.array_equal(x, nodes):
+        raise ValueError(f"{path}: the coordinates are not a grid's nodes in the writer's order")
+
+
 def load_profile_csv(path) -> ProfilePair:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    x, u, v = data[:, 0], data[:, 1], data[:, 2]
+    """Read a :func:`save_profile_csv` file; ValueError unless x runs over a grid's nodes."""
+    x, u, v = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
     grid = Grid1D(half_length=float(x[-1]), n=len(x))
+    _check_nodes(path, x, grid.nodes())
     return ProfilePair(grid, u, v)
 
 
@@ -389,15 +321,13 @@ def save_slab_csv(path, f: SlabField) -> None:
 
 
 def load_slab_csv(path, periodic_n: bool = False) -> SlabField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    xp = np.unique(data[:, 0])
-    xn = np.unique(data[:, 1])
-    nt, nn = len(xp), len(xn)
-    if nt * nn != data.shape[0]:
-        raise ValueError("slab csv is not a full tensor grid")
+    """Read a :func:`save_slab_csv` file; ValueError unless its rows run over a tensor grid, xp outer."""
+    xp, xn, u, v = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    nn = len(np.unique(xn))
+    nt = len(xp) // nn
     grid_t = Grid1D(half_length=float(xp[-1]), n=nt)
     grid_n = Grid1D(half_length=float(xn[-1]), n=nn)
-    u = data[:, 2].reshape(nt, nn)
-    v = data[:, 3].reshape(nt, nn)
-    return SlabField(grid_t, grid_n, u, v, periodic_n)
+    _check_nodes(path, xp, np.repeat(grid_t.nodes(), nn))
+    _check_nodes(path, xn, np.tile(grid_n.nodes(), nt))
+    return SlabField(grid_t, grid_n, u.reshape(nt, nn), v.reshape(nt, nn), periodic_n)
 

@@ -134,14 +134,37 @@ def _failure_record(name, theorem, message, **params):
     return _record(name, theorem, ERROR_MARGIN, 0.0, error=message, **params)
 
 
+def sum_squares_record(name: str, p: Params, u: np.ndarray, v: np.ndarray, tol: float) -> CheckRecord:
+    """Record of u^2+v^2 against its sharp a priori bound: 1 from coupling 1 up, 2/(1+lam) below."""
+    if p.lam >= 1.0:
+        bound, tag = 1.0, "T1.3-bounds-ii"
+    else:
+        bound, tag = 2.0 / (p.lam + 1.0), "T1.3-bounds-iii"
+    max_ss = float(np.max(u * u + v * v))
+    return _record(name, tag, bound - max_ss, tol, lam=p.lam, max_sum_squares=max_ss, bound=bound)
+
+
 def sum_record(p: Params, prof: ProfilePair) -> CheckRecord:
-    """Record of the u+v ordering: tolerance 10*h^2 for the identity at coupling 3, else 0 (strict)."""
-    h = prof.grid.h
-    tol = 10.0 * h * h if p.lam == 3.0 else 0.0
-    rep = gridmod.check_sum_vs_one(p, prof)
+    """Record of the ordering of u+v against 1 over interior nodes (end rows are data).
+
+    Above coupling 3 the sum must stay below 1, below 3 above 1, both
+    strictly (tolerance 0).  At exactly 3 the margin is minus the largest
+    |u+v-1|, with tolerance 10*h^2.
+    """
+    s = prof.u[1:-1] + prof.v[1:-1]
+    min_sum = float(np.min(s))
+    max_sum = float(np.max(s))
+    tol = 0.0
+    if p.lam > 3.0:
+        regime, margin = "below-one", 1.0 - max_sum
+    elif p.lam < 3.0:
+        regime, margin = "above-one", min_sum - 1.0
+    else:
+        h = prof.grid.h
+        regime, margin, tol = "equal-one", -float(np.max(np.abs(s - 1.0))), 10.0 * h * h
     return _record(
-        "sum-vs-one", "T-sum-vs-one", rep.margin, tol,
-        lam=p.lam, regime=rep.regime, min_sum=rep.min_sum, max_sum=rep.max_sum,
+        "sum-vs-one", "T-sum-vs-one", margin, tol,
+        lam=p.lam, regime=regime, min_sum=min_sum, max_sum=max_sum,
     )
 
 
@@ -158,20 +181,15 @@ def verify_profile(p: Params, prof: ProfilePair) -> list[CheckRecord]:
     lam = p.lam
     records = []
 
-    bounds = gridmod.check_bounds(p, prof.u, prof.v)
+    max_u = float(np.max(np.abs(prof.u)))
+    max_v = float(np.max(np.abs(prof.v)))
     records.append(
         _record(
-            "bounds-component", "T1.3-bounds-i", bounds.component_margin, tol,
-            lam=lam, max_abs_u=bounds.max_abs_u, max_abs_v=bounds.max_abs_v,
+            "bounds-component", "T1.3-bounds-i", 1.0 - max(max_u, max_v), tol,
+            lam=lam, max_abs_u=max_u, max_abs_v=max_v,
         )
     )
-    ss_tag = "T1.3-bounds-ii" if lam >= 1.0 else "T1.3-bounds-iii"
-    records.append(
-        _record(
-            "bounds-sum-squares", ss_tag, bounds.sum_squares_margin, tol,
-            lam=lam, max_sum_squares=bounds.max_sum_squares, bound=bounds.sum_squares_bound,
-        )
-    )
+    records.append(sum_squares_record("bounds-sum-squares", p, prof.u, prof.v, tol))
 
     min_du, max_dv = gridmod.check_discrete_monotone(prof)
     records.append(
@@ -363,13 +381,7 @@ def gibbons_records(
                 lam=lam, sup_distance=dist, note="1d-reduction consistency",
             )
         )
-        bounds = gridmod.check_bounds(p, outcome.field.u, outcome.field.v)
-        records.append(
-            _record(
-                "gibbons-bounds", "T1.3-bounds-ii", bounds.sum_squares_margin, tol,
-                lam=lam, max_sum_squares=bounds.max_sum_squares,
-            )
-        )
+        records.append(sum_squares_record("gibbons-bounds", p, outcome.field.u, outcome.field.v, tol))
     except SolverError as exc:
         records.append(_failure_record("gibbons-profile-match", "T1.1-monotone-symmetry", str(exc), lam=lam))
     records.append(_energy_record("gibbons-energy-monotone", "T1.1-monotone-symmetry", outcome, lam))
@@ -387,17 +399,12 @@ def liouville_records(p: Params, box: Grid1D, flow: solvernd.FlowOptions):
     outcome = solvernd.periodic_box_run(p, box, box, flow)
     lam = p.lam
     dev = gridmod._max_norm(outcome.field.u - c, outcome.field.v - c)
-    tol = 10.0 * box.h**2
-    bounds = gridmod.check_bounds(p, outcome.field.u, outcome.field.v)
     records = [
         _record(
             "liouville-constant", "T-liouville-sub1", -dev, LIOUVILLE_TOL,
             lam=lam, constant=c, max_deviation=dev, **_flow_params(outcome),
         ),
-        _record(
-            "liouville-bounds", "T1.3-bounds-iii", bounds.sum_squares_margin, tol,
-            lam=lam, max_sum_squares=bounds.max_sum_squares, bound=bounds.sum_squares_bound,
-        ),
+        sum_squares_record("liouville-bounds", p, outcome.field.u, outcome.field.v, 10.0 * box.h**2),
         _energy_record("liouville-energy-monotone", "T-liouville-sub1", outcome, lam),
     ]
     return records, outcome

@@ -134,8 +134,8 @@ def test_solve1d_config_error_names_field(tmp_path, capsys):
             ["field.csv", "energy_trace.csv", "report.json"],
             0.5,
         ),
-        # the unit-coupling run records the coupling it used, not the default 3
-        (["relax", "--mode", "lambda1", "--seed", "200"], ["field.csv", "energy_trace.csv", "report.json"], 1.0),
+        # the unit-coupling run reads no coupling, so its sidecar records none
+        (["relax", "--mode", "lambda1", "--seed", "200"], ["field.csv", "energy_trace.csv", "report.json"], None),
         (["relax", "--mode", "gibbons", "--seed", "3"], ["field.csv", "energy_trace.csv", "report.json"], 3.0),
         # the battery takes no coupling, so its sidecar records none
         (["verify", "--stages", "gibbons,liouville"], ["suite_report.json"], None),
@@ -288,10 +288,12 @@ def test_relax_liouville_regime_guard(tmp_path, capsys):
     assert "coupling < 1" in capsys.readouterr().err
 
 
-def test_relax_lambda1(tmp_path):
+def test_relax_lambda1(tmp_path, capsys):
     out = tmp_path / "r1"
     code = run(["relax", "--mode", "lambda1", "--seed", "3", "--out", str(out)])
     assert code == EXIT_OK
+    # the run reads no coupling, and reports the one it uses
+    assert capsys.readouterr().out.startswith("relax mode=lambda1 coupling=1.0: ")
     report = json.loads((out / "report.json").read_text())
     rec = {r["name"]: r for r in report["records"]}["unit-coupling-circle"]
     assert rec["pass"]
@@ -575,23 +577,38 @@ def test_profile_csv_has_17_digit_floats(tmp_path):
     assert float(u) == prof[4, 1]
 
 
-# a command run per command, and a field each of them does not read
+# what each relax mode reads: gibbons all ten settable fields, the box modes
+# neither the slab axis nor the Newton options, lambda1 not the coupling either
+RELAX_MODE_READS = {
+    "gibbons": ("lam", "mode", "half_length", "n", "newton_tol", "max_iters", "seed", "steady_tol",
+                "max_steps", "out_dir"),
+    "liouville": ("lam", "mode", "seed", "steady_tol", "max_steps", "out_dir"),
+    "lambda1": ("mode", "seed", "steady_tol", "max_steps", "out_dir"),
+}
+
+# a run per command and relax mode, the fields it reads, who reads them, and
+# a field that one does not read
 COMMAND_RUNS = {
-    "solve1d": (["solve1d", "--n", "201"], "mode"),
-    "sweep": (["sweep", "--lambda-from", "2", "--lambda-to", "2", "--n", "201"], "seed"),
-    "relax": (["relax", "--mode", "liouville"], "stages"),
-    "verify": (["verify", "--stages", "counterexample"], "lambda_to"),
+    "solve1d": (["solve1d", "--n", "201"], cli.READS["solve1d"], "solve1d", "mode"),
+    "sweep": (["sweep", "--lambda-from", "2", "--lambda-to", "2", "--n", "201"], cli.READS["sweep"], "sweep",
+              "seed"),
+    "relax": (["relax", "--mode", "liouville"], RELAX_MODE_READS["liouville"], "relax --mode liouville", "n"),
+    "relax-gibbons": (["relax", "--mode", "gibbons"], RELAX_MODE_READS["gibbons"], "relax --mode gibbons",
+                      "stages"),
+    "relax-lambda1": (["relax", "--mode", "lambda1"], RELAX_MODE_READS["lambda1"], "relax --mode lambda1", "lam"),
+    "verify": (["verify", "--stages", "counterexample"], cli.READS["verify"], "verify", "lambda_to"),
 }
 
 
-@pytest.mark.parametrize("command", list(COMMAND_RUNS))
-def test_sidecar_and_config_hold_only_the_fields_the_command_reads(tmp_path, capsys, command):
-    argv, unread = COMMAND_RUNS[command]
+@pytest.mark.parametrize("run_id", list(COMMAND_RUNS))
+def test_sidecar_and_config_hold_only_the_fields_the_command_reads(tmp_path, capsys, run_id):
+    argv, reads, who, unread = COMMAND_RUNS[run_id]
+    command = argv[0]
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == EXIT_OK
     sidecar = out / f"{command}.config.json"
     assert list(json.loads(sidecar.read_text())) == ["command"] + [
-        name for name in cli.RunConfig.__dataclass_fields__ if name in cli.READS[command]
+        name for name in cli.RunConfig.__dataclass_fields__ if name in reads
     ]
     # the sidecar is a valid config file; a field the command does not read is not
     assert run([command, "--config", str(sidecar), "--out", str(tmp_path / "again")]) == EXIT_OK
@@ -599,8 +616,64 @@ def test_sidecar_and_config_hold_only_the_fields_the_command_reads(tmp_path, cap
     cfg.write_text(f"{unread} = 1\n")
     capsys.readouterr()
     assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == EXIT_ERROR
-    assert capsys.readouterr().err == f"config error: {unread}: {command} does not read it\n"
+    assert capsys.readouterr().err == f"config error: {unread}: {who} does not read it\n"
     assert not (tmp_path / "bad").exists()
+
+
+RELAX_FLAGS = {
+    "lam": ("--lambda", "0.5"), "half_length": ("--L", "20"), "n": ("--n", "801"), "newton_tol": ("--tol", "1e-10"),
+    "max_iters": ("--max-iters", "25"), "seed": ("--seed", "0"), "steady_tol": ("--steady-tol", "1e-9"),
+    "max_steps": ("--max-steps", "40000"),
+}
+RELAX_UNREAD = [
+    (mode, name) for mode, reads in RELAX_MODE_READS.items() for name in RELAX_FLAGS if name not in reads
+]
+
+
+@pytest.mark.parametrize("mode, name", RELAX_UNREAD, ids=[f"{m}-{n}" for m, n in RELAX_UNREAD])
+def test_relax_mode_rejects_a_field_it_does_not_read(tmp_path, capsys, mode, name):
+    flag, value = RELAX_FLAGS[name]
+    out = tmp_path / "out"
+    assert run(["relax", "--mode", mode, flag, value, "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"config error: {name}: relax --mode {mode} does not read it\n"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mode": mode, name: json.loads(value)}))
+    assert run(["relax", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"config error: {name}: relax --mode {mode} does not read it\n"
+    assert not out.exists()
+
+
+BAD_CONFIG_VALUES = [
+    pytest.param("relax", {"mode": "bogus"}, "mode", id="mode-unknown"),
+    pytest.param("relax", {"mode": True}, "mode", id="mode-bool"),
+    pytest.param("solve1d", {"n": 801.9}, "n", id="n-fraction"),
+    pytest.param("solve1d", {"n": True}, "n", id="n-bool"),
+    pytest.param("solve1d", {"lam": True}, "lam", id="lam-bool"),
+    pytest.param("solve1d", {"max_iters": True}, "max_iters", id="max_iters-bool"),
+    pytest.param("solve1d", {"seed": False}, "seed", id="seed-bool"),
+    pytest.param("relax", {"mode": "liouville", "max_steps": 1000.5}, "max_steps", id="max_steps-fraction"),
+    pytest.param("verify", {"stages": True}, "stages", id="stages-bool"),
+    pytest.param("solve1d", {"out_dir": None}, "out_dir", id="out_dir-null"),
+    pytest.param("relax", {"mode": 1}, "mode", id="mode-number"),
+]
+
+
+@pytest.mark.parametrize("command, values, name", BAD_CONFIG_VALUES)
+def test_bad_config_value_is_a_config_error_naming_its_field(tmp_path, capsys, command, values, name):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"config error: config field {name}: ")
+    assert not out.exists()
+
+
+def test_integral_json_number_sets_an_integer_field(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"n": 201.0}')
+    out = tmp_path / "out"
+    assert run(["solve1d", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "solve1d.config.json").read_text())["n"] == 201
 
 
 def _found_dispatch_targets_above_x86_v3():

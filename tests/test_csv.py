@@ -153,6 +153,34 @@ def test_slab_csv_reload_is_bitwise(tmp_path_factory, half_lengths, data):
     assert bitwise_equal(loaded.u, f.u) and bitwise_equal(loaded.v, f.v)
 
 
+def test_one_row_profile_csv_is_rejected(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("x,u,v\n1,1,0\n", encoding="ascii")
+    with pytest.raises(ValueError, match="n: node count"):
+        grid.load_profile_csv(path)
+
+
+def test_profile_csv_off_the_grid_nodes_is_rejected(tmp_path):
+    # three rows ending at x = 10 would load as Grid1D(10, 3), whose nodes are -10, 0, 10
+    path = tmp_path / "profile.csv"
+    path.write_text("x,u,v\n0,0,1\n5,0.5,0.5\n10,1,0\n", encoding="ascii")
+    with pytest.raises(ValueError, match="not a grid's nodes"):
+        grid.load_profile_csv(path)
+
+
+def test_slab_csv_in_another_row_order_is_rejected(tmp_path):
+    box = Grid1D(4.0, 4), Grid1D(4.0, 5)
+    rng = np.random.default_rng(7)
+    f = SlabField(*box, rng.uniform(0, 1, (4, 5)), rng.uniform(0, 1, (4, 5)), periodic_n=True)
+    path = tmp_path / "field.csv"
+    grid.save_slab_csv(path, f)
+    header, *rows = path.read_text(encoding="ascii").splitlines(keepends=True)
+    # the same rows, xn outer: every node is there once, in the wrong order
+    path.write_text(header + "".join(rows[i * 5 + j] for j in range(5) for i in range(4)), encoding="ascii")
+    with pytest.raises(ValueError, match="not a grid's nodes"):
+        grid.load_slab_csv(path, periodic_n=True)
+
+
 MEMORY_BOUND = 256 * 1024  # bytes; the whole 20001-row profile text is about 1.4 MB
 
 

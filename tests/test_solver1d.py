@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gp_rigidity import grid, model, solver1d
+from gp_rigidity import grid, model, solver1d, verify
 from gp_rigidity.errors import ContinuationStall, NoCrossing, NonConvergence, RegimeError
 from gp_rigidity.grid import Grid1D, ProfilePair
 from gp_rigidity.model import Params
@@ -177,8 +177,9 @@ def test_newton_monotone_and_bounds(solved):
         min_du, max_dv = grid.check_discrete_monotone(out.profile)
         assert min_du > 0.0, lam
         assert max_dv < 0.0, lam
-        rep = grid.check_bounds(Params(lam), out.profile.u, out.profile.v)
-        assert min(rep.component_margin, rep.sum_squares_margin) >= -10 * out.profile.grid.h**2, lam
+        bounds = [r for r in verify.verify_profile(Params(lam), out.profile) if r.name.startswith("bounds-")]
+        assert [r.name for r in bounds] == ["bounds-component", "bounds-sum-squares"]
+        assert min(r.margin for r in bounds) >= -10 * out.profile.grid.h**2, lam
 
 
 def test_newton_quadratic_tail(solved):

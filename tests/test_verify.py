@@ -6,9 +6,63 @@ import pytest
 
 from gp_rigidity import errors, model, solver1d, solvernd, verify
 from gp_rigidity.errors import SingularJacobian, SolverError
-from gp_rigidity.grid import ProfilePair
+from gp_rigidity.grid import Grid1D, ProfilePair
 from gp_rigidity.model import Params
 from gp_rigidity.verify import CheckRecord, SuiteOptions, VerifyReport
+
+
+def bounds_records(p: Params, u, v) -> dict:
+    """verify_profile's two bounds records for the pair (u, v), by name."""
+    prof = ProfilePair(Grid1D(1.0, len(u)), u, v)
+    return {r.name: r for r in verify.verify_profile(p, prof) if r.name.startswith("bounds-")}
+
+
+def test_bounds_records_equalities():
+    # coupling 1: (1/sqrt2, 1/sqrt2) meets u^2+v^2 = 1 exactly
+    recs = bounds_records(Params(1.0), np.full(3, 2**-0.5), np.full(3, 2**-0.5))
+    assert min(r.margin for r in recs.values()) >= -1e-12
+    assert abs(recs["bounds-sum-squares"].margin) < 1e-15
+    assert recs["bounds-sum-squares"].theorem == "T1.3-bounds-ii"
+    # sub-unit coupling: the mixed constant meets 2/(1+lam) exactly
+    p = Params(0.5)
+    c = model.liouville_constant(p)
+    recs = bounds_records(p, np.full(3, c), np.full(3, c))
+    assert min(r.margin for r in recs.values()) >= -1e-12
+    assert recs["bounds-sum-squares"].params["bound"] == 2.0 / 1.5
+    assert recs["bounds-sum-squares"].theorem == "T1.3-bounds-iii"
+    assert abs(recs["bounds-sum-squares"].margin) < 1e-15
+
+
+def test_bounds_records_violation_margin():
+    recs = bounds_records(Params(2.0), np.array([1.1, 0.2, 0.2]), np.array([0.0, 0.1, 0.1]))
+    assert min(r.margin for r in recs.values()) < -1e-3
+    assert abs(recs["bounds-component"].margin + 0.1) < 1e-15
+
+
+def test_sum_squares_record_picks_the_bound_of_the_experiment():
+    # the slab and box records take their bound and tag from the one builder
+    u = np.full((2, 3), 0.5)
+    slab = verify.sum_squares_record("gibbons-bounds", Params(3.0), u, u, 0.0)
+    assert (slab.theorem, slab.params["bound"], slab.margin) == ("T1.3-bounds-ii", 1.0, 0.5)
+    box = verify.sum_squares_record("liouville-bounds", Params(0.25), u, u, 0.0)
+    assert (box.theorem, box.params["bound"], box.margin) == ("T1.3-bounds-iii", 1.6, 1.6 - 0.5)
+
+
+def test_sum_record_regimes():
+    g = Grid1D(20.0, 401)
+    prof = ProfilePair(g, *model.tanh_front(0.0, g.nodes()))
+    rec = verify.sum_record(Params(3.0), prof)
+    assert rec.params["regime"] == "equal-one" and rec.margin >= -1e-12
+    assert rec.tolerance == 10.0 * g.h * g.h
+    # synthetic profiles on either side of 1
+    up = ProfilePair(g, prof.u, np.clip(prof.v + 0.05, 0, 1))
+    rec = verify.sum_record(Params(2.0), up)
+    assert rec.params["regime"] == "above-one" and rec.margin >= 0.0 and rec.tolerance == 0.0
+    down = ProfilePair(g, prof.u * 0.9, prof.v * 0.9)
+    rec = verify.sum_record(Params(6.0), down)
+    assert rec.params["regime"] == "below-one" and rec.margin >= 0.0 and rec.tolerance == 0.0
+    rec_bad = verify.sum_record(Params(6.0), up)
+    assert rec_bad.margin < 0.0 and not rec_bad.passed
 
 
 def test_record_rejects_unknown_tag():
