@@ -12,7 +12,6 @@ front structure at coupling 3.
 """
 
 from .errors import (
-    ContinuationStall,
     NoCrossing,
     NonConvergence,
     RegimeError,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckRecord",
-    "ContinuationStall",
     "FlowOptions",
     "FlowOutcome",
     "Grid1D",

@@ -19,7 +19,7 @@ from . import grid as gridmod
 from . import solver1d
 from . import solvernd
 from . import verify as verifymod
-from .errors import ContinuationStall, SolverError
+from .errors import SolverError
 from .grid import Grid1D
 from .model import Params
 
@@ -64,9 +64,7 @@ _FLOAT_FIELDS = {
 
 
 def _coerce(name: str, raw):
-    """Field ``name``'s value from a config file: a text, or a JSON value of the field's type."""
-    if isinstance(raw, str):
-        raw = raw.strip().strip("'\"")
+    """Field ``name``'s value from a config file: a JSON value of the field's type, or a text of one."""
     try:
         # a bool is no field's value, and an integer field takes no fraction
         if isinstance(raw, bool) or (name in _INT_FIELDS and isinstance(raw, float) and not raw.is_integer()):
@@ -87,33 +85,22 @@ def _coerce(name: str, raw):
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a config file: JSON if it starts with '{', else key=value lines.
+    """Parse a JSON config file: one object whose keys are RunConfig field names.
 
-    Section headers like ``[run]`` are allowed and ignored; keys must match
-    RunConfig field names.  The values are returned as read, unchecked.
+    Every sidecar is such a file.  The values are returned as read, unchecked.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: not a JSON object")
     known = {f.name for f in fields(RunConfig)}
-    values = {}
-    if text.lstrip().startswith("{"):
-        raw = json.loads(text)
-        items = raw.items()
-    else:
-        items = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("["):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected key = value, got {line!r}")
-            key, _, raw_val = line.partition("=")
-            items.append((key.strip(), raw_val.strip()))
-    for key, raw_val in items:
+    for key in raw:
         if key not in known:
             raise ValueError(f"config field {key}: unknown")
-        values[key] = raw_val
-    return values
+    return raw
 
 
 # the RunConfig fields each command reads, and each relax mode (the box
@@ -174,7 +161,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         shared("--max-iters", "max_iters", type=int)
         shared("--seed", "seed", type=int)
         shared("--out", "out_dir", help=f"output directory (default ${OUT_ENV_VAR} or .)")
-        sp.add_argument("--config", dest="config", help="config file (key=value or JSON sidecar)")
+        sp.add_argument("--config", dest="config", help="JSON config file, such as a sidecar")
         return sp
 
     if command in (None, "solve1d"):
@@ -268,14 +255,7 @@ def cmd_solve1d(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     g = Grid1D(cfg.half_length, cfg.n)
-    stalled = None
-    try:
-        outcomes = solver1d.continuation_sweep(
-            cfg.lambda_from, cfg.lambda_to, cfg.step, g, _solve_options(cfg)
-        )
-    except ContinuationStall as exc:
-        stalled = exc
-        outcomes = exc.outcomes
+    outcomes = solver1d.continuation_sweep(cfg.lambda_from, cfg.lambda_to, cfg.step, g, _solve_options(cfg))
     _write_sidecar(cfg, cfg.out_dir)
 
     any_check_failed = False
@@ -302,12 +282,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
             )
             any_check_failed = any_check_failed or not rec.passed
 
-    if stalled is not None:
-        print(
-            f"{stalled}; wrote {len(outcomes)} converged profiles",
-            file=sys.stderr,
-        )
-        return EXIT_CHECK_FAILED
     print(f"sweep wrote {len(outcomes)} profiles and {summary_path}")
     return EXIT_CHECK_FAILED if any_check_failed else EXIT_OK
 

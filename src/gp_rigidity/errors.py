@@ -37,19 +37,5 @@ class NoCrossing(SolverError, ValueError):
     """Profile has no u-v sign change, so no phase can be pinned."""
 
 
-class ContinuationStall(SolverError, RuntimeError):
-    """Continuation step underflowed after repeated halving."""
-
-    def __init__(self, last_good, failed, outcomes):
-        if last_good is None:
-            message = f"continuation stalled at the first sample (coupling {failed})"
-        else:
-            message = f"continuation stalled between coupling {last_good} and {failed}"
-        super().__init__(message)
-        self.last_good = last_good
-        self.failed = failed
-        self.outcomes = outcomes
-
-
 class TooAnisotropic(SolverError, ValueError):
     """Field varies too much transversally to be reduced to a 1D profile."""

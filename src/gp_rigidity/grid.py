@@ -282,12 +282,40 @@ def _write_csv_rows(fh, row_format: str, *columns) -> None:
         fh.write(row_format * rows % tuple(values))
 
 
+PROFILE_HEADER = "x,u,v"
+SLAB_HEADER = "xp,xn,u,v"
+
+
 def save_profile_csv(path, prof: ProfilePair) -> None:
     """Write header `x,u,v` and one row per node, each value as CSV_FLOAT."""
     row_format = ",".join([CSV_FLOAT] * 3) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,u,v\n")
+        fh.write(PROFILE_HEADER + "\n")
         _write_csv_rows(fh, row_format, prof.grid.nodes(), prof.u, prof.v)
+
+
+def _load_columns(path, header: str) -> np.ndarray:
+    """The columns of a CSV file written under ``header``.
+
+    ValueError, naming the file and the header, unless the first line is
+    the header and one or more rows of as many values follow.
+    """
+    width = header.count(",") + 1
+    problem = f"{path}: expected the header {header!r} and rows of {width} values"
+    with open(path, "r", encoding="ascii") as fh:
+        if fh.readline().rstrip("\n") != header:
+            raise ValueError(problem)
+        body = fh.tell()
+        if not fh.readline():  # numpy would warn that there is no data
+            raise ValueError(problem)
+        fh.seek(body)
+        try:
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # rows of different widths, or a value that is no number
+            raise ValueError(problem) from exc
+    if table.shape[1] != width:
+        raise ValueError(problem)
+    return table.T
 
 
 def _check_nodes(path, x: np.ndarray, nodes: np.ndarray) -> None:
@@ -297,7 +325,7 @@ def _check_nodes(path, x: np.ndarray, nodes: np.ndarray) -> None:
 
 def load_profile_csv(path) -> ProfilePair:
     """Read a :func:`save_profile_csv` file; ValueError unless x runs over a grid's nodes."""
-    x, u, v = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    x, u, v = _load_columns(path, PROFILE_HEADER)
     grid = Grid1D(half_length=float(x[-1]), n=len(x))
     _check_nodes(path, x, grid.nodes())
     return ProfilePair(grid, u, v)
@@ -315,14 +343,14 @@ def save_slab_csv(path, f: SlabField) -> None:
     xn_text = np.array([CSV_FLOAT % x for x in f.grid_n.nodes().tolist()], dtype=object)
     row_tail = ",%s," + ",".join([CSV_FLOAT] * 2) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("xp,xn,u,v\n")
+        fh.write(SLAB_HEADER + "\n")
         for i, xp in enumerate(f.grid_t.nodes().tolist()):
             _write_csv_rows(fh, CSV_FLOAT % xp + row_tail, xn_text, f.u[i], f.v[i])
 
 
 def load_slab_csv(path, periodic_n: bool = False) -> SlabField:
     """Read a :func:`save_slab_csv` file; ValueError unless its rows run over a tensor grid, xp outer."""
-    xp, xn, u, v = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    xp, xn, u, v = _load_columns(path, SLAB_HEADER)
     nn = len(np.unique(xn))
     nt = len(xp) // nn
     grid_t = Grid1D(half_length=float(xp[-1]), n=nt)

@@ -33,7 +33,7 @@ import numpy as np
 from . import _kernels
 from . import grid as gridmod
 from . import model
-from .errors import ContinuationStall, NoCrossing, NonConvergence, RegimeError, SingularJacobian
+from .errors import NoCrossing, NonConvergence, RegimeError, SingularJacobian
 from .grid import Grid1D, ProfilePair
 from .model import Params
 
@@ -72,15 +72,22 @@ class SolveOutcome:
 
 
 def initial_guess(p: Params, g: Grid1D) -> ProfilePair:
-    """Universal seed: the explicit coupling-3 front sampled on the grid.
+    """The one Newton seed: the coupling-3 front blended with the segregated limit.
 
-    Used for every coupling; it has the correct limits and topology, and the
-    end rows are overwritten with the exact equilibria so the Dirichlet data
-    hold bitwise.
+    With weight w = max(0, 1 - 3/lam), u = (1-w)*u3 + w*tanh(max(x,0)/sqrt2)
+    and v = (1-w)*v3 + w*tanh(max(-x,0)/sqrt2), where (u3, v3) is the
+    explicit coupling-3 front.  As the coupling grows the front tends to the
+    segregated pair, which the blend follows; at coupling 3 and below w = 0
+    and the seed is the sampled coupling-3 front, bit for bit.  The end rows
+    are overwritten with the exact equilibria so the Dirichlet data hold
+    bitwise.
     """
-    u, v = model.tanh_front(0.0, g.nodes())
-    u = np.array(u)
-    v = np.array(v)
+    x = g.nodes()
+    u, v = model.tanh_front(0.0, x)
+    w = max(0.0, 1.0 - 3.0 / p.lam)
+    if w > 0.0:
+        u = (1.0 - w) * u + w * np.tanh(np.maximum(x, 0.0) / model.SQRT2)
+        v = (1.0 - w) * v + w * np.tanh(np.maximum(-x, 0.0) / model.SQRT2)
     u[0], v[0] = gridmod.LEFT_STATE
     u[-1], v[-1] = gridmod.RIGHT_STATE
     return ProfilePair(g, u, v)
@@ -320,46 +327,26 @@ def continuation_sweep(
     """Natural-parameter continuation: each converged profile seeds the next.
 
     Produces one outcome per coupling sample (endpoints included), its
-    profile phase-pinned.  When a solve fails the gap from the last good
-    coupling is bridged with halved sub-steps, up to four halvings; if the
-    bridge still fails a ContinuationStall carrying the partial outcomes is
-    raised.
+    profile phase-pinned.  The first sample is solved from
+    :func:`initial_guess`.  A sample whose solve from the previous profile
+    does not converge is solved once more from :func:`initial_guess`; if
+    that fails too, its NonConvergence, which names the coupling, propagates.
     """
     if min(lambda_from, lambda_to) <= 1.0:
         raise RegimeError("continuation range must stay above coupling 1")
-    samples = _lambda_samples(lambda_from, lambda_to, step)
     outcomes: list[SolveOutcome] = []
-    seed = initial_guess(Params(samples[0]), g)
-    prev_lam = None
-    for lam in samples:
-        try:
-            outcome = newton_solve(Params(lam), g, seed, opts)
-        except NonConvergence:
-            outcome = _bridge(prev_lam, lam, seed, g, opts, outcomes)
-        seed = outcome.profile
-        prev_lam = lam
+    for lam in _lambda_samples(lambda_from, lambda_to, step):
+        p = Params(lam)
+        outcome = None
+        if outcomes:
+            try:
+                outcome = newton_solve(p, g, outcomes[-1].profile, opts)
+            except NonConvergence:
+                pass
+        if outcome is None:
+            outcome = newton_solve(p, g, initial_guess(p, g), opts)
         outcomes.append(outcome)
     return [replace(o, profile=pin_phase(o.profile)) for o in outcomes]
-
-
-def _bridge(lam_from, lam_to, seed, g, opts, outcomes):
-    """Walk from the last good coupling to the failed one in halved sub-steps."""
-    if lam_from is None:
-        raise ContinuationStall(None, lam_to, outcomes)
-    gap = lam_to - lam_from
-    for halving in range(1, 5):
-        parts = 2**halving
-        current = seed
-        try:
-            outcome = None
-            for k in range(1, parts + 1):
-                lam_k = lam_from + gap * k / parts
-                outcome = newton_solve(Params(lam_k), g, current, opts)
-                current = outcome.profile
-            return outcome
-        except NonConvergence:
-            continue
-    raise ContinuationStall(lam_from, lam_to, outcomes)
 
 
 def uniqueness_probe(

@@ -180,18 +180,29 @@ def test_commands_report_the_battery_records(tmp_path):
         assert _records(out / "report.json") == records, argv
 
 
-def test_key_value_config_file(tmp_path):
+def test_key_value_config_file(tmp_path, capsys):
+    # JSON is the one config format; the former key = value text is not read
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\nlam = 3.0\nn = 801\nhalf_length = 15.0\n")
     out = tmp_path / "out"
-    assert run(["solve1d", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    resolved = json.loads((out / "solve1d.config.json").read_text())
-    assert resolved["n"] == 801 and resolved["half_length"] == 15.0
+    assert run(["solve1d", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}: not a JSON file: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[3.0, 801]", '"lam = 3.0"', "3.0", "null"])
+def test_config_file_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(["solve1d", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"config error: {cfg}: not a JSON object\n"
+    assert not out.exists()
 
 
 def test_flags_override_config_file(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("lam = 2.0\nn = 801\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"lam": 2.0, "n": 801}')
     out = tmp_path / "out"
     assert run(["solve1d", "--config", str(cfg), "--lambda", "3.0", "--out", str(out)]) == EXIT_OK
     resolved = json.loads((out / "solve1d.config.json").read_text())
@@ -199,8 +210,8 @@ def test_flags_override_config_file(tmp_path):
 
 
 def test_unknown_config_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("coupling = 3.0\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"coupling": 3.0}')
     assert run(["solve1d", "--config", str(cfg)]) == EXIT_ERROR
     assert "coupling" in capsys.readouterr().err
 
@@ -252,13 +263,18 @@ def test_sweep_takes_no_coupling(tmp_path):
 
 
 def test_sweep_stall_exit_code(tmp_path, capsys):
+    # a sample that fails from the previous profile and from the seed is a
+    # solver error naming its coupling, and the sweep writes nothing
     out = tmp_path / "stall"
     code = run([
         "sweep", "--lambda-from", "2", "--lambda-to", "3", "--step", "0.5",
         "--n", "801", "--max-iters", "1", "--out", str(out),
     ])
-    assert code == EXIT_CHECK_FAILED
-    assert "stalled" in capsys.readouterr().err
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and "at coupling 2.0 " in err
+    assert not (out / "sweep.config.json").exists()
+    assert not out.exists()
 
 
 def test_relax_liouville(tmp_path):
@@ -315,8 +331,8 @@ def test_relax_gibbons(tmp_path, capsys):
 
 
 def test_relax_rejects_extra_transverse_dims(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("transverse_dims = 3\n")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"transverse_dims": 3}')
     code = run(["relax", "--mode", "lambda1", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_ERROR
     assert "transverse_dims" in capsys.readouterr().err
@@ -326,8 +342,8 @@ def test_relax_takes_no_pseudo_time_step(tmp_path, capsys):
     # the stabilized step does not depend on a pseudo-time step, so there is no dt knob
     assert run(["relax", "--mode", "lambda1", "--dt", "2", "--out", str(tmp_path / "flag")]) == EXIT_ERROR
     assert not (tmp_path / "flag").exists()
-    cfg = tmp_path / "dt.cfg"
-    cfg.write_text("dt = 2.0\n")
+    cfg = tmp_path / "dt.json"
+    cfg.write_text('{"dt": 2.0}')
     capsys.readouterr()
     assert run(["relax", "--mode", "lambda1", "--config", str(cfg), "--out", str(tmp_path / "file")]) == EXIT_ERROR
     assert "config error: config field dt: unknown" in capsys.readouterr().err
@@ -423,7 +439,7 @@ options:
   --max-iters MAX_ITERS
   --seed SEED
   --out OUT_DIR         output directory (default $GP_RIGIDITY_OUT or .)
-  --config CONFIG       config file (key=value or JSON sidecar)
+  --config CONFIG       JSON config file, such as a sidecar
 """),
     'sweep --help': ("out", """\
 usage: gp-rigidity sweep [-h] [--L HALF_LENGTH] [--n N] [--tol NEWTON_TOL]
@@ -438,7 +454,7 @@ options:
   --tol NEWTON_TOL      residual target
   --max-iters MAX_ITERS
   --out OUT_DIR         output directory (default $GP_RIGIDITY_OUT or .)
-  --config CONFIG       config file (key=value or JSON sidecar)
+  --config CONFIG       JSON config file, such as a sidecar
   --lambda-from LAMBDA_FROM
   --lambda-to LAMBDA_TO
   --step STEP
@@ -459,7 +475,7 @@ options:
   --max-iters MAX_ITERS
   --seed SEED
   --out OUT_DIR         output directory (default $GP_RIGIDITY_OUT or .)
-  --config CONFIG       config file (key=value or JSON sidecar)
+  --config CONFIG       JSON config file, such as a sidecar
   --mode {gibbons,liouville,lambda1}
   --steady-tol STEADY_TOL
   --max-steps MAX_STEPS
@@ -478,7 +494,7 @@ options:
   --max-iters MAX_ITERS
   --seed SEED
   --out OUT_DIR         output directory (default $GP_RIGIDITY_OUT or .)
-  --config CONFIG       config file (key=value or JSON sidecar)
+  --config CONFIG       JSON config file, such as a sidecar
   --stages STAGES       comma list of stages, empty for none
   --steady-tol STEADY_TOL
   --list-checks         print the check catalog and exit
@@ -535,8 +551,8 @@ def test_relax_max_steps_below_one_is_a_config_error(tmp_path, capsys, steps):
 
 def test_verify_max_steps_below_one_is_a_config_error(tmp_path, capsys):
     # the battery's flow options would turn it into four failed records
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("max_steps = 0\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"max_steps": 0}')
     out = tmp_path / "out"
     assert run(["verify", "--stages", "liouville", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
     assert capsys.readouterr().err == "config error: max_steps: must be at least 1, got 0\n"
@@ -551,8 +567,8 @@ UNCOUPLED_RUNS = {
 
 @pytest.mark.parametrize("command", sorted(UNCOUPLED_RUNS))
 def test_uncoupled_command_rejects_a_config_coupling(tmp_path, capsys, command):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("lam = 7.0\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"lam": 7.0}')
     out = tmp_path / "out"
     assert run([*UNCOUPLED_RUNS[command], "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
     assert capsys.readouterr().err == f"config error: lam: {command} does not read it\n"
@@ -612,8 +628,8 @@ def test_sidecar_and_config_hold_only_the_fields_the_command_reads(tmp_path, cap
     ]
     # the sidecar is a valid config file; a field the command does not read is not
     assert run([command, "--config", str(sidecar), "--out", str(tmp_path / "again")]) == EXIT_OK
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{unread} = 1\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({unread: 1}))
     capsys.readouterr()
     assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == EXIT_ERROR
     assert capsys.readouterr().err == f"config error: {unread}: {who} does not read it\n"

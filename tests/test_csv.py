@@ -4,6 +4,8 @@ The block writers must produce the same bytes as formatting every value on
 its own with ``grid.CSV_FLOAT``, which is what the reference writers below do.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,42 @@ def test_slab_csv_in_another_row_order_is_rejected(tmp_path):
     path.write_text(header + "".join(rows[i * 5 + j] for j in range(5) for i in range(4)), encoding="ascii")
     with pytest.raises(ValueError, match="not a grid's nodes"):
         grid.load_slab_csv(path, periodic_n=True)
+
+
+CSV_LOADERS = {"profile": (grid.load_profile_csv, "x,u,v"), "slab": (grid.load_slab_csv, "xp,xn,u,v")}
+
+
+@pytest.mark.parametrize("kind", list(CSV_LOADERS))
+def test_header_only_csv_is_rejected_without_a_numpy_warning(tmp_path, kind):
+    load, header = CSV_LOADERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(header + "\n", encoding="ascii")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            load(path)
+    assert str(path) in str(info.value) and repr(header) in str(info.value)
+
+
+WRONG_WIDTHS = {
+    "profile-4": ("x,u,v", "-1,0,1,0\n0,0.5,0.5,0\n1,1,0,0\n"),
+    "profile-2": ("x,u,v", "-1,0\n0,0.5\n1,1\n"),
+    "profile-ragged": ("x,u,v", "-1,0,1\n0,0.5,0.5,9\n1,1,0\n"),
+    "profile-header": ("x,u,v,w", "-1,0,1\n0,0.5,0.5\n1,1,0\n"),
+    "slab-3": ("xp,xn,u,v", "-1,-1,0\n-1,0,0.5\n-1,1,1\n"),
+    "slab-header": ("xp,u,v", "-1,-1,0,1\n-1,0,0.5,0.5\n-1,1,1,0\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_WIDTHS))
+def test_csv_of_the_wrong_width_is_rejected(tmp_path, case):
+    kind = case.split("-")[0]
+    load, header = CSV_LOADERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(WRONG_WIDTHS[case]), encoding="ascii")
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(path) in str(info.value) and repr(header) in str(info.value)
 
 
 MEMORY_BOUND = 256 * 1024  # bytes; the whole 20001-row profile text is about 1.4 MB

@@ -5,17 +5,55 @@ import pytest
 import scipy.linalg
 
 from gp_rigidity import grid, model, solver1d, verify
-from gp_rigidity.errors import ContinuationStall, NoCrossing, NonConvergence, RegimeError
+from gp_rigidity.errors import NoCrossing, NonConvergence, RegimeError
 from gp_rigidity.grid import Grid1D, ProfilePair
 from gp_rigidity.model import Params
 
 
 def test_initial_guess_boundary_and_midpoint(default_grid):
-    guess = solver1d.initial_guess(Params(10.0), default_grid)
-    assert guess.u[0] == 0.0 and guess.v[0] == 1.0
-    assert guess.u[-1] == 1.0 and guess.v[-1] == 0.0
-    mid = default_grid.n // 2
-    assert guess.u[mid] == 0.5 and guess.v[mid] == 0.5
+    for lam in (1.5, 3.0, 6.0, 10.0, 1000.0):
+        guess = solver1d.initial_guess(Params(lam), default_grid)
+        assert guess.u[0] == 0.0 and guess.v[0] == 1.0
+        assert guess.u[-1] == 1.0 and guess.v[-1] == 0.0
+        # the blend weight is w = max(0, 1 - 3/lam) and the segregated limit is 0 at x = 0
+        w = max(0.0, 1.0 - 3.0 / lam)
+        mid = default_grid.n // 2
+        assert default_grid.nodes()[mid] == 0.0
+        assert guess.u[mid] == guess.v[mid] == (1.0 - w) / 2.0
+
+
+@pytest.mark.parametrize("lam", [1.01, 1.5, 2.0, 2.999, 3.0])
+def test_initial_guess_up_to_coupling_3_is_the_sampled_front(lam):
+    g = Grid1D(20.0, 2001)
+    guess = solver1d.initial_guess(Params(lam), g)
+    u, v = model.tanh_front(0.0, g.nodes())
+    u[0], v[0], u[-1], v[-1] = 0.0, 1.0, 1.0, 0.0
+    assert bitwise_equal(guess.u, u) and bitwise_equal(guess.v, v)
+    assert (guess.u[0], guess.v[0], guess.u[-1], guess.v[-1]) == (0.0, 1.0, 1.0, 0.0)
+
+
+def test_initial_guess_tends_to_the_segregated_pair():
+    g = Grid1D(20.0, 401)
+    x = g.nodes()
+    segregated = np.tanh(np.maximum(x, 0.0) / model.SQRT2), np.tanh(np.maximum(-x, 0.0) / model.SQRT2)
+    gaps = []
+    for lam in (6.0, 30.0, 300.0, 3000.0):
+        guess = solver1d.initial_guess(Params(lam), g)
+        gaps.append(np.max(np.abs(guess.u[1:-1] - segregated[0][1:-1])))
+        # a convex combination of two increasing profiles in [0, 1], mirrored in v
+        assert np.all(np.diff(guess.u) >= 0.0) and np.all(guess.u >= 0.0) and np.all(guess.u <= 1.0)
+        assert np.max(np.abs(guess.v - guess.u[::-1])) <= 1e-14
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 1e-3
+
+
+@pytest.mark.parametrize("lam", [1.01, 1.1, 1.5, 2.0, 3.0, 6.0, 20.0, 100.0, 200.0, 500.0, 700.0, 1000.0])
+def test_newton_converges_from_the_seed_in_seven_updates(lam):
+    # one coupling-aware seed for 1 < lam <= 1000; from the coupling-3 front
+    # alone lam = 700 did not converge and lam = 100 took 18 updates
+    g = Grid1D(20.0, 2001)
+    p = Params(lam)
+    outcome = solver1d.newton_solve(p, g, solver1d.initial_guess(p, g), solver1d.SolveOptions())
+    assert outcome.converged and outcome.iterations <= 7, outcome.iterations
 
 
 def test_banded_assembly_matches_dense():
@@ -396,10 +434,41 @@ def test_continuation_single_point(default_opts):
 
 
 def test_continuation_stall():
+    # the first sample fails from the seed: its NonConvergence names the coupling
     g = Grid1D(20.0, 801)
     opts = solver1d.SolveOptions(max_iters=1)
-    with pytest.raises(ContinuationStall):
+    with pytest.raises(NonConvergence, match="at coupling 2.0 "):
         solver1d.continuation_sweep(2.0, 3.0, 0.5, g, opts)
+
+
+def test_continuation_past_coupling_773():
+    # the coupling-3 front did not converge at 773, and no sub-step bridge got there
+    outcomes = solver1d.continuation_sweep(773.0, 783.0, 10.0, Grid1D(20.0, 2001), solver1d.SolveOptions())
+    assert [o.lam for o in outcomes] == [773.0, 783.0]
+    assert all(o.converged for o in outcomes)
+
+
+def test_continuation_failure_restarts_from_the_seed(monkeypatch):
+    g = Grid1D(20.0, 2001)
+    opts = solver1d.SolveOptions()
+    first = solver1d.newton_solve(Params(643.0), g, solver1d.initial_guess(Params(643.0), g), opts)
+    # natural continuation alone fails at 653 ...
+    with pytest.raises(NonConvergence, match="at coupling 653.0 "):
+        solver1d.newton_solve(Params(653.0), g, first.profile, opts)
+    # ... so the sweep solves 653 once more, from its seed
+    guesses = []
+    newton_solve = solver1d.newton_solve
+
+    def recording(p, g, guess, opts):
+        guesses.append((p.lam, guess))
+        return newton_solve(p, g, guess, opts)
+
+    monkeypatch.setattr(solver1d, "newton_solve", recording)
+    outcomes = solver1d.continuation_sweep(643.0, 653.0, 10.0, g, opts)
+    assert [lam for lam, _ in guesses] == [643.0, 653.0, 653.0]
+    seed = solver1d.initial_guess(Params(653.0), g)
+    assert bitwise_equal(guesses[2][1].u, seed.u) and bitwise_equal(guesses[2][1].v, seed.v)
+    assert [o.lam for o in outcomes] == [643.0, 653.0] and all(o.converged for o in outcomes)
 
 
 def test_continuation_regime_guard(default_opts):

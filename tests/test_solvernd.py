@@ -248,6 +248,22 @@ def test_embedded_profile_residual_is_the_1d_residual(lam, half_lengths, n_t, in
         assert np.all(rs[:, 1:-1].view(np.int64) == r1[1:-1].view(np.int64))
 
 
+def test_slab_start_is_the_coupling_3_front_at_every_coupling(monkeypatch):
+    # the Newton seed blends toward the segregated pair above coupling 3, but
+    # the slab flow settles faster from the coupling-3 front
+    starts = {}
+    monkeypatch.setattr(solvernd, "relax_to_steady", lambda p, start, opts: starts.setdefault(p.lam, start))
+    g_t, g_n = Grid1D(0.5, 8), Grid1D(20.0, 801)
+    for lam in (3.0, 20.0):
+        solvernd.gibbons_run(Params(lam), g_t, g_n, solvernd.FlowOptions(rng_seed=4))
+    assert np.array_equal(starts[3.0].u, starts[20.0].u) and np.array_equal(starts[3.0].v, starts[20.0].v)
+    monkeypatch.setattr(solvernd, "GIBBONS_NOISE", 0.0)
+    front = solver1d.initial_guess(Params(3.0), g_n)
+    start = solvernd._perturbed_front(g_t, g_n, 4)
+    assert all(np.array_equal(row, front.u) for row in start.u)
+    assert all(np.array_equal(row, front.v) for row in start.v)
+
+
 @pytest.mark.parametrize("lam", [1.1, 1.5, 6.0, 20.0, 100.0])
 def test_gibbons_run_settles_across_couplings(lam):
     # a slab with a short transverse axis; near coupling 1 the plain flow

@@ -255,7 +255,7 @@ ERROR_TYPES = [
 
 
 def test_every_error_type_is_a_solver_error():
-    assert len(ERROR_TYPES) == 7
+    assert len(ERROR_TYPES) == 6
     assert all(issubclass(cls, SolverError) for cls in ERROR_TYPES)
 
 
@@ -263,8 +263,6 @@ def _instance(cls):
     """An instance of cls, built with the arguments its signature takes."""
     if cls is SingularJacobian:
         return cls(2.0, 0)
-    if cls is errors.ContinuationStall:
-        return cls(None, 2.0, [])
     return cls(f"{cls.__name__} raised by a builder")
 
 
