@@ -259,28 +259,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     _write_sidecar(cfg, cfg.out_dir)
 
     any_check_failed = False
+    summary = []
+    for outcome in outcomes:
+        p = Params(outcome.lam)
+        prof = outcome.profile
+        gridmod.save_profile_csv(os.path.join(cfg.out_dir, f"profile_lambda_{outcome.lam:g}.csv"), prof)
+        rec = verifymod.sum_record(p, prof)
+        energy = gridmod.discrete_energy_1d(p, prof)
+        summary += [outcome.lam, rec.params["min_sum"], rec.params["max_sum"], energy, outcome.iterations]
+        any_check_failed = any_check_failed or not rec.passed
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
-    with open(summary_path, "w", encoding="ascii") as fh:
-        fh.write("lambda,min_sum,max_sum,energy,iters\n")
-        for outcome in outcomes:
-            p = Params(outcome.lam)
-            prof = outcome.profile
-            gridmod.save_profile_csv(
-                os.path.join(cfg.out_dir, f"profile_lambda_{outcome.lam:g}.csv"), prof
-            )
-            rec = verifymod.sum_record(p, prof)
-            energy = gridmod.discrete_energy_1d(p, prof)
-            fh.write(
-                "%s,%s,%s,%s,%d\n"
-                % (
-                    gridmod.CSV_FLOAT % outcome.lam,
-                    gridmod.CSV_FLOAT % rec.params["min_sum"],
-                    gridmod.CSV_FLOAT % rec.params["max_sum"],
-                    gridmod.CSV_FLOAT % energy,
-                    outcome.iterations,
-                )
-            )
-            any_check_failed = any_check_failed or not rec.passed
+    with open(summary_path, "wb") as fh:
+        fh.write(b"lambda,min_sum,max_sum,energy,iters\n")
+        fh.write(gridmod._csv_rows(summary_path, summary, 5))
 
     print(f"sweep wrote {len(outcomes)} profiles and {summary_path}")
     return EXIT_CHECK_FAILED if any_check_failed else EXIT_OK

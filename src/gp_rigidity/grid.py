@@ -6,9 +6,10 @@ pinned (Dirichlet) or periodic along the second axis.  All difference
 operators are second-order central; energies pair forward differences with
 trapezoidal quadrature so both carry O(h^2) error.
 
-Profiles and slab fields are written as CSV with every value formatted as
-CSV_FLOAT (17 significant digits), so reloading them is bit-exact.  The
-writers format bounded blocks of rows and write each block in one call.
+Profiles and slab fields are written as CSV with every float formatted as
+its shortest text that reads back to the same double (Ryu, through orjson),
+so reloading them is bit-exact.  The writers format bounded blocks of rows
+and write each block in one call.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .model import Params
 # Equilibria used as Dirichlet data: (u,v) at the left and right end.
 LEFT_STATE = (0.0, 1.0)
 RIGHT_STATE = (1.0, 0.0)
-
-CSV_FLOAT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -252,34 +251,56 @@ def check_discrete_monotone(prof: ProfilePair):
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization (17 significant digits so reloads are bit-exact)
+# CSV serialization (shortest round-trip text, so reloads are bit-exact)
 #
-# Every value is written with CSV_FLOAT, through _write_csv_rows: the text is
-# the same as formatting value by value, and the memory held at any moment
-# stays a few kilobytes whatever the grid size.
+# Every value is formatted by orjson's Ryu kernel, through _csv_rows: plain
+# notation for 1e-5 <= |x| < 1e16, otherwise d.ddde-N or d.dddeN, and a
+# float always with a '.' or an exponent.  The writers hand it blocks of
+# _CSV_BLOCK_ROWS rows, so the memory held at any moment stays a few tens of
+# kilobytes whatever the grid size.
 # ---------------------------------------------------------------------------
 
-# Rows formatted and written per call; large enough to amortize the write,
+# Rows formatted and written per call; large enough to amortize the call,
 # small enough that a block never becomes a command's memory peak.
-_CSV_BLOCK_ROWS = 64
+_CSV_BLOCK_ROWS = 128
 
 
-def _write_csv_rows(fh, row_format: str, *columns) -> None:
-    """Write the rows of equal-length 1D arrays, each as ``row_format % row``.
+def _csv_rows(path, values, width: int) -> np.ndarray:
+    """The CSV text of ``values`` taken ``width`` to a row, as a byte array.
 
-    A column is a float array, or an object array of texts for ``%s``.  The
-    arrays are sliced into blocks of _CSV_BLOCK_ROWS rows.  Each slice is
-    turned into Python objects with ``.tolist()``, the block's values are
-    interleaved row by row, and the block is formatted with one ``%`` against
-    the row format repeated once per row and written with one ``fh.write``.
+    ``values`` is a flat float array, or a list of floats and ints (ints
+    keep their integer text).  orjson writes it as one JSON list; every
+    ``width``-th comma becomes a newline and the closing bracket the last
+    one.  ValueError naming ``path`` if a value is not finite, which orjson
+    would write as ``null``.
     """
-    n, width = len(columns[0]), len(columns)
-    for start in range(0, n, _CSV_BLOCK_ROWS):
-        rows = min(_CSV_BLOCK_ROWS, n - start)
-        values = [None] * (rows * width)
-        for k, c in enumerate(columns):
-            values[k::width] = c[start : start + rows].tolist()
-        fh.write(row_format * rows % tuple(values))
+    import orjson  # loaded on the first CSV write, so importing the package does not load it
+
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"n" in text:  # no number's text holds an n
+        raise ValueError(f"{path}: non-finite values cannot be written")
+    buf = np.frombuffer(bytearray(text), np.uint8)
+    buf[np.flatnonzero(buf == ord(","))[width - 1 :: width]] = ord("\n")
+    buf[-1] = ord("\n")
+    return buf[1:]
+
+
+def _write_csv(path, header: str, n: int, columns) -> None:
+    """Write ``header`` and n rows of floats; ``columns(rows)`` gives the columns of a slice of rows.
+
+    The columns of each block are copied into one preallocated float block,
+    whose text is written with one ``fh.write``.
+    """
+    width = header.count(",") + 1
+    block = np.empty((_CSV_BLOCK_ROWS, width))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, n)
+            rows = block[: stop - start]
+            for k, c in enumerate(columns(slice(start, stop))):
+                rows[:, k] = c
+            fh.write(_csv_rows(path, rows.reshape(-1), width))
 
 
 PROFILE_HEADER = "x,u,v"
@@ -287,11 +308,9 @@ SLAB_HEADER = "xp,xn,u,v"
 
 
 def save_profile_csv(path, prof: ProfilePair) -> None:
-    """Write header `x,u,v` and one row per node, each value as CSV_FLOAT."""
-    row_format = ",".join([CSV_FLOAT] * 3) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(PROFILE_HEADER + "\n")
-        _write_csv_rows(fh, row_format, prof.grid.nodes(), prof.u, prof.v)
+    """Write header `x,u,v` and one row per node."""
+    x = prof.grid.nodes()
+    _write_csv(path, PROFILE_HEADER, prof.grid.n, lambda rows: (x[rows], prof.u[rows], prof.v[rows]))
 
 
 def _load_columns(path, header: str) -> np.ndarray:
@@ -334,18 +353,18 @@ def load_profile_csv(path) -> ProfilePair:
 def save_slab_csv(path, f: SlabField) -> None:
     """Write header `xp,xn,u,v` and one row per node, transverse index outer.
 
-    Rows go out one transverse slice at a time.  The xn texts are formatted
-    once per file and every slice takes them as ``%s``; the slice's xp is
-    formatted once into the row format (a formatted finite float holds no
-    '%').  So the only coordinate text kept is one xn list, and no
-    coordinate array of the whole slab is built.
+    Row i of the file is node (i // nn, i % nn), so each block takes its
+    coordinates from the two axes' nodes and no coordinate array of the
+    whole slab is built.
     """
-    xn_text = np.array([CSV_FLOAT % x for x in f.grid_n.nodes().tolist()], dtype=object)
-    row_tail = ",%s," + ",".join([CSV_FLOAT] * 2) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(SLAB_HEADER + "\n")
-        for i, xp in enumerate(f.grid_t.nodes().tolist()):
-            _write_csv_rows(fh, CSV_FLOAT % xp + row_tail, xn_text, f.u[i], f.v[i])
+    nn = f.grid_n.n
+    xp, xn = f.grid_t.nodes(), f.grid_n.nodes()
+
+    def columns(rows):
+        i, j = np.divmod(np.arange(rows.start, rows.stop), nn)
+        return xp[i], xn[j], f.u[i, j], f.v[i, j]
+
+    _write_csv(path, SLAB_HEADER, f.grid_t.n * nn, columns)
 
 
 def load_slab_csv(path, periodic_n: bool = False) -> SlabField:

@@ -6,20 +6,16 @@ block-tridiagonal system with 2x2 blocks, assembled into five scalar bands
 and eliminated directly (LAPACK banded LU, exact and O(n)).  Steps are
 damped by residual-decrease backtracking with a floor.
 
-A solve holds one (7, 2n) band buffer and a fixed number of node vectors,
-and the reaction Jacobian is written straight into the buffer's band rows:
-its peak is 152 bytes a node (112 for the buffer, 8 for the pivots, 16
-each for the iterate and the right-hand side), 3.04 MB at n = 20001;
-:func:`pin_phase` peaks at 88 bytes a node.
+A solve holds one (7, 2n) band buffer and a fixed number of node vectors;
+the reaction Jacobian is written straight into the buffer's band rows.
 
-:func:`solve_banded` calls LAPACK's dgbsv directly instead of going
-through scipy's Python wrapper, and is bit-identical to it: it hands the
-bands, already in dgbsv's layout, to the dgbsv that
-``scipy.linalg.solve_banded((2, 2), ...)`` calls.  The routine comes from
-:mod:`gp_rigidity._kernels`, which loads scipy's compiled LAPACK module on
-first use, so the package imports no ``scipy.linalg``, and only commands
-that solve a front load LAPACK at all.  :func:`pin_phase` resamples with a
-fixed four-point stencil and needs no solve.
+:func:`solve_banded` hands the bands, already in dgbsv's layout, to the
+LAPACK dgbsv that ``scipy.linalg.solve_banded((2, 2), ...)`` calls, so the
+two are bit-identical.  The routine comes from :mod:`gp_rigidity._kernels`,
+which loads scipy's compiled LAPACK module on first use, so the package
+imports no ``scipy.linalg``, and only commands that solve a front load
+LAPACK at all.  :func:`pin_phase` resamples with a fixed four-point stencil
+and needs no solve.
 """
 
 from __future__ import annotations

@@ -611,15 +611,20 @@ def _random_box(grid_t: Grid1D, grid_n: Grid1D, seed: int) -> SlabField:
 
 
 def save_energy_trace_csv(path, outcome: FlowOutcome) -> None:
-    """Export `step,energy,update_norm`; the update at step 0 is left empty."""
-    updates = np.asarray(outcome.update_trace, dtype=float)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("step,energy,update_norm\n")
-        fh.write("0,%s,\n" % (gridmod.CSV_FLOAT % outcome.energy_trace[0]))
-        gridmod._write_csv_rows(
-            fh,
-            "%d," + gridmod.CSV_FLOAT + "," + gridmod.CSV_FLOAT + "\n",
-            np.arange(1, len(updates) + 1),
-            np.asarray(outcome.energy_trace[1:], dtype=float),
-            updates,
-        )
+    """Export `step,energy,update_norm`; the update at step 0 is left empty.
+
+    The steps keep integer text, so each block of rows goes to the CSV
+    formatter as a list of ints and floats.
+    """
+    energies, updates = outcome.energy_trace, outcome.update_trace
+    with open(path, "wb") as fh:
+        fh.write(b"step,energy,update_norm\n")
+        fh.write(gridmod._csv_rows(path, [0, energies[0]], 2)[:-1])
+        fh.write(b",\n")
+        for start in range(0, len(updates), gridmod._CSV_BLOCK_ROWS):
+            stop = min(start + gridmod._CSV_BLOCK_ROWS, len(updates))
+            values = [None] * (3 * (stop - start))
+            values[0::3] = range(start + 1, stop + 1)
+            values[1::3] = energies[start + 1 : stop + 1]
+            values[2::3] = updates[start:stop]
+            fh.write(gridmod._csv_rows(path, values, 3))

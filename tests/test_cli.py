@@ -119,6 +119,21 @@ def test_command_loads_only_the_scipy_it_runs(tmp_path, fresh_python, argv, allo
     assert loaded == allowed
 
 
+@pytest.mark.parametrize(
+    "argv, loads",
+    [(None, False), (["verify", "--seed", "0"], False), (["solve1d", "--n", "201"], True)],
+    ids=["import", "verify", "solve1d"],
+)
+def test_only_csv_writing_commands_load_orjson(tmp_path, fresh_python, argv, loads):
+    script = "import sys\nfrom gp_rigidity import cli\n"
+    if argv is not None:
+        script += f"assert cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0\n"
+    script += "print('orjson' in sys.modules)\n"
+    done = fresh_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(loads)
+
+
 def test_solve1d_config_error_names_field(tmp_path, capsys):
     code = run(["solve1d", "--lambda", "3", "--n", "2", "--out", str(tmp_path)])
     assert code == EXIT_ERROR
@@ -583,7 +598,7 @@ def test_uncoupled_command_sidecar_has_no_coupling(tmp_path, command):
     assert "lam" not in resolved and resolved["command"] == command
 
 
-def test_profile_csv_has_17_digit_floats(tmp_path):
+def test_profile_csv_floats_read_back_exactly(tmp_path):
     out = tmp_path / "run"
     assert run(["solve1d", "--lambda", "3", "--n", "401", "--L", "12", "--out", str(out)]) == EXIT_OK
     row = (out / "profile.csv").read_text().splitlines()[5]

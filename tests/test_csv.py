@@ -1,10 +1,15 @@
 """CSV writers: exact text, bit-exact reloads and bounded memory.
 
-The block writers must produce the same bytes as formatting every value on
-its own with ``grid.CSV_FLOAT``, which is what the reference writers below do.
+Every float is written as the shortest text that reads back to the same
+double: the significant digits of ``repr``, laid out as orjson's Ryu kernel
+lays them out.  That is plain notation for 1e-5 <= |x| < 1e16 (with ``.0``
+after an integral value) and ``d.ddde<N>`` otherwise, the exponent with no
+``+`` and no leading zeros.  The reference writers below build that text
+value by value; the block writers must produce the same bytes.
 """
 
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -21,11 +26,31 @@ BLOCK = grid._CSV_BLOCK_ROWS
 # Signed zeros, the smallest subnormal, tiny and huge magnitudes, values whose
 # shortest form is short, and 0.1 + 0.2, which needs all 17 digits.
 EDGE_VALUES = (-0.0, 5e-324, 1e-300, 0.0, 1.0, 0.1, -1e16, 1e17, 0.1 + 0.2)
-ROW_COUNTS = (3, BLOCK - 1, BLOCK, BLOCK + 1)
+# a short file, the counts around half a block, and the counts around one block
+ROW_COUNTS = (3, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1, BLOCK - 1, BLOCK, BLOCK + 1)
+
+
+def reference_text(x) -> str:
+    """The shortest round-trip text of float x, from the digits of repr(x)."""
+    x = float(x)
+    if x == 0.0:
+        return repr(x)  # 0.0 or -0.0
+    sign = "-" if x < 0 else ""
+    parts = Decimal(repr(abs(x))).normalize().as_tuple()
+    digits = "".join(map(str, parts.digits))
+    point = len(digits) + parts.exponent  # x = 0.digits * 10**point
+    if -5 < point <= 0:
+        return sign + "0." + "0" * -point + digits
+    if 0 < point <= 16:
+        if point >= len(digits):
+            return sign + digits + "0" * (point - len(digits)) + ".0"
+        return sign + digits[:point] + "." + digits[point:]
+    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+    return f"{sign}{mantissa}e{point - 1}"
 
 
 def reference_row(values) -> str:
-    return ",".join(grid.CSV_FLOAT % x for x in values) + "\n"
+    return ",".join(map(reference_text, values)) + "\n"
 
 
 def reference_profile_text(prof: ProfilePair) -> str:
@@ -46,7 +71,7 @@ def reference_slab_text(f: SlabField) -> str:
 
 
 def reference_energy_trace_text(outcome: solvernd.FlowOutcome) -> str:
-    lines = ["step,energy,update_norm\n", "0,%s,\n" % (grid.CSV_FLOAT % outcome.energy_trace[0])]
+    lines = ["step,energy,update_norm\n", "0,%s,\n" % reference_text(outcome.energy_trace[0])]
     for k, upd in enumerate(outcome.update_trace, start=1):
         lines.append("%d,%s" % (k, reference_row((outcome.energy_trace[k], upd))))
     return "".join(lines)
@@ -58,11 +83,16 @@ def edge_column(n: int, shift: int) -> np.ndarray:
 
 
 def digits_column(n: int, seed: int) -> np.ndarray:
-    """n random values whose text changes if printed with fewer digits, in every row."""
-    values = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    """n random values that each need all 17 significant digits to read back.
+
+    Their magnitudes lie in [0.25, 0.5), where the doubles are closer together
+    than the 16-digit decimals, so most of them need 17 digits.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.25, 0.5, n) * rng.choice([-1.0, 1.0], n)
     for i, x in enumerate(values):
-        while "%.16g" % x == grid.CSV_FLOAT % x:
-            x = np.nextafter(x, 2.0)
+        while float("%.16g" % x) == x:
+            x = np.nextafter(x, 0.0)
         values[i] = x
     return values
 
@@ -76,7 +106,10 @@ def test_profile_csv_matches_per_value_writer(tmp_path, n):
 
 
 @pytest.mark.parametrize(
-    "shape", [(3, 3), (3, BLOCK - 1), (4, BLOCK), (5, BLOCK + 1), (BLOCK + 1, 3), (6, 2 * BLOCK + 3)]
+    # the blocks run over the flattened rows: the last two shapes hold one block and one row more
+    "shape",
+    [(3, 3), (3, BLOCK - 1), (4, BLOCK), (5, BLOCK + 1), (BLOCK + 1, 3), (6, 2 * BLOCK + 3),
+     (4, BLOCK // 4), (3, BLOCK // 3 + 1)],
 )
 def test_slab_csv_matches_per_value_writer(tmp_path, shape):
     nt, nn = shape
@@ -153,6 +186,55 @@ def test_slab_csv_reload_is_bitwise(tmp_path_factory, half_lengths, data):
     loaded = grid.load_slab_csv(path)
     assert loaded.grid_t == f.grid_t and loaded.grid_n == f.grid_n
     assert bitwise_equal(loaded.u, f.u) and bitwise_equal(loaded.v, f.v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    half_length=st.floats(1e-3, 1e6),
+    data=st.integers(3, 2 * BLOCK + 3).flatmap(
+        lambda n: st.tuples(arrays(float, n, elements=finite_floats),
+                            arrays(float, n, elements=finite_floats))
+    ),
+)
+def test_profile_csv_text_is_the_reference_and_survives_a_reload(tmp_path_factory, half_length, data):
+    u, v = data
+    prof = ProfilePair(Grid1D(half_length, len(u)), u, v)
+    first = tmp_path_factory.mktemp("profile") / "profile.csv"
+    grid.save_profile_csv(first, prof)
+    assert first.read_text(encoding="ascii") == reference_profile_text(prof)
+    again = first.with_name("again.csv")
+    grid.save_profile_csv(again, grid.load_profile_csv(first))
+    assert again.read_bytes() == first.read_bytes()
+
+
+def seventeen_digit_profile_text(prof: ProfilePair) -> str:
+    """The profile as written with ``%.17g``, the format of earlier versions."""
+    x = prof.grid.nodes()
+    rows = ("%.17g,%.17g,%.17g\n" % (x[i], prof.u[i], prof.v[i]) for i in range(prof.grid.n))
+    return "x,u,v\n" + "".join(rows)
+
+
+def test_seventeen_digit_profile_csv_still_loads_bitwise(tmp_path):
+    n = 2 * len(EDGE_VALUES) + 1
+    prof = ProfilePair(Grid1D(0.1 + 0.2, n), edge_column(n, 0), digits_column(n, 4))
+    path = tmp_path / "profile.csv"
+    path.write_text(seventeen_digit_profile_text(prof), encoding="ascii")
+    loaded = grid.load_profile_csv(path)
+    assert loaded.grid == prof.grid
+    assert bitwise_equal(loaded.u, prof.u) and bitwise_equal(loaded.v, prof.v)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_energy_trace_value_is_rejected_naming_the_file(tmp_path, bad):
+    box = Grid1D(1.0, 3)
+    field = SlabField(box, box, np.zeros((3, 3)), np.zeros((3, 3)), periodic_n=True)
+    outcome = solvernd.FlowOutcome(
+        field, 2, 0.0, 0.0, True, energy_trace=(1.0, bad, 0.5), update_trace=(0.25, 0.125)
+    )
+    path = tmp_path / "energy_trace.csv"
+    with pytest.raises(ValueError, match="non-finite") as info:
+        solvernd.save_energy_trace_csv(path, outcome)
+    assert str(path) in str(info.value)
 
 
 def test_one_row_profile_csv_is_rejected(tmp_path):
