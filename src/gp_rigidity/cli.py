@@ -7,8 +7,6 @@ reproduces the outputs byte for byte.  Configuration precedence: built-in
 defaults, then the config file, then explicit flags.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -32,23 +30,27 @@ EXIT_CHECK_FAILED = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters; the JSON sidecar holds the fields the command reads."""
+    """Fully resolved run parameters; the JSON sidecar holds the fields the command reads.
+
+    Each annotation is the field's type for its flag and its config value
+    alike; a default the option classes hold is taken from them.
+    """
 
     command: str = "solve1d"
     lam: float = 3.0
-    half_length: float = 20.0
-    n: int = 2001
-    newton_tol: float = 1e-10
-    max_iters: int = 25
-    seed: int = 0
+    half_length: float = verifymod.SuiteOptions.half_length
+    n: int = verifymod.SuiteOptions.n
+    newton_tol: float = solver1d.SolveOptions.newton_tol
+    max_iters: int = solver1d.SolveOptions.max_iters
+    seed: int = verifymod.SuiteOptions.seed
     out_dir: str = "."
     mode: str = "gibbons"
     lambda_from: float = 2.0
     lambda_to: float = 6.0
     step: float = 0.5
-    steady_tol: float = 1e-9
-    max_steps: int = 40000
-    stages: str = ",".join(verifymod.ALL_STAGES)
+    steady_tol: float = solvernd.FlowOptions.steady_tol
+    max_steps: int = solvernd.FlowOptions.max_steps
+    stages: str = ",".join(verifymod.SuiteOptions.stages)
 
     def to_json(self) -> str:
         reads = _reader(self.command, self.mode)[1]
@@ -56,27 +58,18 @@ class RunConfig:
         return json.dumps(values, indent=2)
 
 
-_INT_FIELDS = {"n", "max_iters", "seed", "max_steps"}
-_FLOAT_FIELDS = {
-    "lam", "half_length", "newton_tol", "lambda_from", "lambda_to",
-    "step", "steady_tol",
-}
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(name: str, raw):
     """Field ``name``'s value from a config file: a JSON value of the field's type, or a text of one."""
+    kind = _TYPES[name]
     try:
-        # a bool is no field's value, and an integer field takes no fraction
-        if isinstance(raw, bool) or (name in _INT_FIELDS and isinstance(raw, float) and not raw.is_integer()):
+        # a bool is no field's value, a text field takes only a text, and an integer field no fraction
+        if (isinstance(raw, bool) or (kind is str and not isinstance(raw, str))
+                or (kind is int and isinstance(raw, float) and not raw.is_integer())):
             raise ValueError
-        if name in _INT_FIELDS:
-            value = int(raw)
-        elif name in _FLOAT_FIELDS:
-            value = float(raw)
-        elif isinstance(raw, str):  # a text field takes no JSON number or null
-            value = raw
-        else:
-            raise TypeError
+        value = kind(raw)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config field {name}: cannot parse {raw!r}") from exc
     if name == "mode" and value not in MODES:
@@ -104,8 +97,8 @@ def load_config_file(path: str) -> dict:
 
 
 # the RunConfig fields each command reads, and each relax mode (the box
-# modes run on verify.LIOUVILLE_BOX, lambda1 at coupling 1): they alone enter
-# the sidecar and may be set by a flag or a config file
+# modes run on verify.LIOUVILLE_BOX, lambda1 at coupling 1): they alone get
+# a flag, enter the sidecar and may be set by a config file
 RELAX_READS = {
     "gibbons": ("lam", "mode", "half_length", "n", "newton_tol", "max_iters", "seed", "steady_tol", "max_steps",
                 "out_dir"),
@@ -114,12 +107,32 @@ RELAX_READS = {
 }
 MODES = tuple(RELAX_READS)
 READS = {
-    "solve1d": ("lam", "half_length", "n", "newton_tol", "max_iters", "seed", "out_dir"),
+    "solve1d": ("lam", "half_length", "n", "newton_tol", "max_iters", "out_dir"),
     "sweep": ("half_length", "n", "newton_tol", "max_iters", "lambda_from", "lambda_to", "step", "out_dir"),
     "relax": RELAX_READS["gibbons"],  # every mode's fields get flags
     "verify": ("half_length", "n", "newton_tol", "max_iters", "seed", "steady_tol", "max_steps", "stages", "out_dir"),
 }
 COMMANDS = tuple(READS)
+
+# each field's flag and help text, in the order a command's help lists them;
+# --config, which every command takes, is no field
+FLAGS = {
+    "lam": ("--lambda", "coupling constant"),
+    "half_length": ("--L", "half length of the axis"),
+    "n": ("--n", "node count (>= 3)"),
+    "newton_tol": ("--tol", "residual target"),
+    "max_iters": ("--max-iters", None),
+    "seed": ("--seed", None),
+    "out_dir": ("--out", f"output directory (default ${OUT_ENV_VAR} or .)"),
+    "config": ("--config", "JSON config file, such as a sidecar"),
+    "mode": ("--mode", None),
+    "lambda_from": ("--lambda-from", None),
+    "lambda_to": ("--lambda-to", None),
+    "step": ("--step", None),
+    "stages": ("--stages", "comma list of stages, empty for none"),
+    "steady_tol": ("--steady-tol", None),
+    "max_steps": ("--max-steps", None),
+}
 
 
 def _reader(command: str, mode: str) -> tuple[str, tuple]:
@@ -146,44 +159,14 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command is not None:
         # the top-level usage line still names every command
         sub.metavar = "{%s}" % ",".join(COMMANDS)
-
-    def add(name, summary):
-        sp = sub.add_parser(name, help=summary)
-
-        def shared(flag, dest, **kwargs):
-            if dest in READS[name]:
-                sp.add_argument(flag, dest=dest, **kwargs)
-
-        shared("--lambda", "lam", type=float, help="coupling constant")
-        shared("--L", "half_length", type=float, help="half length of the axis")
-        shared("--n", "n", type=int, help="node count (>= 3)")
-        shared("--tol", "newton_tol", type=float, help="residual target")
-        shared("--max-iters", "max_iters", type=int)
-        shared("--seed", "seed", type=int)
-        shared("--out", "out_dir", help=f"output directory (default ${OUT_ENV_VAR} or .)")
-        sp.add_argument("--config", dest="config", help="JSON config file, such as a sidecar")
-        return sp
-
-    if command in (None, "solve1d"):
-        add("solve1d", "solve one heteroclinic profile and verify it")
-
-    if command in (None, "sweep"):
-        sp = add("sweep", "continuation sweep over a coupling range")
-        sp.add_argument("--lambda-from", dest="lambda_from", type=float)
-        sp.add_argument("--lambda-to", dest="lambda_to", type=float)
-        sp.add_argument("--step", dest="step", type=float)
-
-    if command in (None, "relax"):
-        sp = add("relax", "gradient-flow relaxation experiments")
-        sp.add_argument("--mode", dest="mode", choices=MODES)
-        sp.add_argument("--steady-tol", dest="steady_tol", type=float)
-        sp.add_argument("--max-steps", dest="max_steps", type=int)
-
-    if command in (None, "verify"):
-        sp = add("verify", "run the full rigidity battery")
-        sp.add_argument("--stages", dest="stages", help="comma list of stages, empty for none")
-        sp.add_argument("--steady-tol", dest="steady_tol", type=float)
-        sp.add_argument("--list-checks", action="store_true", help="print the check catalog and exit")
+    for name in COMMANDS if command is None else (command,):
+        sp = sub.add_parser(name, help=RUNNERS[name][0])
+        for dest, (flag, text) in FLAGS.items():
+            if dest == "config" or dest in READS[name]:
+                sp.add_argument(flag, dest=dest, type=_TYPES.get(dest), choices=MODES if dest == "mode" else None,
+                                help=text)
+        if name == "verify":
+            sp.add_argument("--list-checks", action="store_true", help="print the check catalog and exit")
     return parser
 
 
@@ -207,8 +190,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(RunConfig(command=args.command), **{**file_values, **overrides})
     touched = set(file_values) | set(overrides)
     if args.command == "relax" and "n" not in touched:
-        # relaxation runs use a coarser default axis than the Newton solver
-        cfg = replace(cfg, n=801)
+        # relaxation runs use the battery slab's coarser axis, not the Newton solver's
+        cfg = replace(cfg, n=verifymod.GIBBONS_AXIS.n)
     if args.command == "relax" and cfg.mode == "liouville" and "lam" not in touched:
         # the shared default coupling 3 is outside the liouville range (0, 1)
         cfg = replace(cfg, lam=0.5)
@@ -229,28 +212,30 @@ def _solve_options(cfg: RunConfig) -> solver1d.SolveOptions:
     return solver1d.SolveOptions(newton_tol=cfg.newton_tol, max_iters=cfg.max_iters)
 
 
-def _write_report(path: str, seed: int, records) -> verifymod.VerifyReport:
-    report = verifymod.VerifyReport(version=verifymod.REPORT_VERSION, seed=seed, records=tuple(records))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(report.to_json() + "\n")
-    return report
+def _conclude(cfg: RunConfig, report_name: str | None, records, summary) -> int:
+    """Write the report of ``records`` (unless ``report_name`` is None) and print ``summary(failed)``.
+
+    A FAILED line follows for each failed record; returns the command's exit code.
+    """
+    report = verifymod.VerifyReport(version=verifymod.REPORT_VERSION, seed=cfg.seed, records=tuple(records))
+    if report_name is not None:
+        with open(os.path.join(cfg.out_dir, report_name), "w", encoding="ascii") as fh:
+            fh.write(report.to_json() + "\n")
+    failures = report.failures()
+    print(summary(len(failures)))
+    for rec in failures:
+        print(f"  FAILED {rec.name} [{rec.theorem}]: margin {rec.margin:.3e}")
+    return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
 
 
 def cmd_solve1d(cfg: RunConfig) -> int:
-    p = Params(cfg.lam)
-    records, outcome = verifymod.solve_records(p, Grid1D(cfg.half_length, cfg.n), _solve_options(cfg))
+    records, outcome = verifymod.solve_records(Params(cfg.lam), Grid1D(cfg.half_length, cfg.n), _solve_options(cfg))
     _write_sidecar(cfg, cfg.out_dir)
     gridmod.save_profile_csv(os.path.join(cfg.out_dir, "profile.csv"), solver1d.pin_phase(outcome.profile))
-    report = _write_report(os.path.join(cfg.out_dir, "report.json"), cfg.seed, records)
-
-    print(
+    return _conclude(cfg, "report.json", records, lambda failed: (
         f"coupling {cfg.lam}: converged in {outcome.iterations} iterations, "
-        f"residual {outcome.final_residual:.3e}, "
-        f"{len(records)} checks, {len(report.failures())} failed"
-    )
-    for rec in report.failures():
-        print(f"  FAILED {rec.name} [{rec.theorem}]: margin {rec.margin:.3e}")
-    return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
+        f"residual {outcome.final_residual:.3e}, {len(records)} checks, {failed} failed"
+    ))
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -258,7 +243,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     outcomes = solver1d.continuation_sweep(cfg.lambda_from, cfg.lambda_to, cfg.step, g, _solve_options(cfg))
     _write_sidecar(cfg, cfg.out_dir)
 
-    any_check_failed = False
+    records = []
     summary = []
     for outcome in outcomes:
         p = Params(outcome.lam)
@@ -267,14 +252,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         rec = verifymod.sum_record(p, prof)
         energy = gridmod.discrete_energy_1d(p, prof)
         summary += [outcome.lam, rec.params["min_sum"], rec.params["max_sum"], energy, outcome.iterations]
-        any_check_failed = any_check_failed or not rec.passed
+        records.append(rec)
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
+    text = gridmod._csv_rows(summary_path, summary, 5)  # formatted, so checked, before the file is opened
     with open(summary_path, "wb") as fh:
         fh.write(b"lambda,min_sum,max_sum,energy,iters\n")
-        fh.write(gridmod._csv_rows(summary_path, summary, 5))
-
-    print(f"sweep wrote {len(outcomes)} profiles and {summary_path}")
-    return EXIT_CHECK_FAILED if any_check_failed else EXIT_OK
+        fh.write(text)
+    return _conclude(cfg, None, records, lambda failed: f"sweep wrote {len(outcomes)} profiles and {summary_path}")
 
 
 def cmd_relax(cfg: RunConfig) -> int:
@@ -296,22 +280,16 @@ def cmd_relax(cfg: RunConfig) -> int:
 
     gridmod.save_slab_csv(os.path.join(cfg.out_dir, "field.csv"), outcome.field)
     solvernd.save_energy_trace_csv(os.path.join(cfg.out_dir, "energy_trace.csv"), outcome)
-    report = _write_report(os.path.join(cfg.out_dir, "report.json"), cfg.seed, records)
-    print(
+    return _conclude(cfg, "report.json", records, lambda failed: (
         f"relax mode={cfg.mode} coupling={records[0].params['lam']}: {outcome.steps} steps "
         f"({outcome.newton_steps} Newton, {outcome.rejected} candidates rejected), "
         f"final update {outcome.final_update:.3e}, "
         f"final residual {outcome.final_residual:.3e}, "
-        f"{len(report.failures())} of {len(records)} checks failed"
-    )
-    return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
+        f"{failed} of {len(records)} checks failed"
+    ))
 
 
-def cmd_verify(cfg: RunConfig, list_checks: bool = False) -> int:
-    if list_checks:
-        for tag in verifymod.THEOREM_TAGS:
-            print(tag)
-        return EXIT_OK
+def cmd_verify(cfg: RunConfig) -> int:
     opts = verifymod.SuiteOptions(
         seed=cfg.seed,
         stages=tuple(s for s in cfg.stages.split(",") if s),
@@ -321,18 +299,21 @@ def cmd_verify(cfg: RunConfig, list_checks: bool = False) -> int:
         steady_tol=cfg.steady_tol,
         max_steps=cfg.max_steps,
     )
-    report = verifymod.full_suite(opts)
+    records = verifymod.full_suite(opts).records
     _write_sidecar(cfg, cfg.out_dir)
-    with open(os.path.join(cfg.out_dir, "suite_report.json"), "w", encoding="ascii") as fh:
-        fh.write(report.to_json() + "\n")
-    if report.empty:
-        print("no checks run (empty battery); overall pass is vacuous")
-        return EXIT_OK
-    failures = report.failures()
-    print(f"battery: {len(report.records)} checks, {len(failures)} failed")
-    for rec in failures:
-        print(f"  FAILED {rec.name} [{rec.theorem}]: margin {rec.margin:.3e}")
-    return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
+    return _conclude(cfg, "suite_report.json", records, lambda failed: (
+        f"battery: {len(records)} checks, {failed} failed" if records
+        else "no checks run (empty battery); overall pass is vacuous"
+    ))
+
+
+# each command's help summary and runner
+RUNNERS = {
+    "solve1d": ("solve one heteroclinic profile and verify it", cmd_solve1d),
+    "sweep": ("continuation sweep over a coupling range", cmd_sweep),
+    "relax": ("gradient-flow relaxation experiments", cmd_relax),
+    "verify": ("run the full rigidity battery", cmd_verify),
+}
 
 
 def main(argv=None) -> int:
@@ -357,17 +338,14 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if getattr(args, "list_checks", False):
+        print("\n".join(verifymod.THEOREM_TAGS))
+        return EXIT_OK
 
     # values are validated by the objects that consume them (Params, Grid1D,
     # the option classes), so a ValueError here names a bad config value
     try:
-        if args.command == "solve1d":
-            return cmd_solve1d(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "relax":
-            return cmd_relax(cfg)
-        return cmd_verify(cfg, list_checks=getattr(args, "list_checks", False))
+        return RUNNERS[args.command][1](cfg)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_ERROR

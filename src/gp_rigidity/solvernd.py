@@ -617,6 +617,9 @@ def save_energy_trace_csv(path, outcome: FlowOutcome) -> None:
     formatter as a list of ints and floats.
     """
     energies, updates = outcome.energy_trace, outcome.update_trace
+    # checked here, not by the formatter, so a refused trace leaves no half-written file
+    if not (np.isfinite(energies).all() and np.isfinite(updates).all()):
+        raise ValueError(f"{path}: non-finite values cannot be written")
     with open(path, "wb") as fh:
         fh.write(b"step,energy,update_norm\n")
         fh.write(gridmod._csv_rows(path, [0, energies[0]], 2)[:-1])

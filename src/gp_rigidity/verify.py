@@ -456,8 +456,8 @@ class SuiteOptions:
     half_length: float = 20.0
     n: int = 2001
     newton: solver1d.SolveOptions = field(default_factory=solver1d.SolveOptions)
-    steady_tol: float = 1e-9
-    max_steps: int = 40000
+    steady_tol: float = solvernd.FlowOptions.steady_tol
+    max_steps: int = solvernd.FlowOptions.max_steps
 
     def __post_init__(self):
         unknown = [s for s in self.stages if s not in ALL_STAGES]

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gp_rigidity import cli
+from gp_rigidity import cli, verify
 from gp_rigidity.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK
 
 
@@ -443,7 +445,7 @@ options:
     'solve1d --help': ("out", """\
 usage: gp-rigidity solve1d [-h] [--lambda LAM] [--L HALF_LENGTH] [--n N]
                            [--tol NEWTON_TOL] [--max-iters MAX_ITERS]
-                           [--seed SEED] [--out OUT_DIR] [--config CONFIG]
+                           [--out OUT_DIR] [--config CONFIG]
 
 options:
   -h, --help            show this help message and exit
@@ -452,7 +454,6 @@ options:
   --n N                 node count (>= 3)
   --tol NEWTON_TOL      residual target
   --max-iters MAX_ITERS
-  --seed SEED
   --out OUT_DIR         output directory (default $GP_RIGIDITY_OUT or .)
   --config CONFIG       JSON config file, such as a sidecar
 """),
@@ -499,7 +500,8 @@ options:
 usage: gp-rigidity verify [-h] [--L HALF_LENGTH] [--n N] [--tol NEWTON_TOL]
                           [--max-iters MAX_ITERS] [--seed SEED]
                           [--out OUT_DIR] [--config CONFIG] [--stages STAGES]
-                          [--steady-tol STEADY_TOL] [--list-checks]
+                          [--steady-tol STEADY_TOL] [--max-steps MAX_STEPS]
+                          [--list-checks]
 
 options:
   -h, --help            show this help message and exit
@@ -512,6 +514,7 @@ options:
   --config CONFIG       JSON config file, such as a sidecar
   --stages STAGES       comma list of stages, empty for none
   --steady-tol STEADY_TOL
+  --max-steps MAX_STEPS
   --list-checks         print the check catalog and exit
 """),
     'bogus': ("err", """\
@@ -681,7 +684,7 @@ BAD_CONFIG_VALUES = [
     pytest.param("solve1d", {"n": True}, "n", id="n-bool"),
     pytest.param("solve1d", {"lam": True}, "lam", id="lam-bool"),
     pytest.param("solve1d", {"max_iters": True}, "max_iters", id="max_iters-bool"),
-    pytest.param("solve1d", {"seed": False}, "seed", id="seed-bool"),
+    pytest.param("verify", {"seed": False}, "seed", id="seed-bool"),
     pytest.param("relax", {"mode": "liouville", "max_steps": 1000.5}, "max_steps", id="max_steps-fraction"),
     pytest.param("verify", {"stages": True}, "stages", id="stages-bool"),
     pytest.param("solve1d", {"out_dir": None}, "out_dir", id="out_dir-null"),
@@ -705,6 +708,98 @@ def test_integral_json_number_sets_an_integer_field(tmp_path):
     out = tmp_path / "out"
     assert run(["solve1d", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert json.loads((out / "solve1d.config.json").read_text())["n"] == 201
+
+
+def test_solve1d_takes_no_seed(tmp_path, capsys):
+    # a Newton solve draws no random numbers, so a seed would be a dead knob
+    assert run(["solve1d", "--seed", "1", "--out", str(tmp_path / "flag")]) == EXIT_ERROR
+    assert not (tmp_path / "flag").exists()
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"seed": 1}')
+    capsys.readouterr()
+    assert run(["solve1d", "--config", str(cfg), "--out", str(tmp_path / "file")]) == EXIT_ERROR
+    assert capsys.readouterr().err == "config error: seed: solve1d does not read it\n"
+    assert not (tmp_path / "file").exists()
+    # the report still records the default seed
+    assert run(["solve1d", "--n", "201", "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["seed"] == 0
+
+
+# a command line per command and relax mode, and the fields it reads
+READERS = {
+    **{command: ([command], cli.READS[command]) for command in ("solve1d", "sweep", "verify")},
+    **{f"relax-{mode}": (["relax", f"--mode={mode}"], reads) for mode, reads in cli.RELAX_READS.items()},
+}
+NOT_FIELDS = {"help", "config", "list_checks"}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_parser_flags_are_the_fields_read(reader):
+    argv, reads = READERS[reader]
+    command = argv[0]
+    [sub] = [a for a in cli._build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest: a.option_strings[0] for a in sub.choices[command]._actions if a.dest not in NOT_FIELDS}
+    if command != "relax":
+        assert set(flags) == set(reads)
+        return
+    # one relax parser serves every mode: it has each mode's flags, and a mode takes only its own
+    assert set(flags) == set().union(*cli.RELAX_READS.values())
+    taken = set()
+    for dest, flag in flags.items():
+        value = argv[1].partition("=")[2] if dest == "mode" else getattr(cli.RunConfig(), dest)
+        args = cli._build_parser(command).parse_args([*argv, f"{flag}={value}"])
+        try:
+            cli.resolve_config(args)
+        except ValueError:
+            continue
+        taken.add(dest)
+    assert taken == set(reads)
+
+
+def _field_values(reads):
+    """Some of the fields ``reads`` that a flag may set, each with a valid value of its type."""
+    by_type = {float: st.floats(min_value=1e-300, max_value=1e300), int: st.integers(min_value=3, max_value=2**40)}
+    strategies = {
+        "stages": st.lists(st.sampled_from(verify.ALL_STAGES), unique=True).map(",".join),
+        "out_dir": st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_./-]{0,20}", fullmatch=True),
+    }
+    for name in reads:
+        if name not in strategies and name != "mode":
+            strategies[name] = by_type[cli.RunConfig.__dataclass_fields__[name].type]
+    return st.fixed_dictionaries({}, optional={name: strategies[name] for name in reads if name != "mode"})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_flags_and_their_sidecar_resolve_alike(tmp_path_factory, data):
+    # values set by flags, then read back from the sidecar they resolve to
+    argv, reads = READERS[data.draw(st.sampled_from(list(READERS)))]
+    values = data.draw(_field_values(reads))
+    line = [*argv, *(f"{cli.FLAGS[name][0]}={value}" for name, value in values.items())]
+    cfg = cli.resolve_config(cli._build_parser(argv[0]).parse_args(line))
+    assert {name: getattr(cfg, name) for name in values} == values
+    sidecar = tmp_path_factory.mktemp("sidecar") / f"{argv[0]}.config.json"
+    sidecar.write_text(cfg.to_json() + "\n", encoding="ascii")
+    again = cli.resolve_config(cli._build_parser(argv[0]).parse_args([argv[0], "--config", str(sidecar)]))
+    assert again == cfg
+    assert again.to_json() == cfg.to_json()
+
+
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (["relax", "--mode", "gibbons", "--steady-tol", "1e-3"], "report.json"),
+        (["verify", "--stages", "liouville", "--max-steps", "1"], "suite_report.json"),
+    ],
+    ids=["relax-gibbons", "verify-liouville"],
+)
+def test_failed_run_names_each_failed_check(tmp_path, capsys, argv, report):
+    assert run([*argv, "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+    failed = [r for r in _records(tmp_path / report) if not r["pass"]]
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  FAILED ")]
+    assert failed and lines == [f"  FAILED {r['name']} [{r['theorem']}]: margin {r['margin']:.3e}" for r in failed]
+    if argv[0] == "relax":
+        assert lines[0].startswith("  FAILED gibbons-anisotropy ")
 
 
 def _found_dispatch_targets_above_x86_v3():

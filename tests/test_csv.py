@@ -237,6 +237,21 @@ def test_non_finite_energy_trace_value_is_rejected_naming_the_file(tmp_path, bad
     assert str(path) in str(info.value)
 
 
+def test_refused_energy_trace_csv_leaves_no_file(tmp_path):
+    # the trace is checked before the file is opened; the profile and slab
+    # writers need no such check, since their containers reject non-finite data
+    box = Grid1D(1.0, 3)
+    field = SlabField(box, box, np.zeros((3, 3)), np.zeros((3, 3)), periodic_n=True)
+    outcome = solvernd.FlowOutcome(
+        field, 2, 0.0, 0.0, True, energy_trace=(1.0, float("nan"), 0.5), update_trace=(0.25, 0.125)
+    )
+    path = tmp_path / "energy_trace.csv"
+    with pytest.raises(ValueError, match="non-finite") as info:
+        solvernd.save_energy_trace_csv(path, outcome)
+    assert str(path) in str(info.value)
+    assert not path.exists()
+
+
 def test_one_row_profile_csv_is_rejected(tmp_path):
     path = tmp_path / "profile.csv"
     path.write_text("x,u,v\n1,1,0\n", encoding="ascii")
