@@ -267,7 +267,6 @@ def cmd_relax(cfg: RunConfig) -> int:
         max_steps=cfg.max_steps,
         rng_seed=cfg.seed,
     )
-    _write_sidecar(cfg, cfg.out_dir)
     if cfg.mode == "gibbons":
         records, outcome = verifymod.gibbons_records(
             Params(cfg.lam), verifymod.GIBBONS_TRANSVERSE, Grid1D(cfg.half_length, cfg.n),
@@ -277,7 +276,7 @@ def cmd_relax(cfg: RunConfig) -> int:
         records, outcome = verifymod.liouville_records(Params(cfg.lam), verifymod.LIOUVILLE_BOX, flow_opts)
     else:  # lambda1
         records, outcome = verifymod.unit_coupling_records(verifymod.LIOUVILLE_BOX, flow_opts)
-
+    _write_sidecar(cfg, cfg.out_dir)
     gridmod.save_slab_csv(os.path.join(cfg.out_dir, "field.csv"), outcome.field)
     solvernd.save_energy_trace_csv(os.path.join(cfg.out_dir, "energy_trace.csv"), outcome)
     return _conclude(cfg, "report.json", records, lambda failed: (

@@ -43,6 +43,12 @@ class Grid1D:
             raise ValueError(f"half_length: must be positive, got {self.half_length!r}")
         if int(self.n) != self.n or self.n < 3:
             raise ValueError(f"n: node count must be an integer >= 3, got {self.n!r}")
+        try:  # every difference operator scales by 1/h**2, which must be a finite double
+            inverse = 1.0 / float(self.h) ** 2
+        except (OverflowError, ZeroDivisionError):
+            inverse = float("inf")
+        if not inverse < float("inf"):
+            raise ValueError(f"half_length: {self.half_length!r} on {self.n} nodes puts 1/h**2 outside float range")
 
     @property
     def h(self) -> float:

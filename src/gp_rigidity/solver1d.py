@@ -40,6 +40,9 @@ GUESS_BOUNDARY_TOL = 1e-6
 # Backtracking halves a Newton step at most down to this fraction.
 DAMPING_MIN = 1.0 / 64.0
 
+# A coupling sweep takes fewer steps than this, checked before any sample is formed.
+MAX_SWEEP_STEPS = 10_000
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -87,11 +90,6 @@ def initial_guess(p: Params, g: Grid1D) -> ProfilePair:
     u[0], v[0] = gridmod.LEFT_STATE
     u[-1], v[-1] = gridmod.RIGHT_STATE
     return ProfilePair(g, u, v)
-
-
-def _residual_arrays(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray):
-    prof = ProfilePair(g, u, v)
-    return gridmod.residual_1d(p, prof)
 
 
 def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -178,7 +176,7 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
     # initial_guess(p, g), opts)``) dies with the first update once this
     # name is gone; on older versions the caller keeps it alive
     del guess
-    ru, rv = _residual_arrays(p, g, u, v)
+    ru, rv = gridmod.residual_1d(p, ProfilePair(g, u, v))
     rnorm = gridmod._max_norm(ru, rv)
     history = [rnorm]
 
@@ -187,14 +185,7 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(opts.max_iters):
             if rnorm <= opts.newton_tol:
-                return SolveOutcome(
-                    profile=ProfilePair(g, u, v),
-                    iterations=iteration,
-                    final_residual=rnorm,
-                    converged=True,
-                    lam=p.lam,
-                    residual_history=tuple(history),
-                )
+                break
             # one band buffer is alive at a time: the right-hand side is formed
             # and the residual pair dropped before assembly, the factored
             # buffer right after the solve
@@ -217,7 +208,7 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
             while True:
                 tu = u + s * du
                 tv = v + s * dv
-                tru, trv = _residual_arrays(p, g, tu, tv)
+                tru, trv = gridmod.residual_1d(p, ProfilePair(g, tu, tv))
                 tnorm = gridmod._max_norm(tru, trv)
                 if tnorm < rnorm or s <= DAMPING_MIN:
                     break
@@ -228,7 +219,7 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
 
     outcome = SolveOutcome(
         profile=ProfilePair(g, u, v),
-        iterations=opts.max_iters,
+        iterations=len(history) - 1,  # the updates taken: history holds the start and one residual per update
         final_residual=rnorm,
         converged=rnorm <= opts.newton_tol,
         lam=p.lam,
@@ -298,13 +289,22 @@ def pin_phase(prof: ProfilePair) -> ProfilePair:
 
 
 def _lambda_samples(lambda_from: float, lambda_to: float, step: float):
-    """Coupling samples from start to target inclusive, stepping by +-step."""
-    if lambda_from == lambda_to:
-        return [lambda_from]
-    if step <= 0.0:
-        raise ValueError("continuation step must be positive")
+    """Coupling samples from start to target inclusive, stepping by +-step.
+
+    The couplings must be finite, the step finite and positive, and the
+    range fewer than :data:`MAX_SWEEP_STEPS` steps long; each is checked
+    before any sample is formed, and a ValueError names the field at fault.
+    """
+    for name, value in (("lambda_from", lambda_from), ("lambda_to", lambda_to)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: coupling must be finite, got {value!r}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step: must be finite and positive, got {step!r}")
+    span = abs(lambda_to - lambda_from) / step  # inf when the quotient overflows
+    if not span < MAX_SWEEP_STEPS:
+        raise ValueError(f"step: {step!r} takes {MAX_SWEEP_STEPS} or more steps from {lambda_from!r} to {lambda_to!r}")
     direction = 1.0 if lambda_to > lambda_from else -1.0
-    count = int(abs(lambda_to - lambda_from) / step + 1e-9)
+    count = int(span + 1e-9)
     samples = [lambda_from + direction * step * i for i in range(count + 1)]
     if math.isclose(samples[-1], lambda_to, rel_tol=0.0, abs_tol=1e-9):
         samples[-1] = lambda_to
@@ -328,10 +328,11 @@ def continuation_sweep(
     does not converge is solved once more from :func:`initial_guess`; if
     that fails too, its NonConvergence, which names the coupling, propagates.
     """
+    samples = _lambda_samples(lambda_from, lambda_to, step)
     if min(lambda_from, lambda_to) <= 1.0:
         raise RegimeError("continuation range must stay above coupling 1")
     outcomes: list[SolveOutcome] = []
-    for lam in _lambda_samples(lambda_from, lambda_to, step):
+    for lam in samples:
         p = Params(lam)
         outcome = None
         if outcomes:

@@ -44,6 +44,11 @@ turned-down candidate is taken when it is downhill, because near coupling
 straight Newton step climbs the valley's wall, and the flow damps that
 stiff radial error first while keeping the progress along the valley.
 
+Every candidate (Anderson's, Newton's, or the flow step from a turned-down
+Newton candidate) passes one energy test, :func:`_downhill`.  Both Newton
+steps take the residual pair and the run's eigenvalue pair, so a run picks
+its Newton step and its spread once, from the geometry.
+
 Newton's operator is invertible, so it cannot manufacture a
 one-dimensional or constant state: a run stops only on the residual
 certificate, and the anisotropy and the constancy are measured on the
@@ -271,23 +276,23 @@ def _mixed(history: list, f: tuple, g: SlabField) -> SlabField | None:
         return None
 
 
-def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa_t: np.ndarray) -> SlabField | None:
+def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa: tuple) -> SlabField | None:
     """Newton candidate from the Dirichlet slab f, with the Jacobian frozen at the transverse mean.
 
     ru, rv is the residual pair of :func:`grid.residual_slab` at f; both are
-    overwritten.  kappa_t holds the eigenvalues of minus the transverse
-    second difference (:func:`_eigenvalues` with a = 1/h_t^2).  The
-    candidate is f - d, where J_bar d = r and J_bar is the slab Laplacian
-    plus the reaction Jacobian at (u_bar, v_bar), the transverse means of f,
-    with identity end rows.  The right-hand side's end rows are zeroed, so d
-    vanishes on the pinned columns, and the candidate's end columns are
-    copied from f bit for bit.  In the transverse real FFT
-    (``scipy.fftpack.rfft`` layout, :func:`_eigenvalues`) J_bar is the 1D
-    Newton matrix of :func:`solver1d._assemble_bands` at (u_bar, v_bar)
-    with -kappa_k added on its interior diagonal, so each transverse mode k
-    (its one or two rows) takes one banded solve in a copy of one (7, 2n)
-    buffer.  Returns None when the candidate is not finite or a pivot is
-    exactly zero.
+    overwritten.  kappa is the pair :func:`_axis_eigenvalues` of f; only its
+    first entry, the eigenvalues kappa_t of minus the transverse second
+    difference, is used.  The candidate is f - d, where J_bar d = r and
+    J_bar is the slab Laplacian plus the reaction Jacobian at
+    (u_bar, v_bar), the transverse means of f, with identity end rows.  The
+    right-hand side's end rows are zeroed, so d vanishes on the pinned
+    columns, and the candidate's end columns are copied from f bit for bit.
+    In the transverse real FFT (``scipy.fftpack.rfft`` layout,
+    :func:`_eigenvalues`) J_bar is the 1D Newton matrix of
+    :func:`solver1d._assemble_bands` at (u_bar, v_bar) with -kappa_k added
+    on its interior diagonal, so each transverse mode k (its one or two
+    rows) takes one banded solve in a copy of one (7, 2n) buffer.  Returns
+    None when the candidate is not finite or a pivot is exactly zero.
     """
     m, n = f.u.shape
     for r in (ru, rv):
@@ -298,7 +303,7 @@ def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa_
     for k in range(m // 2 + 1):
         rows = slice(max(2 * k - 1, 0), min(2 * k + 1, m))  # entries j with (j + 1) // 2 == k
         work = bands.copy(order="F")
-        work[4, 2:-2] -= kappa_t[rows.start]
+        work[4, 2:-2] -= kappa[0][rows.start]
         rhs = np.empty((2 * n, rows.stop - rows.start), order="F")
         rhs[0::2] = ru[rows].T
         rhs[1::2] = rv[rows].T
@@ -323,20 +328,18 @@ def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa_
         return None
 
 
-def _box_newton_step(
-    p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa_t: np.ndarray, kappa_n: np.ndarray
-) -> SlabField | None:
+def _box_newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa: tuple) -> SlabField | None:
     """Newton candidate from the periodic box f, with the Jacobian frozen at the spatial mean.
 
     ru, rv is the residual pair of :func:`grid.residual_slab` at f; both are
-    overwritten.  kappa_t and kappa_n hold the eigenvalues of minus the
-    second difference along each axis (:func:`_eigenvalues` with
-    a = 1/h^2).  The candidate is f - d, where J_bar d = r and J_bar is the
-    box Laplacian plus the reaction Jacobian (c1, c2, off) at the means
-    (u_bar, v_bar) of f.  Its coefficients are constant, so the 2D real FFT
-    of :func:`_diffuse` diagonalizes it: entry (i, j) of the spectra
-    solves [[c1 - kappa, off], [off, c2 - kappa]] d = r with
-    kappa = kappa_t[i] + kappa_n[j], in closed form by the adjugate over the
+    overwritten.  kappa is the pair (kappa_t, kappa_n) of
+    :func:`_axis_eigenvalues` at f, the eigenvalues of minus the second
+    difference along each axis.  The candidate is f - d, where J_bar d = r
+    and J_bar is the box Laplacian plus the reaction Jacobian (c1, c2, off)
+    at the means (u_bar, v_bar) of f.  Its coefficients are constant, so the
+    2D real FFT of :func:`_diffuse` diagonalizes it: entry (i, j) of the
+    spectra solves [[c1 - k, off], [off, c2 - k]] d = r with
+    k = kappa_t[i] + kappa_n[j], in closed form by the adjugate over the
     determinant.  The solve runs in ru's and rv's buffers and three
     coefficient arrays.  Returns None when the candidate is not finite (a
     determinant of zero gives one).
@@ -347,7 +350,7 @@ def _box_newton_step(
     # minus the diagonal entries, k - c1 and k - c2, and the determinant
     # (k - c1)(k - c2) - off^2; the block's inverse is adj/det, so
     # -d_u = ((k - c2) r_u + off r_v)/det and -d_v = ((k - c1) r_v + off r_u)/det
-    minus_c1 = np.add.outer(kappa_t, kappa_n)
+    minus_c1 = np.add.outer(*kappa)
     minus_c2 = minus_c1 - c2
     minus_c1 -= c1
     det = minus_c1 * minus_c2
@@ -375,25 +378,35 @@ def _box_newton_step(
         return None
 
 
+def _distance(a: SlabField, b: SlabField) -> float:
+    """Max-norm of the difference a - b over both fields."""
+    return gridmod._max_norm(a.u - b.u, a.v - b.v)
+
+
+def _downhill(p: Params, candidate: SlabField, update: float, energy: float) -> tuple | None:
+    """(candidate, its discrete energy, update) when that energy is at most ``energy``, else None."""
+    candidate_energy = gridmod.discrete_energy_slab(p, candidate)
+    return (candidate, candidate_energy, update) if candidate_energy <= energy else None
+
+
 def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
     """Iterate :func:`flow_step`, accelerated by safeguarded depth-1 Anderson mixing; finish by Newton.
 
-    A candidate is accepted when it is finite and its discrete energy is at
-    most the last accepted one.  A flow step from x offers the candidate of
-    :func:`_mixed`, formed from the plain step g = flow_step(x), its update
-    g - x and the previous such pair, and otherwise takes g; either way
-    (g - x, g) becomes the next window.  The run switches to Newton once
-    the accepted update is below 1e-2/sigma, the certified residual is at
-    most newton_below (first 1e-2) and the spread is at most 1e-2.  A
-    Newton step (:func:`_newton_step` on a Dirichlet slab,
-    :func:`_box_newton_step` on a periodic box) offers its candidate; when
-    that is turned down, the flow step from the candidate, and otherwise a
-    flow step from x with an empty window.  The run then continues by the
-    flow, with newton_below a tenth of the residual at the attempt.
-    ``FlowOutcome.rejected`` counts the turned-down Anderson and Newton
-    candidates, ``steps`` every accepted iterate and ``newton_steps`` the
-    Newton ones.  The eigenvalues :func:`_axis_eigenvalues` are formed once
-    per run and shared by the flow and Newton steps.
+    A candidate is accepted (:func:`_downhill`) when it is finite and its
+    discrete energy is at most the last accepted one.  A flow step from x
+    offers the candidate of :func:`_mixed`, formed from the plain step
+    g = flow_step(x), its update g - x and the previous such pair, and
+    otherwise takes g; either way (g - x, g) becomes the next window.  The
+    run switches to Newton once the accepted update is below 1e-2/sigma, the
+    certified residual is at most newton_below (first 1e-2) and the spread
+    is at most 1e-2.  A Newton step (:func:`_newton_step` on a Dirichlet
+    slab, :func:`_box_newton_step` on a periodic box) offers its candidate;
+    when that is turned down, the flow step from the candidate, and
+    otherwise a flow step from x with an empty window.  The run then
+    continues by the flow, with newton_below a tenth of the residual at the
+    attempt.  ``FlowOutcome.rejected`` counts the turned-down Anderson and
+    Newton candidates, ``steps`` every accepted iterate and ``newton_steps``
+    the Newton ones.  :func:`_axis_eigenvalues` is formed once per run.
 
     The residual (:func:`grid.residual_slab`) is formed after each Newton
     attempt, or once the accepted update is below the larger of
@@ -408,88 +421,69 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
     # report them as a SolverError, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scale = 1.0 / stabilization(p)
-        update_tol = opts.steady_tol * scale
         kappa = _axis_eigenvalues(f0)
-        if f0.periodic_n:
-            newton_step, newton_kappa, spread = _box_newton_step, kappa, spatial_spread
-        else:
-            newton_step, newton_kappa, spread = _newton_step, kappa[:1], transverse_anisotropy
+        newton_step, spread = (
+            (_box_newton_step, spatial_spread) if f0.periodic_n else (_newton_step, transverse_anisotropy)
+        )
         newton_below = _NEWTON_SWITCH  # residual bound for the next switch to Newton
         energy = gridmod.discrete_energy_slab(p, f0)
-        energies = [energy]
-        updates = []
-        rejected = 0
-        newton_steps = 0
+        energies, updates = [energy], []
+        rejected = newton_steps = 0
         residual_pair = None  # held only while the next step is a Newton step from current
         history = []
+        converged = False
         current = f0
         del f0  # a start field the caller does not hold dies after the first step
-
-        def downhill(candidate, last=False):
-            """candidate if it is finite (not None) and not above the accepted energy, else None.
-
-            An accepted candidate's energy and update become the run's.  The
-            update from current is measured first; with last no fallback needs
-            current, so it dies before the candidate's energy is formed.
-            """
-            nonlocal current, energy, upd
-            if candidate is None:
-                return None
-            cand_upd = gridmod._max_norm(candidate.u - current.u, candidate.v - current.v)
-            if last:
-                current = None
-            cand_energy = gridmod.discrete_energy_slab(p, candidate)
-            if not cand_energy <= energy:
-                return None
-            energy, upd = cand_energy, cand_upd
-            return candidate
-
-        converged = False
         for _ in range(opts.max_steps):
             attempt = residual_pair is not None  # the accepted state's update may not bound its residual then
-            nxt = None
+            accepted = None
             newton = False  # the Newton candidate was accepted, so the next step is one too
             if attempt:
-                candidate = newton_step(p, current, *residual_pair, *newton_kappa)
+                candidate = newton_step(p, current, *residual_pair, kappa)
                 residual_pair = None
-                nxt = downhill(candidate)
-                newton = nxt is not None
-                if newton:
-                    newton_steps += 1
-                else:  # back to the flow, whose window is empty
+                if candidate is not None:
+                    accepted = _downhill(p, candidate, _distance(candidate, current), energy)
+                newton = accepted is not None
+                newton_steps += newton
+                if not newton:  # back to the flow, whose window is empty
                     rejected += 1
                     newton_below = _NEWTON_RETRY * residual
                     if candidate is not None:
                         # the flow damps first the stiff modes a Newton step overshoots in
-                        nxt = downhill(flow_step(p, candidate, kappa))
-                        if nxt is not None:
-                            history = [(nxt.u - candidate.u, nxt.v - candidate.v), nxt]
+                        step = flow_step(p, candidate, kappa)
+                        accepted = _downhill(p, step, _distance(step, current), energy)
+                        if accepted is not None:
+                            history = [(step.u - candidate.u, step.v - candidate.v), step]
+                        step = None
                 candidate = None
-            if nxt is None:
+            if accepted is None:
                 plain = flow_step(p, current, kappa)
                 f = (plain.u - current.u, plain.v - current.v)
-                nxt, upd = plain, gridmod._max_norm(*f)
+                update = gridmod._max_norm(*f)
                 if history:
-                    # plain is the fallback, so current is not needed for the candidate's energy
-                    nxt = downhill(_mixed(history, f, plain), last=True) or plain
-                    if nxt is plain:
-                        rejected += 1
-                if nxt is plain:
-                    energy = gridmod.discrete_energy_slab(p, plain)
+                    mixed = _mixed(history, f, plain)
+                    if mixed is not None:
+                        mixed_update = _distance(mixed, current)
+                        current = None  # plain is the fallback, so the candidate's energy does not need it
+                        accepted = _downhill(p, mixed, mixed_update, energy)
+                        mixed = None
+                    rejected += accepted is None
+                if accepted is None:
+                    accepted = (plain, gridmod.discrete_energy_slab(p, plain), update)
                 history = [f, plain]
                 f = plain = None  # the window alone holds them, and drops them for Newton
-            current = nxt
+            current, energy, update = accepted
             energies.append(energy)
-            updates.append(upd)
+            updates.append(update)
             # the residual is formed only when the update could allow the stop or a switch
-            if attempt or upd <= max(update_tol, newton_below * scale):
+            if attempt or update <= max(opts.steady_tol, newton_below) * scale:
                 residual_pair = gridmod.residual_slab(p, current)
                 residual = gridmod._max_norm(*residual_pair)
                 converged = residual <= opts.steady_tol
                 if converged:
                     break
                 if newton or (
-                    upd <= _NEWTON_SWITCH * scale and residual <= newton_below and spread(current) <= _NEWTON_SWITCH
+                    update <= _NEWTON_SWITCH * scale and residual <= newton_below and spread(current) <= _NEWTON_SWITCH
                 ):
                     history = []
                 else:
@@ -499,7 +493,7 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
         outcome = FlowOutcome(
             field=current,
             steps=len(updates),
-            final_update=updates[-1] if updates else float("nan"),
+            final_update=update,
             final_residual=residual,
             converged=converged,
             rejected=rejected,
@@ -510,11 +504,9 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
     if converged:
         return outcome
     raise NonConvergence(
-        f"relaxation did not settle within {opts.max_steps} steps at coupling "
-        f"{p.lam} (last update {outcome.final_update:.3e}, "
-        f"residual {outcome.final_residual:.3e}, "
-        f"{outcome.newton_steps} Newton steps, "
-        f"{outcome.rejected} candidates rejected)",
+        f"relaxation did not settle within {opts.max_steps} steps at coupling {p.lam} "
+        f"(last update {outcome.final_update:.3e}, residual {outcome.final_residual:.3e}, "
+        f"{outcome.newton_steps} Newton steps, {outcome.rejected} candidates rejected)",
         outcome=outcome,
     )
 

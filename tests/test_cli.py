@@ -294,6 +294,33 @@ def test_sweep_stall_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+# input outside float range, a sweep too long or a failed relaxation: exit 1
+# with one diagnosis line naming the field or the failure, no traceback and
+# no output directory, not even a sidecar
+REFUSED_RUNS = {
+    "solve1d-tiny-L": (["solve1d", "--L", "1e-200", "--n", "5"], "config error: half_length: "),
+    "relax-huge-L": (["relax", "--mode", "gibbons", "--L", "1e200", "--n", "5"], "config error: half_length: "),
+    "verify-tiny-L": (["verify", "--L", "1e-300", "--n", "5", "--stages", "counterexample"],
+                      "config error: half_length: "),
+    "sweep-infinite-target": (["sweep", "--lambda-to", "inf"], "config error: lambda_to: "),
+    "sweep-infinite-step": (["sweep", "--step", "inf"], "config error: step: "),
+    "sweep-nan-step": (["sweep", "--step", "nan"], "config error: step: "),
+    "sweep-subnormal-step": (["sweep", "--step", "5e-324"], "config error: step: "),
+    "relax-liouville-coupling": (["relax", "--mode", "liouville", "--lambda", "2"], "solver error: "),
+    "relax-lambda1-unsettled": (["relax", "--mode", "lambda1", "--max-steps", "1"], "solver error: "),
+}
+
+
+@pytest.mark.parametrize("run_id", list(REFUSED_RUNS))
+def test_refused_run_writes_nothing(tmp_path, capsys, run_id):
+    argv, diagnosis = REFUSED_RUNS[run_id]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(diagnosis) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_relax_liouville(tmp_path):
     out = tmp_path / "rl"
     code = run(["relax", "--mode", "liouville", "--lambda", "0.5", "--seed", "7", "--out", str(out)])

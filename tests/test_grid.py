@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gp_rigidity import grid, model
@@ -30,6 +32,20 @@ def test_grid_validation():
         Grid1D(0.0, 11)
     with pytest.raises(ValueError):
         Grid1D(1.0, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(half_length=st.floats(), n=st.integers(-2, 10**400))
+@example(half_length=1e-200, n=5)  # h**2 underflows to 0
+@example(half_length=1e200, n=5)  # h**2 overflows
+@example(half_length=1e-160, n=5)  # h**2 is subnormal and 1/h**2 overflows
+@example(half_length=1.0, n=10**400)  # n - 1 has no float
+def test_grid_is_refused_or_has_a_finite_inverse_square_spacing(half_length, n):
+    try:
+        g = Grid1D(half_length, n)
+    except ValueError:
+        return
+    assert 0.0 < 1.0 / g.h**2 < math.inf
 
 
 def test_profile_validation():

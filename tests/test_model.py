@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gp_rigidity import model
 from gp_rigidity.errors import RegimeError
@@ -15,6 +17,16 @@ def test_params_rejects_nonpositive_coupling():
         Params(-1.0)
     with pytest.raises(ValueError):
         Params(float("nan"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lam=st.floats())
+def test_params_is_refused_or_holds_a_finite_positive_coupling(lam):
+    try:
+        p = Params(lam)
+    except ValueError:
+        return
+    assert 0.0 < p.lam < math.inf
 
 
 def test_reaction_equilibria():

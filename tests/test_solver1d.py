@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -402,6 +403,27 @@ def test_lambda_samples():
     assert down[0] == 3.0 and down[-1] == 1.5 and len(down) == 7
     ragged = solver1d._lambda_samples(2.0, 3.0, 0.4)
     assert ragged[-1] == 3.0 and ragged[0] == 2.0
+
+
+def test_lambda_samples_stop_one_step_short_of_the_bound():
+    assert solver1d.MAX_SWEEP_STEPS == 10_000
+    assert len(solver1d._lambda_samples(2.0, 6.0, 4.0 / 9_999)) == 10_000
+    with pytest.raises(ValueError, match="^step: "):
+        solver1d._lambda_samples(2.0, 6.0, 4.0 / 10_000)
+
+
+@pytest.mark.parametrize("args, name", [
+    pytest.param((2.0, math.inf, 0.5), "lambda_to", id="infinite-target"),
+    pytest.param((math.nan, 6.0, 0.5), "lambda_from", id="nan-start"),
+    pytest.param((2.0, 6.0, math.inf), "step", id="infinite-step"),  # from + inf*0 would be nan
+    pytest.param((2.0, 6.0, math.nan), "step", id="nan-step"),
+    pytest.param((2.0, 2.0, 0.0), "step", id="zero-step"),
+    pytest.param((2.0, 6.0, 4e-4), "step", id="too-many-steps"),  # 10 000 steps, one too many
+    pytest.param((2.0, 6.0, 5e-324), "step", id="step-count-overflows"),
+])
+def test_lambda_samples_are_checked_before_any_is_formed(args, name):
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        solver1d._lambda_samples(*args)
 
 
 def test_continuation_sweep_up(default_opts):

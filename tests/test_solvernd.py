@@ -313,7 +313,7 @@ def test_newton_step_matches_dense_solve(nt):
     rhs = -np.concatenate([r.ravel() for r in grid.residual_slab(p, f)])
     rhs[ends] = 0.0
     step = np.linalg.solve(jac, rhs)
-    new = solvernd._newton_step(p, f, *grid.residual_slab(p, f), unit_eigenvalues(f.grid_t, periodic=True))
+    new = solvernd._newton_step(p, f, *grid.residual_slab(p, f), (unit_eigenvalues(f.grid_t, periodic=True), None))
     for got, old, d in ((new.u, f.u, step[: nt * nn]), (new.v, f.v, step[nt * nn :])):
         assert np.max(np.abs(got - (old + d.reshape(nt, nn)))) <= 1e-12
         assert np.array_equal(got[:, [0, -1]], old[:, [0, -1]])
@@ -335,7 +335,7 @@ def test_newton_step_on_a_constant_field_is_the_1d_newton_step(nt):
     rhs[0::2], rhs[1::2] = -ru, -rv
     step = solver1d.solve_banded(solver1d._assemble_bands(p, g_n, u, v), rhs)
     f = solvernd.embed_profile(prof, Grid1D(2.0, nt))
-    new = solvernd._newton_step(p, f, *grid.residual_slab(p, f), unit_eigenvalues(f.grid_t, periodic=True))
+    new = solvernd._newton_step(p, f, *grid.residual_slab(p, f), (unit_eigenvalues(f.grid_t, periodic=True), None))
     assert np.max(np.abs(new.u - (u + step[0::2]))) <= 1e-12
     assert np.max(np.abs(new.v - (v + step[1::2]))) <= 1e-12
 
@@ -358,7 +358,7 @@ def test_box_newton_step_matches_dense_solve(shape):
     rhs = -np.concatenate([r.ravel() for r in grid.residual_slab(p, f)])
     step = np.linalg.solve(jac, rhs)
     kappa = unit_eigenvalues(g_t, periodic=True), unit_eigenvalues(g_n, periodic=True)
-    new = solvernd._box_newton_step(p, f, *grid.residual_slab(p, f), *kappa)
+    new = solvernd._box_newton_step(p, f, *grid.residual_slab(p, f), kappa)
     for got, old, d in ((new.u, f.u, step[: nt * nn]), (new.v, f.v, step[nt * nn :])):
         assert np.max(np.abs(got - (old + d.reshape(nt, nn)))) <= 1e-12
 
@@ -373,7 +373,7 @@ def test_box_newton_step_solves_a_constant_state_exactly():
     kappa = unit_eigenvalues(g, periodic=True), unit_eigenvalues(g, periodic=True)
     errors = [2e-3]
     for _ in range(3):
-        f = solvernd._box_newton_step(p, f, *grid.residual_slab(p, f), *kappa)
+        f = solvernd._box_newton_step(p, f, *grid.residual_slab(p, f), kappa)
         errors.append(max(np.max(np.abs(f.u - c)), np.max(np.abs(f.v - c))))
     assert errors[1] <= 10.0 * errors[0] ** 2 and errors[2] <= 10.0 * errors[1] ** 2
     assert errors[3] <= 1e-15
@@ -511,6 +511,28 @@ def test_rejected_newton_candidates_fall_back_to_the_flow(monkeypatch):
     assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
     # each retry waits for a tenth of the last attempt's residual: from 1e-2 down
     # to steady_tol that is at most 8 attempts
+    assert 1 <= len(attempts) <= 8
+    assert all(b <= 0.1 * a for a, b in zip(attempts, attempts[1:]))
+    assert len(attempts) <= out.rejected < out.steps
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_rejected_box_newton_candidates_fall_back_to_the_flow(monkeypatch, lam):
+    # the box twin of the slab test above: every Newton candidate raises the
+    # energy, so the flow alone must settle the run
+    attempts = []
+
+    def uphill(p, f, ru, rv, *kappa):
+        attempts.append(grid._max_norm(ru, rv))
+        return f.with_values(f.u + 0.05, f.v)
+
+    monkeypatch.setattr(solvernd, "_box_newton_step", uphill)
+    box = Grid1D(4.0, 32)
+    opts = solvernd.FlowOptions(rng_seed=0)
+    out = solvernd.periodic_box_run(Params(lam), box, box, opts)
+    assert out.converged and out.final_residual <= opts.steady_tol
+    assert out.newton_steps == 0
+    assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
     assert 1 <= len(attempts) <= 8
     assert all(b <= 0.1 * a for a, b in zip(attempts, attempts[1:]))
     assert len(attempts) <= out.rejected < out.steps
