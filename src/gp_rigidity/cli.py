@@ -8,6 +8,7 @@ defaults, then the config file, then explicit flags.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,8 +39,8 @@ class RunConfig:
 
     command: str = "solve1d"
     lam: float = 3.0
-    half_length: float = verifymod.SuiteOptions.half_length
-    n: int = verifymod.SuiteOptions.n
+    half_length: float = verifymod.SuiteOptions.grid.half_length
+    n: int = verifymod.SuiteOptions.grid.n
     newton_tol: float = solver1d.SolveOptions.newton_tol
     max_iters: int = solver1d.SolveOptions.max_iters
     seed: int = verifymod.SuiteOptions.seed
@@ -142,11 +143,12 @@ def _reader(command: str, mode: str) -> tuple[str, tuple]:
     return command, READS[command]
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with every subcommand or only ``command``'s.
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, built once per process.
 
-    A parser built for one command prints the same usage line and errors as
-    the full one for every command line that starts with that command's name.
+    Parsing leaves it as it was, and its help is formatted at print time,
+    so the width follows ``COLUMNS`` as it is then.
     """
     parser = argparse.ArgumentParser(
         prog="gp-rigidity",
@@ -156,10 +158,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command is not None:
-        # the top-level usage line still names every command
-        sub.metavar = "{%s}" % ",".join(COMMANDS)
-    for name in COMMANDS if command is None else (command,):
+    for name in COMMANDS:
         sp = sub.add_parser(name, help=RUNNERS[name][0])
         for dest, (flag, text) in FLAGS.items():
             if dest == "config" or dest in READS[name]:
@@ -212,6 +211,10 @@ def _solve_options(cfg: RunConfig) -> solver1d.SolveOptions:
     return solver1d.SolveOptions(newton_tol=cfg.newton_tol, max_iters=cfg.max_iters)
 
 
+def _flow_options(cfg: RunConfig) -> solvernd.FlowOptions:
+    return solvernd.FlowOptions(steady_tol=cfg.steady_tol, max_steps=cfg.max_steps)
+
+
 def _conclude(cfg: RunConfig, report_name: str | None, records, summary) -> int:
     """Write the report of ``records`` (unless ``report_name`` is None) and print ``summary(failed)``.
 
@@ -262,20 +265,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_relax(cfg: RunConfig) -> int:
-    flow_opts = solvernd.FlowOptions(
-        steady_tol=cfg.steady_tol,
-        max_steps=cfg.max_steps,
-        rng_seed=cfg.seed,
-    )
+    flow_opts = _flow_options(cfg)
     if cfg.mode == "gibbons":
         records, outcome = verifymod.gibbons_records(
             Params(cfg.lam), verifymod.GIBBONS_TRANSVERSE, Grid1D(cfg.half_length, cfg.n),
-            flow_opts, _solve_options(cfg),
+            flow_opts, _solve_options(cfg), cfg.seed,
         )
     elif cfg.mode == "liouville":
-        records, outcome = verifymod.liouville_records(Params(cfg.lam), verifymod.LIOUVILLE_BOX, flow_opts)
+        records, outcome = verifymod.liouville_records(Params(cfg.lam), verifymod.LIOUVILLE_BOX, flow_opts, cfg.seed)
     else:  # lambda1
-        records, outcome = verifymod.unit_coupling_records(verifymod.LIOUVILLE_BOX, flow_opts)
+        records, outcome = verifymod.unit_coupling_records(verifymod.LIOUVILLE_BOX, flow_opts, cfg.seed)
     _write_sidecar(cfg, cfg.out_dir)
     gridmod.save_slab_csv(os.path.join(cfg.out_dir, "field.csv"), outcome.field)
     solvernd.save_energy_trace_csv(os.path.join(cfg.out_dir, "energy_trace.csv"), outcome)
@@ -292,11 +291,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     opts = verifymod.SuiteOptions(
         seed=cfg.seed,
         stages=tuple(s for s in cfg.stages.split(",") if s),
-        half_length=cfg.half_length,
-        n=cfg.n,
+        grid=Grid1D(cfg.half_length, cfg.n),
         newton=_solve_options(cfg),
-        steady_tol=cfg.steady_tol,
-        max_steps=cfg.max_steps,
+        flow=_flow_options(cfg),
     )
     records = verifymod.full_suite(opts).records
     _write_sidecar(cfg, cfg.out_dir)
@@ -316,17 +313,9 @@ RUNNERS = {
 
 
 def main(argv=None) -> int:
-    """Run one command line and return its exit code.
-
-    Only the named command's parser is built; a command line that does not
-    start with a command name (``--help``, none, an unknown name) gets the
-    full parser, whose usage and errors list every command.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    """Run one command line and return its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 0 for --help, 1 otherwise
         code = exc.code if isinstance(exc.code, int) else 1

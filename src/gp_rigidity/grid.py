@@ -135,7 +135,7 @@ def residual_1d(p: Params, prof: ProfilePair):
     h = prof.grid.h
     u, v = prof.u, prof.v
     # a ProfilePair's arrays were checked finite when it was made
-    fu, fv = model._reaction(p.lam, u, v)
+    fu, fv = model.reaction(p, u, v)
     ru = np.empty_like(u)
     rv = np.empty_like(v)
     ru[1:-1] = _second_difference(u, h) + fu[1:-1]
@@ -170,7 +170,7 @@ def residual_slab(p: Params, f: SlabField):
     into the reaction's arrays, so no shifted copies of the field are made.
     """
     ht, hn = f.grid_t.h, f.grid_n.h
-    ru, rv = model._reaction(p.lam, f.u, f.v)
+    ru, rv = model.reaction(p, f.u, f.v)
     cols = slice(None) if f.periodic_n else slice(1, -1)
     for r, a in ((ru, f.u), (rv, f.v)):
         if f.periodic_n:
@@ -197,7 +197,7 @@ def discrete_energy_1d(p: Params, prof: ProfilePair) -> float:
     du = np.diff(prof.u)
     dv = np.diff(prof.v)
     grad = float(np.sum(du * du + dv * dv)) / (2.0 * h)
-    w = model._potential(p.lam, prof.u, prof.v)
+    w = model.potential(p, prof.u, prof.v)
     w -= model.PURE_STATE_POTENTIAL
     pot = float(np.trapezoid(w, dx=h))
     return grad + pot
@@ -209,7 +209,7 @@ def discrete_energy_slab(p: Params, f: SlabField) -> float:
     u, v = f.u, f.v
     grad_t = _squared_steps(u, v, axis=0, wrap=True) * hn / (2.0 * ht)
     grad_n = _squared_steps(u, v, axis=1, wrap=f.periodic_n) * ht / (2.0 * hn)
-    w = model._potential(p.lam, u, v)
+    w = model.potential(p, u, v)
     w -= model.PURE_STATE_POTENTIAL
     if f.periodic_n:
         pot = float(w.sum())

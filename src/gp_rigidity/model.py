@@ -41,21 +41,16 @@ class Params:
 def reaction(p: Params, u, v):
     """Right-hand side pair (u - u^3 - lam*u*v^2, v - v^3 - lam*u^2*v).
 
-    Equals minus the gradient of :func:`potential`.
+    Equals minus the gradient of :func:`potential`.  u and v are finite
+    floats or float arrays, unchecked here: the solvers pass the arrays of
+    a field checked when it was made (``grid.ProfilePair``,
+    ``grid.SlabField``).  Forms the factored pair u(1 - u^2 - lam*v^2),
+    v(1 - v^2 - lam*u^2), each square once and with products only, so the
+    bits do not depend on which SIMD power kernel numpy dispatches.  At
+    most four field-sized buffers are alive at once; every value is rounded
+    as in the plain expressions u*(1 - u2 - lam*v2) and v*(1 - v2 - lam*u2).
     """
-    _require_finite("reaction", u, v)
-    return _reaction(p.lam, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-
-
-def _reaction(lam: float, u, v):
-    """Unchecked kernel of :func:`reaction` for floats or float arrays already known finite.
-
-    Forms the factored pair u(1 - u^2 - lam*v^2), v(1 - v^2 - lam*u^2),
-    each square once and with products only, so the bits do not depend on
-    which SIMD power kernel numpy dispatches.  At most four field-sized
-    buffers are alive at once; every value is rounded as in the plain
-    expressions u*(1 - u2 - lam*v2) and v*(1 - v2 - lam*u2).
-    """
+    lam = p.lam
     u2 = u * u
     v2 = v * v
     fu = 1.0 - u2
@@ -68,12 +63,6 @@ def _reaction(lam: float, u, v):
     fv -= u2
     fv *= v
     return fu, fv
-
-
-def reaction_jacobian(p: Params, u, v):
-    """Symmetric 2x2 Jacobian of :func:`reaction`; kept because acceptance criterion 10 checks it."""
-    c1, c2, off = jacobian_entries(p, u, v)
-    return np.array([[c1, off], [off, c2]])
 
 
 def jacobian_entries(p: Params, u, v, out=None):
@@ -112,20 +101,15 @@ def jacobian_entries(p: Params, u, v, out=None):
 
 
 def potential(p: Params, u, v):
-    """Interaction potential (u^2-1)^2/4 + (v^2-1)^2/4 + lam/2 * u^2 v^2."""
-    _require_finite("potential", u, v)
-    return _potential(p.lam, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    """Interaction potential (u^2-1)^2/4 + (v^2-1)^2/4 + lam/2 * u^2 v^2.
 
-
-def _potential(lam: float, u: np.ndarray, v: np.ndarray):
-    """Unchecked kernel of :func:`potential` for float arrays already known finite.
-
-    Works in place on three buffers; every value is rounded exactly as in
-    the plain expression (u2-1)**2/4 + (v2-1)**2/4 + 0.5*lam*u2*v2.
+    Takes finite values, unchecked as in :func:`reaction`.  Works in place
+    on three buffers; every value is rounded exactly as in the plain
+    expression (u2-1)**2/4 + (v2-1)**2/4 + 0.5*lam*u2*v2.
     """
     u2 = u * u
     v2 = v * v
-    coupling = u2 * (0.5 * lam)
+    coupling = u2 * (0.5 * p.lam)
     coupling *= v2
     u2 -= 1.0
     u2 **= 2
@@ -168,14 +152,6 @@ def ac_decompose(u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return u + v, u - v
-
-
-def ac_compose(w1, w2):
-    """Inverse of :func:`ac_decompose`; kept because acceptance criterion 10 checks the round trip."""
-    _require_finite("ac_compose", w1, w2)
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    return (w1 + w2) / 2.0, (w1 - w2) / 2.0
 
 
 def allen_cahn_reaction(w):

@@ -95,7 +95,6 @@ class FlowOptions:
 
     steady_tol: float = 1e-9
     max_steps: int = 40000
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not self.steady_tol > 0.0:
@@ -212,11 +211,10 @@ def flow_step(p: Params, f: SlabField, kappa: tuple | None = None) -> SlabField:
     new field is not finite (the coupling overflows the step).
     """
     sigma = stabilization(p)
-    # pinned end columns take no reaction; f's arrays were checked when f was
-    # built, so the unchecked kernel suffices
+    # pinned end columns take no reaction; f's arrays were checked when f was built
     cols = slice(None) if f.periodic_n else slice(1, -1)
     u, v = f.u[:, cols], f.v[:, cols]
-    rhs_u, rhs_v = model._reaction(p.lam, u, v)
+    rhs_u, rhs_v = model.reaction(p, u, v)
     rhs_u += sigma * u
     rhs_v += sigma * v
     kappa_t, kappa_n = _axis_eigenvalues(f) if kappa is None else kappa
@@ -554,17 +552,18 @@ def embed_profile(prof: ProfilePair, grid_t: Grid1D) -> SlabField:
 GIBBONS_NOISE = 0.1
 
 
-def gibbons_run(p: Params, grid_t: Grid1D, grid_n: Grid1D, opts: FlowOptions) -> FlowOutcome:
+def gibbons_run(p: Params, grid_t: Grid1D, grid_n: Grid1D, opts: FlowOptions, seed: int) -> FlowOutcome:
     """Slab relaxation from a transversally perturbed embedded front.
 
     The coupling-3 front, at every coupling, sampled along the second axis
     is tiled across the transverse axis, uniform noise of amplitude
-    GIBBONS_NOISE is added on interior columns (clipped to [0, 1] so the a
-    priori bounds hold initially), and the flow is run to steadiness.  The
-    converged field should lose all transverse structure.
+    GIBBONS_NOISE, drawn from ``seed``, is added on interior columns
+    (clipped to [0, 1] so the a priori bounds hold initially), and the flow
+    is run to steadiness.  The converged field should lose all transverse
+    structure.
     """
     # the start field goes straight to the flow, which alone holds it
-    return relax_to_steady(p, _perturbed_front(grid_t, grid_n, opts.rng_seed), opts)
+    return relax_to_steady(p, _perturbed_front(grid_t, grid_n, seed), opts)
 
 
 def _perturbed_front(grid_t: Grid1D, grid_n: Grid1D, seed: int) -> SlabField:
@@ -582,14 +581,14 @@ def _perturbed_front(grid_t: Grid1D, grid_n: Grid1D, seed: int) -> SlabField:
     return SlabField(grid_t, grid_n, u, v)
 
 
-def periodic_box_run(p: Params, grid_t: Grid1D, grid_n: Grid1D, opts: FlowOptions) -> FlowOutcome:
-    """Fully periodic relaxation from seeded random positive data in (0.05, 0.95).
+def periodic_box_run(p: Params, grid_t: Grid1D, grid_n: Grid1D, opts: FlowOptions, seed: int) -> FlowOutcome:
+    """Fully periodic relaxation from random positive data in (0.05, 0.95), drawn from ``seed``.
 
     Below coupling 1 the flow is attracted to the constant pair with value
     1/sqrt(1+lam); at coupling 1 it settles on a constant pair on the circle
     u^2 + v^2 = 1.
     """
-    return relax_to_steady(p, _random_box(grid_t, grid_n, opts.rng_seed), opts)
+    return relax_to_steady(p, _random_box(grid_t, grid_n, seed), opts)
 
 
 def _random_box(grid_t: Grid1D, grid_n: Grid1D, seed: int) -> SlabField:

@@ -329,12 +329,12 @@ def solve_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions):
     return records, outcome
 
 
-def uniqueness_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions, rng_seed: int):
+def uniqueness_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions, seed: int):
     """Uniqueness modulo translation (:func:`solver1d.uniqueness_probe`): [record].
 
     Newton errors propagate.
     """
-    dist = solver1d.uniqueness_probe(p, g, newton, UNIQUENESS_SEEDS, rng_seed=rng_seed)
+    dist = solver1d.uniqueness_probe(p, g, newton, UNIQUENESS_SEEDS, rng_seed=seed)
     return [
         _record(
             "uniqueness", "C1.2-uniqueness", -dist, UNIQUENESS_TOL,
@@ -349,8 +349,9 @@ def gibbons_records(
     grid_n: Grid1D,
     flow: solvernd.FlowOptions,
     newton: solver1d.SolveOptions,
+    seed: int,
 ):
-    """Slab relaxation of a perturbed front (Gibbons' conjecture): (records, outcome).
+    """Slab relaxation of a perturbed front (Gibbons' conjecture) from ``seed``: (records, outcome).
 
     Checks the transverse anisotropy, the match of the transverse average
     with a 1D Newton front, the a priori bound and the energy trace.  Flow
@@ -359,7 +360,7 @@ def gibbons_records(
     """
     if p.lam <= 1.0:
         raise RegimeError(f"slab fronts need coupling > 1, got {p.lam}")
-    outcome = solvernd.gibbons_run(p, grid_t, grid_n, flow)
+    outcome = solvernd.gibbons_run(p, grid_t, grid_n, flow, seed)
     lam = p.lam
     ani = solvernd.transverse_anisotropy(outcome.field)
     records = [
@@ -388,15 +389,15 @@ def gibbons_records(
     return records, outcome
 
 
-def liouville_records(p: Params, box: Grid1D, flow: solvernd.FlowOptions):
-    """Relaxation below coupling 1 on the periodic box ``box`` x ``box``: (records, outcome).
+def liouville_records(p: Params, box: Grid1D, flow: solvernd.FlowOptions, seed: int):
+    """Relaxation below coupling 1 on the periodic box ``box`` x ``box`` from ``seed``: (records, outcome).
 
     Checks constancy at 1/sqrt(1+lam), the sub-unit a priori bound and the
     energy trace.  Raises RegimeError unless 0 < lam < 1; flow errors
     propagate.
     """
     c = model.liouville_constant(p)
-    outcome = solvernd.periodic_box_run(p, box, box, flow)
+    outcome = solvernd.periodic_box_run(p, box, box, flow, seed)
     lam = p.lam
     dev = gridmod._max_norm(outcome.field.u - c, outcome.field.v - c)
     records = [
@@ -410,13 +411,13 @@ def liouville_records(p: Params, box: Grid1D, flow: solvernd.FlowOptions):
     return records, outcome
 
 
-def unit_coupling_records(box: Grid1D, flow: solvernd.FlowOptions):
-    """Relaxation at coupling exactly 1 on the periodic box ``box`` x ``box``: (records, outcome).
+def unit_coupling_records(box: Grid1D, flow: solvernd.FlowOptions, seed: int):
+    """Relaxation at coupling exactly 1 on the periodic box ``box`` x ``box`` from ``seed``: (records, outcome).
 
     Checks that the state is a constant on the unit circle and the energy
     trace.  Flow errors propagate.
     """
-    outcome = solvernd.periodic_box_run(Params(1.0), box, box, flow)
+    outcome = solvernd.periodic_box_run(Params(1.0), box, box, flow, seed)
     circle_dev = float(np.max(np.abs(outcome.field.u**2 + outcome.field.v**2 - 1.0)))
     spread = solvernd.spatial_spread(outcome.field)
     records = [
@@ -449,22 +450,22 @@ COUNTEREXAMPLE_ALPHAS = (1.0, 4.0)
 
 @dataclass(frozen=True)
 class SuiteOptions:
-    """Configuration of :func:`full_suite`; defaults run every stage."""
+    """Configuration of :func:`full_suite`; defaults run every stage.
+
+    ``grid`` is the 1D grid of the solves, uniqueness and counterexample
+    stages; the slab and box stages run on their own fixed grids.
+    """
 
     seed: int = 0
     stages: tuple = ALL_STAGES
-    half_length: float = 20.0
-    n: int = 2001
-    newton: solver1d.SolveOptions = field(default_factory=solver1d.SolveOptions)
-    steady_tol: float = solvernd.FlowOptions.steady_tol
-    max_steps: int = solvernd.FlowOptions.max_steps
+    grid: Grid1D = Grid1D(20.0, 2001)
+    newton: solver1d.SolveOptions = solver1d.SolveOptions()
+    flow: solvernd.FlowOptions = solvernd.FlowOptions()
 
     def __post_init__(self):
         unknown = [s for s in self.stages if s not in ALL_STAGES]
         if unknown:
             raise ValueError(f"stages: unknown stage names {unknown}")
-        # the flow stages' option checks, before any stage runs
-        solvernd.FlowOptions(steady_tol=self.steady_tol, max_steps=self.max_steps)
 
 
 def full_suite(opts: SuiteOptions | None = None) -> VerifyReport:
@@ -494,39 +495,30 @@ def _guarded(name, theorem, lam, build) -> list[CheckRecord]:
         return [_failure_record(name, theorem, str(exc), lam=lam)]
 
 
-def _flow_options(opts: SuiteOptions, seed_offset: int) -> solvernd.FlowOptions:
-    return solvernd.FlowOptions(
-        steady_tol=opts.steady_tol, max_steps=opts.max_steps, rng_seed=opts.seed + seed_offset
-    )
-
-
 def _stage_solves(opts: SuiteOptions) -> list[CheckRecord]:
-    g = Grid1D(opts.half_length, opts.n)
     records = []
     for lam in SOLVE_LAMS:
         records += _guarded(
             "solve", "T1.1-monotone-symmetry", lam,
-            lambda: solve_records(Params(lam), g, opts.newton)[0],
+            lambda: solve_records(Params(lam), opts.grid, opts.newton)[0],
         )
     return records
 
 
 def _stage_uniqueness(opts: SuiteOptions) -> list[CheckRecord]:
-    g = Grid1D(opts.half_length, opts.n)
     records = []
     for i, lam in enumerate(UNIQUENESS_LAMS):
         records += _guarded(
             "uniqueness", "C1.2-uniqueness", lam,
-            lambda: uniqueness_records(Params(lam), g, opts.newton, opts.seed + i),
+            lambda: uniqueness_records(Params(lam), opts.grid, opts.newton, opts.seed + i),
         )
     return records
 
 
 def _stage_gibbons(opts: SuiteOptions) -> list[CheckRecord]:
-    flow = _flow_options(opts, 0)
     return _guarded(
         "gibbons-anisotropy", "T1.1-monotone-symmetry", 3.0,
-        lambda: gibbons_records(Params(3.0), GIBBONS_TRANSVERSE, GIBBONS_AXIS, flow, opts.newton)[0],
+        lambda: gibbons_records(Params(3.0), GIBBONS_TRANSVERSE, GIBBONS_AXIS, opts.flow, opts.newton, opts.seed)[0],
     )
 
 
@@ -535,17 +527,16 @@ def _stage_liouville(opts: SuiteOptions) -> list[CheckRecord]:
     for i, lam in enumerate(LIOUVILLE_LAMS):
         records += _guarded(
             "liouville-constant", "T-liouville-sub1", lam,
-            lambda: liouville_records(Params(lam), LIOUVILLE_BOX, _flow_options(opts, 100 + i))[0],
+            lambda: liouville_records(Params(lam), LIOUVILLE_BOX, opts.flow, opts.seed + 100 + i)[0],
         )
     return records + _guarded(
         "unit-coupling-circle", "T-liouville-eq1", 1.0,
-        lambda: unit_coupling_records(LIOUVILLE_BOX, _flow_options(opts, 200))[0],
+        lambda: unit_coupling_records(LIOUVILLE_BOX, opts.flow, opts.seed + 200)[0],
     )
 
 
 def _stage_counterexample(opts: SuiteOptions) -> list[CheckRecord]:
-    g = Grid1D(opts.half_length, opts.n)
     return _guarded(
         "counterexample-sign-structure", "R-counterexample", 3.0,
-        lambda: [verify_counterexample(alpha, g) for alpha in COUNTEREXAMPLE_ALPHAS],
+        lambda: [verify_counterexample(alpha, opts.grid) for alpha in COUNTEREXAMPLE_ALPHAS],
     )

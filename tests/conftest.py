@@ -72,7 +72,8 @@ def gibbons_run():
         Params(3.0),
         Grid1D(4.0, 64),
         Grid1D(20.0, 801),
-        solvernd.FlowOptions(rng_seed=0),
+        solvernd.FlowOptions(),
+        0,
     )
     return outcome, time.perf_counter() - t0
 

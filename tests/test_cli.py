@@ -177,12 +177,13 @@ def _records(path):
 def test_commands_report_the_battery_records(tmp_path):
     # one record builder per experiment: each command writes exactly the
     # records the battery writes for the same experiment and flow seed
-    assert run(["verify", "--stages", "solves,liouville", "--seed", "0", "--out", str(tmp_path / "v")]) == EXIT_OK
+    assert run(["verify", "--stages", "solves,gibbons,liouville", "--seed", "0", "--out", str(tmp_path / "v")]) == EXIT_OK
     battery = _records(tmp_path / "v" / "suite_report.json")
     first_solve = battery[: [r["name"] for r in battery].index("sharp-limit") + 1]
     assert all(r["params"].get("lam", 2.0) == 2.0 for r in first_solve)
     expected = {
         ("solve1d", "--lambda", "2"): first_solve,
+        ("relax", "--mode", "gibbons", "--seed", "0"): [r for r in battery if r["name"].startswith("gibbons-")],
         ("relax", "--mode", "liouville", "--lambda", "0.25", "--seed", "100"): [
             r for r in battery if r["name"].startswith("liouville-") and r["params"]["lam"] == 0.25
         ],
@@ -302,6 +303,10 @@ REFUSED_RUNS = {
     "relax-huge-L": (["relax", "--mode", "gibbons", "--L", "1e200", "--n", "5"], "config error: half_length: "),
     "verify-tiny-L": (["verify", "--L", "1e-300", "--n", "5", "--stages", "counterexample"],
                       "config error: half_length: "),
+    # the 1D grid is checked also when no stage that runs on it is selected
+    "verify-unused-short-grid": (["verify", "--stages", "gibbons", "--n", "2"], "config error: n: "),
+    "verify-unused-tiny-L": (["verify", "--stages", "liouville", "--L", "1e-300", "--n", "5"],
+                             "config error: half_length: "),
     "sweep-infinite-target": (["sweep", "--lambda-to", "inf"], "config error: lambda_to: "),
     "sweep-infinite-step": (["sweep", "--step", "inf"], "config error: step: "),
     "sweep-nan-step": (["sweep", "--step", "nan"], "config error: step: "),
@@ -557,8 +562,8 @@ gp-rigidity: error: unrecognized arguments: --bogus
 
 @pytest.mark.parametrize("line", list(PARSER_TEXTS))
 def test_parser_texts_are_unchanged(monkeypatch, capsys, line):
-    # a parser built for one command prints what the full parser printed,
-    # including the top-level usage line and its "unrecognized arguments"
+    # the parser, built once per process, formats these texts as it prints
+    # them, including the top-level usage line and its "unrecognized arguments"
     monkeypatch.setenv("COLUMNS", "80")
     stream, text = PARSER_TEXTS[line]
     code = run(line.split())
@@ -567,23 +572,13 @@ def test_parser_texts_are_unchanged(monkeypatch, capsys, line):
     assert capsys.readouterr() == expected
 
 
-def test_relax_command_builds_only_the_relax_parser(tmp_path, monkeypatch):
-    built = []
-    build = cli._build_parser
-
-    def recorded(command=None):
-        built.append(build(command))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "_build_parser", recorded)
+def test_one_parser_serves_every_command_line(tmp_path, capsys):
+    parser = cli._build_parser()
     assert run(["relax", "--mode", "liouville", "--out", str(tmp_path)]) == EXIT_OK
     assert run(["--help"]) == EXIT_OK
-
-    def subcommands(parser):
-        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return list(sub.choices)
-
-    assert [subcommands(parser) for parser in built] == [["relax"], list(cli.COMMANDS)]
+    assert cli._build_parser() is parser
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("steps", ["0", "-5"])
@@ -764,7 +759,7 @@ NOT_FIELDS = {"help", "config", "list_checks"}
 def test_parser_flags_are_the_fields_read(reader):
     argv, reads = READERS[reader]
     command = argv[0]
-    [sub] = [a for a in cli._build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
+    [sub] = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {a.dest: a.option_strings[0] for a in sub.choices[command]._actions if a.dest not in NOT_FIELDS}
     if command != "relax":
         assert set(flags) == set(reads)
@@ -774,7 +769,7 @@ def test_parser_flags_are_the_fields_read(reader):
     taken = set()
     for dest, flag in flags.items():
         value = argv[1].partition("=")[2] if dest == "mode" else getattr(cli.RunConfig(), dest)
-        args = cli._build_parser(command).parse_args([*argv, f"{flag}={value}"])
+        args = cli._build_parser().parse_args([*argv, f"{flag}={value}"])
         try:
             cli.resolve_config(args)
         except ValueError:
@@ -803,11 +798,11 @@ def test_flags_and_their_sidecar_resolve_alike(tmp_path_factory, data):
     argv, reads = READERS[data.draw(st.sampled_from(list(READERS)))]
     values = data.draw(_field_values(reads))
     line = [*argv, *(f"{cli.FLAGS[name][0]}={value}" for name, value in values.items())]
-    cfg = cli.resolve_config(cli._build_parser(argv[0]).parse_args(line))
+    cfg = cli.resolve_config(cli._build_parser().parse_args(line))
     assert {name: getattr(cfg, name) for name in values} == values
     sidecar = tmp_path_factory.mktemp("sidecar") / f"{argv[0]}.config.json"
     sidecar.write_text(cfg.to_json() + "\n", encoding="ascii")
-    again = cli.resolve_config(cli._build_parser(argv[0]).parse_args([argv[0], "--config", str(sidecar)]))
+    again = cli.resolve_config(cli._build_parser().parse_args([argv[0], "--config", str(sidecar)]))
     assert again == cfg
     assert again.to_json() == cfg.to_json()
 

@@ -138,7 +138,7 @@ def test_energy_trace_csv_matches_per_value_writer(tmp_path, steps):
 
 def test_energy_trace_csv_of_a_run_matches_per_value_writer(tmp_path):
     box = Grid1D(4.0, 16)
-    out = solvernd.periodic_box_run(Params(0.5), box, box, solvernd.FlowOptions(rng_seed=3))
+    out = solvernd.periodic_box_run(Params(0.5), box, box, solvernd.FlowOptions(), 3)
     path = tmp_path / "energy_trace.csv"
     solvernd.save_energy_trace_csv(path, out)
     assert path.read_text(encoding="ascii") == reference_energy_trace_text(out)

@@ -277,7 +277,7 @@ def np_sum_energy_slab(p, f):
     ht, hn = f.grid_t.h, f.grid_n.h
     grad_t = diff_squared_steps(f.u, f.v, 0, True) * hn / (2.0 * ht)
     grad_n = diff_squared_steps(f.u, f.v, 1, f.periodic_n) * ht / (2.0 * hn)
-    w = model._potential(p.lam, f.u, f.v)
+    w = model.potential(p, f.u, f.v)
     w -= model.PURE_STATE_POTENTIAL
     if f.periodic_n:
         pot = float(np.sum(w))

@@ -80,9 +80,9 @@ def solve_and_relax(path):
     g = Grid1D(20.0, 201)
     prof = solver1d.newton_solve(Params(3.0), g, solver1d.initial_guess(Params(3.0), g), solver1d.SolveOptions()).profile
     pinned = solver1d.pin_phase(prof)
-    opts = solvernd.FlowOptions(rng_seed=5)
-    slab = solvernd.gibbons_run(Params(3.0), Grid1D(4.0, 8), g, opts)
-    box = solvernd.periodic_box_run(Params(0.5), Grid1D(4.0, 8), Grid1D(4.0, 10), opts)
+    opts = solvernd.FlowOptions()
+    slab = solvernd.gibbons_run(Params(3.0), Grid1D(4.0, 8), g, opts, 5)
+    box = solvernd.periodic_box_run(Params(0.5), Grid1D(4.0, 8), Grid1D(4.0, 10), opts, 5)
     assert slab.newton_steps >= 1 and box.newton_steps >= 1
     np.savez(path, prof.u, prof.v, pinned.u, pinned.v, slab.field.u, slab.field.v, box.field.u, box.field.v)
 """

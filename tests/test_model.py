@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from gp_rigidity import model
 from gp_rigidity.errors import RegimeError
+from gp_rigidity.grid import Grid1D, ProfilePair, SlabField
 from gp_rigidity.model import Params
+
+
+def jacobian(p: Params, u, v) -> np.ndarray:
+    """The symmetric 2x2 Jacobian of the reaction, from its entries."""
+    c1, c2, off = model.jacobian_entries(p, u, v)
+    return np.array([[c1, off], [off, c2]])
 
 
 def test_params_rejects_nonpositive_coupling():
@@ -43,18 +50,25 @@ def test_reaction_equilibria():
 
 
 def test_reaction_rejects_nonfinite():
+    # the kernels take fields checked where they are built, and the Jacobian
+    # entries check their own input
+    g = Grid1D(1.0, 3)
     with pytest.raises(ValueError):
-        model.reaction(Params(1.0), float("nan"), 0.0)
+        ProfilePair(g, [0.0, float("nan"), 1.0], [1.0, 0.5, 0.0])
     with pytest.raises(ValueError):
-        model.potential(Params(1.0), 0.0, float("inf"))
+        SlabField(g, g, np.zeros((3, 3)), np.full((3, 3), float("inf")))
+    with pytest.raises(ValueError):
+        model.jacobian_entries(Params(1.0), float("nan"), 0.0)
+    with pytest.raises(ValueError):
+        model.jacobian_entries(Params(1.0), 0.0, float("inf"))
 
 
 def test_jacobian_values():
-    jac = model.reaction_jacobian(Params(3.0), 1.0, 0.0)
+    jac = jacobian(Params(3.0), 1.0, 0.0)
     assert np.allclose(jac, [[-2.0, 0.0], [0.0, -2.0]], atol=0.0)
-    jac = model.reaction_jacobian(Params(1.0), 0.0, 0.0)
+    jac = jacobian(Params(1.0), 0.0, 0.0)
     assert np.allclose(jac, np.eye(2), atol=0.0)
-    off = model.reaction_jacobian(Params(3.0), 0.5, 0.5)[0, 1]
+    off = jacobian(Params(3.0), 0.5, 0.5)[0, 1]
     assert off == -1.5
 
 
@@ -100,7 +114,7 @@ def test_jacobian_consistency_1000_points():
     for _ in range(1000):
         p = Params(rng.uniform(0.1, 8.0))
         u, v = rng.uniform(-2.0, 2.0, 2)
-        jac = model.reaction_jacobian(p, u, v)
+        jac = jacobian(p, u, v)
         assert jac[0, 1] == jac[1, 0]
         fup, _ = model.reaction(p, u + h, v)
         fum, _ = model.reaction(p, u - h, v)
@@ -130,14 +144,14 @@ def test_kernels_match_plain_expressions_bitwise(lam):
         a2 = a * a
         b2 = b * b
         assert np.array_equal(
-            model._potential(lam, a, b), (a2 - 1.0) ** 2 / 4.0 + (b2 - 1.0) ** 2 / 4.0 + 0.5 * lam * a2 * b2
+            model.potential(Params(lam), a, b), (a2 - 1.0) ** 2 / 4.0 + (b2 - 1.0) ** 2 / 4.0 + 0.5 * lam * a2 * b2
         )
-        fu, fv = model._reaction(lam, a, b)
+        fu, fv = model.reaction(Params(lam), a, b)
         assert np.array_equal(fu, a * (1.0 - a2 - lam * b2))
         assert np.array_equal(fv, b * (1.0 - b2 - lam * a2))
     # floats and 0-d arrays are rounded as the plain expressions too
     for a, b in ((float(u[3, 5]), float(v[3, 5])), (u[3, 5, ...], v[3, 5, ...])):
-        assert model._reaction(lam, a, b) == (a * (1.0 - a * a - lam * (b * b)), b * (1.0 - b * b - lam * (a * a)))
+        assert model.reaction(Params(lam), a, b) == (a * (1.0 - a * a - lam * (b * b)), b * (1.0 - b * b - lam * (a * a)))
     # the inputs are left alone
     assert np.array_equal(u, inputs[0]) and np.array_equal(v, inputs[1])
 
@@ -226,7 +240,8 @@ def test_ac_round_trip_random():
     rng = np.random.default_rng(8)
     for _ in range(100):
         u, v = rng.uniform(-5, 5, 2)
-        uu, vv = model.ac_compose(*model.ac_decompose(u, v))
+        w1, w2 = model.ac_decompose(u, v)
+        uu, vv = (w1 + w2) / 2.0, (w1 - w2) / 2.0
         assert abs(uu - u) < 1e-15 and abs(vv - v) < 1e-15
 
 

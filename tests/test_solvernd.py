@@ -119,7 +119,7 @@ def test_flow_step_is_the_pseudo_time_step_two_bitwise():
             inverse = 1.0 / ((1.0 + s * dt) + eig_t[:, None] + eig_n)
             cols = slice(None) if periodic_n else slice(1, -1)
             new = solvernd.flow_step(p, f)
-            for old, react, got in zip((f.u, f.v), model._reaction(lam, f.u[:, cols], f.v[:, cols]), (new.u, new.v)):
+            for old, react, got in zip((f.u, f.v), model.reaction(p, f.u[:, cols], f.v[:, cols]), (new.u, new.v)):
                 rhs = dt * react + (1.0 + s * dt) * old[:, cols]
                 if periodic_n:
                     spec = scipy.fftpack.rfft(scipy.fftpack.rfft(rhs, axis=1), axis=0)
@@ -255,7 +255,7 @@ def test_slab_start_is_the_coupling_3_front_at_every_coupling(monkeypatch):
     monkeypatch.setattr(solvernd, "relax_to_steady", lambda p, start, opts: starts.setdefault(p.lam, start))
     g_t, g_n = Grid1D(0.5, 8), Grid1D(20.0, 801)
     for lam in (3.0, 20.0):
-        solvernd.gibbons_run(Params(lam), g_t, g_n, solvernd.FlowOptions(rng_seed=4))
+        solvernd.gibbons_run(Params(lam), g_t, g_n, solvernd.FlowOptions(), 4)
     assert np.array_equal(starts[3.0].u, starts[20.0].u) and np.array_equal(starts[3.0].v, starts[20.0].v)
     monkeypatch.setattr(solvernd, "GIBBONS_NOISE", 0.0)
     front = solver1d.initial_guess(Params(3.0), g_n)
@@ -268,8 +268,8 @@ def test_slab_start_is_the_coupling_3_front_at_every_coupling(monkeypatch):
 def test_gibbons_run_settles_across_couplings(lam):
     # a slab with a short transverse axis; near coupling 1 the plain flow
     # stalls above steady_tol for 40000 steps
-    opts = solvernd.FlowOptions(rng_seed=0)
-    out = solvernd.gibbons_run(Params(lam), Grid1D(0.5, 8), Grid1D(20.0, 801), opts)
+    opts = solvernd.FlowOptions()
+    out = solvernd.gibbons_run(Params(lam), Grid1D(0.5, 8), Grid1D(20.0, 801), opts, 0)
     assert out.converged
     assert out.final_residual <= opts.steady_tol
     assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
@@ -382,8 +382,8 @@ def test_box_newton_step_solves_a_constant_state_exactly():
 @pytest.mark.parametrize("lam", [0.25, 0.75, 1.0])
 def test_box_runs_finish_by_newton(lam):
     box = Grid1D(4.0, 32)
-    opts = solvernd.FlowOptions(rng_seed=3)
-    out = solvernd.periodic_box_run(Params(lam), box, box, opts)
+    opts = solvernd.FlowOptions()
+    out = solvernd.periodic_box_run(Params(lam), box, box, opts, 3)
     assert out.converged and out.final_residual <= opts.steady_tol
     assert 1 <= out.newton_steps < out.steps <= 15
     assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
@@ -400,7 +400,7 @@ def test_box_run_forms_the_flow_eigenvalues_once(monkeypatch):
 
     monkeypatch.setattr(solvernd, "_eigenvalues", counted)
     box = Grid1D(4.0, 32)
-    out = solvernd.periodic_box_run(Params(0.75), box, box, solvernd.FlowOptions(rng_seed=3))
+    out = solvernd.periodic_box_run(Params(0.75), box, box, solvernd.FlowOptions(), 3)
     assert out.steps - out.newton_steps >= 5 and out.newton_steps >= 1
     assert len(calls) == 2
 
@@ -423,8 +423,8 @@ def test_box_runs_near_coupling_one_settle(lam):
     # the flow step from that candidate brings it back (seed 0 rejects one)
     box = Grid1D(4.0, 32)
     for seed in range(20):
-        opts = solvernd.FlowOptions(rng_seed=seed)
-        out = solvernd.periodic_box_run(Params(lam), box, box, opts)
+        opts = solvernd.FlowOptions()
+        out = solvernd.periodic_box_run(Params(lam), box, box, opts, seed)
         assert out.converged and out.final_residual <= opts.steady_tol, seed
         assert out.steps <= 30, seed
         assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12, seed
@@ -453,7 +453,7 @@ def test_rejected_newton_candidates_skip_needless_residuals(monkeypatch):
 
     monkeypatch.setattr(solvernd, "_newton_step", uphill)
     monkeypatch.setattr(grid, "residual_slab", counted)
-    out = solvernd.gibbons_run(Params(3.0), Grid1D(0.5, 8), Grid1D(20.0, 801), solvernd.FlowOptions(rng_seed=0))
+    out = solvernd.gibbons_run(Params(3.0), Grid1D(0.5, 8), Grid1D(20.0, 801), solvernd.FlowOptions(), 0)
     assert out.converged and out.newton_steps == 0
     assert 1 <= len(attempts) and len(residuals) <= 2 * len(attempts) + 1
 
@@ -504,8 +504,8 @@ def test_rejected_newton_candidates_fall_back_to_the_flow(monkeypatch):
         return f.with_values(u, f.v)
 
     monkeypatch.setattr(solvernd, "_newton_step", uphill)
-    opts = solvernd.FlowOptions(rng_seed=0)
-    out = solvernd.gibbons_run(Params(3.0), Grid1D(0.5, 8), Grid1D(20.0, 801), opts)
+    opts = solvernd.FlowOptions()
+    out = solvernd.gibbons_run(Params(3.0), Grid1D(0.5, 8), Grid1D(20.0, 801), opts, 0)
     assert out.converged and out.final_residual <= opts.steady_tol
     assert out.newton_steps == 0
     assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
@@ -528,8 +528,8 @@ def test_rejected_box_newton_candidates_fall_back_to_the_flow(monkeypatch, lam):
 
     monkeypatch.setattr(solvernd, "_box_newton_step", uphill)
     box = Grid1D(4.0, 32)
-    opts = solvernd.FlowOptions(rng_seed=0)
-    out = solvernd.periodic_box_run(Params(lam), box, box, opts)
+    opts = solvernd.FlowOptions()
+    out = solvernd.periodic_box_run(Params(lam), box, box, opts, 0)
     assert out.converged and out.final_residual <= opts.steady_tol
     assert out.newton_steps == 0
     assert np.max(np.diff(np.array(out.energy_trace))) <= 1e-12
@@ -603,18 +603,18 @@ def test_box_run_drops_the_accepted_field_before_the_mixed_energy(traced_peak):
     # field is dropped before the candidate's energy is formed: the run peaks
     # at 11.9 field arrays, and 12.7 if the field stayed alive
     box = Grid1D(4.0, 32)
-    opts = solvernd.FlowOptions(rng_seed=1)
-    solvernd.periodic_box_run(Params(0.5), box, box, opts)  # pocketfft loads untraced
-    peak = traced_peak(lambda: solvernd.periodic_box_run(Params(0.5), box, box, opts))
+    opts = solvernd.FlowOptions()
+    solvernd.periodic_box_run(Params(0.5), box, box, opts, 1)  # pocketfft loads untraced
+    peak = traced_peak(lambda: solvernd.periodic_box_run(Params(0.5), box, box, opts, 1))
     assert peak <= 12.25 * 8 * box.n**2
 
 
 def test_relax_nonconvergence_carries_outcome():
     p = Params(0.5)
     box = Grid1D(4.0, 16)
-    opts = solvernd.FlowOptions(max_steps=3, rng_seed=1)
+    opts = solvernd.FlowOptions(max_steps=3)
     with pytest.raises(NonConvergence) as info:
-        solvernd.periodic_box_run(p, box, box, opts)
+        solvernd.periodic_box_run(p, box, box, opts, 1)
     assert info.value.outcome is not None
     assert info.value.outcome.steps == 3
     assert len(info.value.outcome.energy_trace) == 4
@@ -662,7 +662,7 @@ def test_liouville_runs_reach_constant():
     box = Grid1D(4.0, 32)
     for lam in (0.25, 0.5, 0.75):
         p = Params(lam)
-        out = solvernd.periodic_box_run(p, box, box, solvernd.FlowOptions(rng_seed=7))
+        out = solvernd.periodic_box_run(p, box, box, solvernd.FlowOptions(), 7)
         assert out.converged and out.final_residual <= 1e-9
         c = model.liouville_constant(p)
         dev = max(np.max(np.abs(out.field.u - c)), np.max(np.abs(out.field.v - c)))
@@ -673,13 +673,13 @@ def test_liouville_runs_reach_constant():
 
 def test_liouville_value_example():
     box = Grid1D(4.0, 32)
-    out = solvernd.periodic_box_run(Params(0.5), box, box, solvernd.FlowOptions(rng_seed=7))
+    out = solvernd.periodic_box_run(Params(0.5), box, box, solvernd.FlowOptions(), 7)
     assert np.max(np.abs(out.field.u - 0.816497)) < 1e-6 + 1e-6
 
 
 def test_unit_coupling_circle():
     box = Grid1D(4.0, 32)
-    out = solvernd.periodic_box_run(Params(1.0), box, box, solvernd.FlowOptions(rng_seed=7))
+    out = solvernd.periodic_box_run(Params(1.0), box, box, solvernd.FlowOptions(), 7)
     assert out.converged and out.final_residual <= 1e-9
     circ = np.max(np.abs(out.field.u**2 + out.field.v**2 - 1.0))
     assert circ <= 1e-6
@@ -709,8 +709,8 @@ def test_gibbons_extract_matches_newton(gibbons_run):
 def test_flow_deterministic():
     box = Grid1D(4.0, 16)
     p = Params(0.5)
-    a = solvernd.periodic_box_run(p, box, box, solvernd.FlowOptions(rng_seed=3))
-    b = solvernd.periodic_box_run(p, box, box, solvernd.FlowOptions(rng_seed=3))
+    a = solvernd.periodic_box_run(p, box, box, solvernd.FlowOptions(), 3)
+    b = solvernd.periodic_box_run(p, box, box, solvernd.FlowOptions(), 3)
     assert np.array_equal(a.field.u, b.field.u)
     assert np.array_equal(a.field.v, b.field.v)
     assert a.energy_trace == b.energy_trace
@@ -718,7 +718,7 @@ def test_flow_deterministic():
 
 def test_energy_trace_csv(tmp_path):
     box = Grid1D(4.0, 16)
-    out = solvernd.periodic_box_run(Params(0.5), box, box, solvernd.FlowOptions(rng_seed=3))
+    out = solvernd.periodic_box_run(Params(0.5), box, box, solvernd.FlowOptions(), 3)
     path = tmp_path / "trace.csv"
     solvernd.save_energy_trace_csv(path, out)
     lines = path.read_text().splitlines()

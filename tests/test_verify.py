@@ -77,9 +77,10 @@ def test_record_rejects_unknown_tag():
      ("steady_tol", 0.0, "steady_tol: must be positive, got 0.0")],
 )
 def test_suite_options_check_the_flow_options_up_front(field, value, message):
-    # also where no flow stage runs, so a bad value never passes silently
+    # the flow options refuse the value as they are built, before any stage
+    # runs and also where no flow stage runs, so a bad value never passes silently
     with pytest.raises(ValueError, match=f"^{message}$"):
-        SuiteOptions(stages=("solves",), **{field: value})
+        SuiteOptions(stages=("solves",), flow=solvernd.FlowOptions(**{field: value}))
 
 
 def test_report_round_trip(suite_report):
@@ -228,7 +229,7 @@ def test_suite_failure_becomes_record():
     opts = SuiteOptions(
         stages=("solves",),
         newton=solver1d.SolveOptions(max_iters=1, newton_tol=1e-14),
-        n=201,
+        grid=Grid1D(20.0, 201),
     )
     report = verify.full_suite(opts)
     assert not report.overall_pass
@@ -312,6 +313,6 @@ def test_liouville_records_hold_near_coupling_one():
     # 1e-5 from the constant; the Newton finish removes that mode
     box = verify.LIOUVILLE_BOX
     for seed in range(20):
-        records, outcome = verify.liouville_records(Params(0.9999), box, solvernd.FlowOptions(rng_seed=seed))
+        records, outcome = verify.liouville_records(Params(0.9999), box, solvernd.FlowOptions(), seed)
         assert all(r.passed for r in records), (seed, [(r.name, r.margin) for r in records if not r.passed])
         assert outcome.newton_steps >= 1
