@@ -188,8 +188,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = {key: _coerce(key, value) for key, value in raw.items()}
     cfg = replace(RunConfig(command=args.command), **{**file_values, **overrides})
     touched = set(file_values) | set(overrides)
+    # relaxation runs use the battery slab's axis, not the Newton solver's
+    if args.command == "relax" and "half_length" not in touched:
+        cfg = replace(cfg, half_length=verifymod.GIBBONS_AXIS.half_length)
     if args.command == "relax" and "n" not in touched:
-        # relaxation runs use the battery slab's coarser axis, not the Newton solver's
         cfg = replace(cfg, n=verifymod.GIBBONS_AXIS.n)
     if args.command == "relax" and cfg.mode == "liouville" and "lam" not in touched:
         # the shared default coupling 3 is outside the liouville range (0, 1)
@@ -201,9 +203,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_sidecar(cfg: RunConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{cfg.command}.config.json"), "w", encoding="ascii") as fh:
+def _write_sidecar(cfg: RunConfig) -> None:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, f"{cfg.command}.config.json"), "w", encoding="ascii") as fh:
         fh.write(cfg.to_json() + "\n")
 
 
@@ -233,7 +235,7 @@ def _conclude(cfg: RunConfig, report_name: str | None, records, summary) -> int:
 
 def cmd_solve1d(cfg: RunConfig) -> int:
     records, outcome = verifymod.solve_records(Params(cfg.lam), Grid1D(cfg.half_length, cfg.n), _solve_options(cfg))
-    _write_sidecar(cfg, cfg.out_dir)
+    _write_sidecar(cfg)
     gridmod.save_profile_csv(os.path.join(cfg.out_dir, "profile.csv"), solver1d.pin_phase(outcome.profile))
     return _conclude(cfg, "report.json", records, lambda failed: (
         f"coupling {cfg.lam}: converged in {outcome.iterations} iterations, "
@@ -244,7 +246,7 @@ def cmd_solve1d(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     g = Grid1D(cfg.half_length, cfg.n)
     outcomes = solver1d.continuation_sweep(cfg.lambda_from, cfg.lambda_to, cfg.step, g, _solve_options(cfg))
-    _write_sidecar(cfg, cfg.out_dir)
+    _write_sidecar(cfg)
 
     records = []
     summary = []
@@ -275,7 +277,7 @@ def cmd_relax(cfg: RunConfig) -> int:
         records, outcome = verifymod.liouville_records(Params(cfg.lam), verifymod.LIOUVILLE_BOX, flow_opts, cfg.seed)
     else:  # lambda1
         records, outcome = verifymod.unit_coupling_records(verifymod.LIOUVILLE_BOX, flow_opts, cfg.seed)
-    _write_sidecar(cfg, cfg.out_dir)
+    _write_sidecar(cfg)
     gridmod.save_slab_csv(os.path.join(cfg.out_dir, "field.csv"), outcome.field)
     solvernd.save_energy_trace_csv(os.path.join(cfg.out_dir, "energy_trace.csv"), outcome)
     return _conclude(cfg, "report.json", records, lambda failed: (
@@ -296,7 +298,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         flow=_flow_options(cfg),
     )
     records = verifymod.full_suite(opts).records
-    _write_sidecar(cfg, cfg.out_dir)
+    _write_sidecar(cfg)
     return _conclude(cfg, "suite_report.json", records, lambda failed: (
         f"battery: {len(records)} checks, {failed} failed" if records
         else "no checks run (empty battery); overall pass is vacuous"

@@ -115,16 +115,6 @@ class SlabField:
         return SlabField(self.grid_t, self.grid_n, u, v, self.periodic_n)
 
 
-def heteroclinic_boundary_defect(prof: ProfilePair) -> float:
-    """Max deviation of the end rows from the heteroclinic data."""
-    return max(
-        abs(prof.u[0] - LEFT_STATE[0]),
-        abs(prof.v[0] - LEFT_STATE[1]),
-        abs(prof.u[-1] - RIGHT_STATE[0]),
-        abs(prof.v[-1] - RIGHT_STATE[1]),
-    )
-
-
 def residual_1d(p: Params, prof: ProfilePair):
     """Residual pair of the discrete two-point boundary value problem.
 

@@ -20,7 +20,6 @@ and needs no solve.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -146,13 +145,13 @@ def solve_banded(work: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -> SolveOutcome:
+def newton_solve(p: Params, guess: ProfilePair, opts: SolveOptions) -> SolveOutcome:
     """Solve the discrete heteroclinic problem by damped Newton iteration.
 
-    Requires coupling > 1 (below that no front exists; positive states are
-    constant) and a guess whose end rows carry the heteroclinic data.  Damping
-    halves the step until the max-norm residual decreases, with a floor at
-    :data:`DAMPING_MIN`; the floored step is taken if no decrease is found.
+    Solves on the guess's grid.  Requires coupling > 1 (below that no front exists;
+    positive states are constant) and a guess whose end rows carry the heteroclinic
+    data.  Damping halves the step until the max-norm residual decreases, with a floor
+    at :data:`DAMPING_MIN`; the floored step is taken if no decrease is found.
 
     Raises NonConvergence when ``opts.max_iters`` updates do not reach
     ``opts.newton_tol``, and SingularJacobian if a linearization is singular
@@ -164,19 +163,17 @@ def newton_solve(p: Params, g: Grid1D, guess: ProfilePair, opts: SolveOptions) -
             "coupling 1 are the constant pair (rigidity check T-liouville-sub1); "
             "coupling 1 admits only constants as well"
         )
-    if guess.grid != g:
-        raise ValueError("guess grid does not match the solve grid")
-    if gridmod.heteroclinic_boundary_defect(guess) > GUESS_BOUNDARY_TOL:
-        raise ValueError("guess does not satisfy the heteroclinic boundary rows")
 
     # the guess arrays are read-only and every update makes new ones
-    u, v = guess.u, guess.v
+    g, u, v = guess.grid, guess.u, guess.v
     # since CPython 3.11 a call moves its arguments into the callee's frame,
-    # so a guess built inline by the caller (``newton_solve(p, g,
+    # so a guess built inline by the caller (``newton_solve(p,
     # initial_guess(p, g), opts)``) dies with the first update once this
     # name is gone; on older versions the caller keeps it alive
     del guess
-    ru, rv = gridmod.residual_1d(p, ProfilePair(g, u, v))
+    ru, rv = gridmod.residual_1d(p, ProfilePair(g, u, v))  # its end rows are the guess's boundary defects
+    if max(abs(ru[0]), abs(rv[0]), abs(ru[-1]), abs(rv[-1])) > GUESS_BOUNDARY_TOL:
+        raise ValueError("guess does not satisfy the heteroclinic boundary rows")
     rnorm = gridmod._max_norm(ru, rv)
     history = [rnorm]
 
@@ -244,7 +241,7 @@ def pin_phase(prof: ProfilePair) -> ProfilePair:
     4-tap filter, summed as the middle tap plus weighted differences from
     it so that flat stretches keep their bits.  Taps past either end take
     the end value; queries beyond the grid keep the end values bit for bit.
-    The O(h^4) error is what the uniqueness probe needs: solves from
+    The O(h^4) error is what the uniqueness check needs: solves from
     different seeds settle at slightly different translations, and linear
     resampling would leave each with its own O(h^2) artifact.  Idempotent up
     to interpolation error.  Raises NoCrossing when u-v never changes sign
@@ -337,43 +334,11 @@ def continuation_sweep(
         outcome = None
         if outcomes:
             try:
-                outcome = newton_solve(p, g, outcomes[-1].profile, opts)
+                outcome = newton_solve(p, outcomes[-1].profile, opts)
             except NonConvergence:
                 pass
         if outcome is None:
-            outcome = newton_solve(p, g, initial_guess(p, g), opts)
+            outcome = newton_solve(p, initial_guess(p, g), opts)
         outcomes.append(outcome)
     return [replace(o, profile=pin_phase(o.profile)) for o in outcomes]
 
-
-def uniqueness_probe(
-    p: Params,
-    g: Grid1D,
-    opts: SolveOptions,
-    n_seeds: int,
-    rng_seed: int,
-) -> float:
-    """Max pairwise sup-distance between pinned solves from perturbed seeds.
-
-    Each seed adds uniform noise of amplitude 0.2 to the interior nodes of
-    the standard guess (clipped to keep the values positive and below 1),
-    solves, pins the phase, and the largest pairwise max-norm distance over
-    both components is returned.  All randomness comes from ``rng_seed``.
-    """
-    rng = np.random.default_rng(rng_seed)
-    base = initial_guess(p, g)
-    profiles = []
-    for k in range(n_seeds):
-        u = base.u.copy()
-        v = base.v.copy()
-        u[1:-1] = np.clip(u[1:-1] + rng.uniform(-0.2, 0.2, g.n - 2), 1e-6, 1.0)
-        v[1:-1] = np.clip(v[1:-1] + rng.uniform(-0.2, 0.2, g.n - 2), 1e-6, 1.0)
-        try:
-            outcome = newton_solve(p, g, ProfilePair(g, u, v), opts)
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"seed {k} of the uniqueness probe failed: {exc}", outcome=exc.outcome
-            ) from exc
-        profiles.append(pin_phase(outcome.profile))
-    pairs = itertools.combinations(profiles, 2)
-    return max((gridmod._max_norm(a.u - b.u, a.v - b.v) for a, b in pairs), default=0.0)

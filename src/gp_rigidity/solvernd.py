@@ -413,7 +413,8 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
     it is at most steady_tol.  The energy and update traces hold the
     accepted iterates; the records check that the energy never rose rather
     than assume it.  Raises NonConvergence (carrying the partial outcome)
-    when max_steps accepted iterates do not get there.
+    when max_steps accepted iterates do not get there, or at once when it
+    stalls: the plain step is taken, moves nothing and no Newton attempt is due.
     """
     # an overflowing coupling makes inf and nan entries; the field checks
     # report them as a SolverError, so numpy need not warn
@@ -436,6 +437,7 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
             attempt = residual_pair is not None  # the accepted state's update may not bound its residual then
             accepted = None
             newton = False  # the Newton candidate was accepted, so the next step is one too
+            stalled = False  # the plain step was taken and left the field as it was
             if attempt:
                 candidate = newton_step(p, current, *residual_pair, kappa)
                 residual_pair = None
@@ -468,6 +470,7 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
                     rejected += accepted is None
                 if accepted is None:
                     accepted = (plain, gridmod.discrete_energy_slab(p, plain), update)
+                    stalled = update == 0.0
                 history = [f, plain]
                 f = plain = None  # the window alone holds them, and drops them for Newton
             current, energy, update = accepted
@@ -486,6 +489,8 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
                     history = []
                 else:
                     residual_pair = None
+                    if stalled:  # the next plain step is this field again: a fixed point that is not steady
+                        break
         if not converged:
             residual = gridmod._max_norm(*gridmod.residual_slab(p, current))
         outcome = FlowOutcome(
@@ -501,8 +506,10 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
         )
     if converged:
         return outcome
+    # only a stall ends an unsettled run early
+    what = "stalled" if outcome.steps < opts.max_steps else f"did not settle within {opts.max_steps} steps"
     raise NonConvergence(
-        f"relaxation did not settle within {opts.max_steps} steps at coupling {p.lam} "
+        f"relaxation {what} at coupling {p.lam} "
         f"(last update {outcome.final_update:.3e}, residual {outcome.final_residual:.3e}, "
         f"{outcome.newton_steps} Newton steps, {outcome.rejected} candidates rejected)",
         outcome=outcome,

@@ -9,6 +9,7 @@ zero; bound and identity checks default to 10*h^2, the discretization order.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ from . import grid as gridmod
 from . import model
 from . import solver1d
 from . import solvernd
-from .errors import RegimeError, SolverError
+from .errors import NonConvergence, RegimeError, SolverError
 from .grid import Grid1D, ProfilePair
 from .model import Params
 
@@ -71,10 +72,6 @@ class VerifyReport:
         """True when every record passes; vacuously true when empty."""
         return all(r.passed for r in self.records)
 
-    @property
-    def empty(self) -> bool:
-        return len(self.records) == 0
-
     def failures(self):
         return [r for r in self.records if not r.passed]
 
@@ -95,22 +92,6 @@ class VerifyReport:
             ],
         }
         return json.dumps(payload, indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "VerifyReport":
-        payload = json.loads(text)
-        records = tuple(
-            CheckRecord(
-                name=r["name"],
-                theorem=r["theorem"],
-                passed=r["pass"],
-                margin=r["margin"],
-                tolerance=r["tolerance"],
-                params=r["params"],
-            )
-            for r in payload["records"]
-        )
-        return VerifyReport(version=payload["version"], seed=payload["seed"], records=records)
 
 
 def _record(name, theorem, margin, tolerance, **params):
@@ -262,8 +243,6 @@ def verify_counterexample(alpha: float, g: Grid1D) -> CheckRecord:
     differences of u positive; v negative everywhere; forward differences of
     v attain both signs.  Requires alpha > 0.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"offset must be positive, got {alpha!r}")
     x = g.nodes()
     u, v = model.sign_changing_front(alpha, x)
     prof = ProfilePair(g, u, v)
@@ -323,18 +302,34 @@ def solve_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions):
     The records check the profile Newton returned, before phase pinning.
     Newton errors propagate.
     """
-    outcome = solver1d.newton_solve(p, g, solver1d.initial_guess(p, g), newton)
+    outcome = solver1d.newton_solve(p, solver1d.initial_guess(p, g), newton)
     records = verify_profile(p, outcome.profile)
     records.append(verify_sharp_limit(outcome.profile))
     return records, outcome
 
 
 def uniqueness_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions, seed: int):
-    """Uniqueness modulo translation (:func:`solver1d.uniqueness_probe`): [record].
+    """Uniqueness modulo translation: [record] of :data:`UNIQUENESS_SEEDS` solves from perturbed guesses.
 
-    Newton errors propagate.
+    Each guess adds uniform noise of amplitude 0.2, drawn from ``seed`` (u, then v), to the interior
+    of the standard guess, clipped to [1e-6, 1].  The margin is minus the largest pairwise max-norm
+    distance of the pinned solves.  Newton errors propagate, naming the guess.
     """
-    dist = solver1d.uniqueness_probe(p, g, newton, UNIQUENESS_SEEDS, rng_seed=seed)
+    rng = np.random.default_rng(seed)
+    base = solver1d.initial_guess(p, g)
+    profiles = []
+    for k in range(UNIQUENESS_SEEDS):
+        u = base.u.copy()
+        v = base.v.copy()
+        u[1:-1] = np.clip(u[1:-1] + rng.uniform(-0.2, 0.2, g.n - 2), 1e-6, 1.0)
+        v[1:-1] = np.clip(v[1:-1] + rng.uniform(-0.2, 0.2, g.n - 2), 1e-6, 1.0)
+        try:
+            outcome = solver1d.newton_solve(p, ProfilePair(g, u, v), newton)
+        except NonConvergence as exc:
+            raise NonConvergence(f"seed {k} of the uniqueness probe failed: {exc}", outcome=exc.outcome) from exc
+        profiles.append(solver1d.pin_phase(outcome.profile))
+    pairs = itertools.combinations(profiles, 2)
+    dist = max(gridmod._max_norm(a.u - b.u, a.v - b.v) for a, b in pairs)
     return [
         _record(
             "uniqueness", "C1.2-uniqueness", -dist, UNIQUENESS_TOL,
@@ -373,7 +368,7 @@ def gibbons_records(
     tol = 10.0 * grid_n.h**2
     try:
         extracted = solver1d.pin_phase(solvernd.extract_1d(outcome.field, 100.0 * GIBBONS_ANISOTROPY_TOL))
-        reference = solver1d.newton_solve(p, grid_n, solver1d.initial_guess(p, grid_n), newton)
+        reference = solver1d.newton_solve(p, solver1d.initial_guess(p, grid_n), newton)
         ref = solver1d.pin_phase(reference.profile)
         dist = gridmod._max_norm(extracted.u - ref.u, extracted.v - ref.v)
         records.append(

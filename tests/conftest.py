@@ -59,7 +59,7 @@ def solved(default_grid, default_opts):
     for lam in (2.0, 3.0, 6.0):
         p = Params(lam)
         out[lam] = solver1d.newton_solve(
-            p, default_grid, solver1d.initial_guess(p, default_grid), default_opts
+            p, solver1d.initial_guess(p, default_grid), default_opts
         )
     return out
 

@@ -22,14 +22,14 @@ def test_criterion_01_closed_form_reproduction():
     opts = solver1d.SolveOptions()
     g = Grid1D(20.0, 2001)
     t0 = time.perf_counter()
-    out = solver1d.newton_solve(p, g, solver1d.initial_guess(p, g), opts)
+    out = solver1d.newton_solve(p, solver1d.initial_guess(p, g), opts)
     elapsed = time.perf_counter() - t0
     pinned = solver1d.pin_phase(out.profile)
     fu, fv = model.tanh_front(0.0, g.nodes())
     dist = max(np.max(np.abs(pinned.u - fu)), np.max(np.abs(pinned.v - fv)))
 
     g2 = Grid1D(20.0, 4001)
-    out2 = solver1d.newton_solve(p, g2, solver1d.initial_guess(p, g2), opts)
+    out2 = solver1d.newton_solve(p, solver1d.initial_guess(p, g2), opts)
     pinned2 = solver1d.pin_phase(out2.profile)
     fu2, fv2 = model.tanh_front(0.0, g2.nodes())
     dist2 = max(np.max(np.abs(pinned2.u - fu2)), np.max(np.abs(pinned2.v - fv2)))
@@ -92,7 +92,7 @@ def test_criterion_04_monotonicity(solved):
 def test_criterion_05_uniqueness(default_grid, default_opts):
     t0 = time.perf_counter()
     dists = {
-        lam: solver1d.uniqueness_probe(Params(lam), default_grid, default_opts, 5, rng_seed=42)
+        lam: verify.uniqueness_records(Params(lam), default_grid, default_opts, 42)[0].params["max_pairwise_distance"]
         for lam in (2.0, 3.0)
     }
     elapsed = time.perf_counter() - t0
@@ -110,7 +110,7 @@ def test_criterion_06_gibbons_symmetry(gibbons_run):
     ani = solvernd.transverse_anisotropy(outcome.field)
     extracted = solver1d.pin_phase(solvernd.extract_1d(outcome.field, 1e-6))
     ref = solver1d.newton_solve(
-        Params(3.0), g_n, solver1d.initial_guess(Params(3.0), g_n), solver1d.SolveOptions()
+        Params(3.0), solver1d.initial_guess(Params(3.0), g_n), solver1d.SolveOptions()
     )
     ref_pin = solver1d.pin_phase(ref.profile)
     dist = max(

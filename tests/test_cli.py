@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gp_rigidity import cli, verify
 from gp_rigidity.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK
+from gp_rigidity.grid import Grid1D
 
 
 def run(argv):
@@ -345,6 +346,16 @@ def test_relax_liouville_default_coupling(tmp_path, seed):
     out = tmp_path / "rl"
     assert run(["relax", "--mode", "liouville", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
     assert json.loads((out / "relax.config.json").read_text())["lam"] == 0.5
+
+
+def test_relax_gibbons_default_axis_is_the_battery_slab_axis(monkeypatch):
+    # both the half length and the node count come from verify.GIBBONS_AXIS
+    monkeypatch.setattr(verify, "GIBBONS_AXIS", Grid1D(7.5, 101))
+    cfg = cli.resolve_config(cli._build_parser().parse_args(["relax", "--mode", "gibbons"]))
+    assert (cfg.half_length, cfg.n) == (7.5, 101)
+    # a flag still wins over the axis
+    cfg = cli.resolve_config(cli._build_parser().parse_args(["relax", "--mode", "gibbons", "--L", "3"]))
+    assert (cfg.half_length, cfg.n) == (3.0, 101)
 
 
 def test_relax_liouville_regime_guard(tmp_path, capsys):

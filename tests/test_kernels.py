@@ -78,7 +78,7 @@ from gp_rigidity.model import Params
 
 def solve_and_relax(path):
     g = Grid1D(20.0, 201)
-    prof = solver1d.newton_solve(Params(3.0), g, solver1d.initial_guess(Params(3.0), g), solver1d.SolveOptions()).profile
+    prof = solver1d.newton_solve(Params(3.0), solver1d.initial_guess(Params(3.0), g), solver1d.SolveOptions()).profile
     pinned = solver1d.pin_phase(prof)
     opts = solvernd.FlowOptions()
     slab = solvernd.gibbons_run(Params(3.0), Grid1D(4.0, 8), g, opts, 5)

@@ -53,7 +53,7 @@ def test_newton_converges_from_the_seed_in_seven_updates(lam):
     # alone lam = 700 did not converge and lam = 100 took 18 updates
     g = Grid1D(20.0, 2001)
     p = Params(lam)
-    outcome = solver1d.newton_solve(p, g, solver1d.initial_guess(p, g), solver1d.SolveOptions())
+    outcome = solver1d.newton_solve(p, solver1d.initial_guess(p, g), solver1d.SolveOptions())
     assert outcome.converged and outcome.iterations <= 7, outcome.iterations
 
 
@@ -176,16 +176,18 @@ def test_newton_refuses_low_coupling(default_grid, default_opts):
     for lam in (0.5, 1.0):
         with pytest.raises(RegimeError):
             solver1d.newton_solve(
-                Params(lam), default_grid, solver1d.initial_guess(Params(lam), default_grid), default_opts
+                Params(lam), solver1d.initial_guess(Params(lam), default_grid), default_opts
             )
 
 
 def test_newton_rejects_bad_boundary(default_grid, default_opts):
     guess = solver1d.initial_guess(Params(3.0), default_grid)
-    u = guess.u.copy()
-    u[0] = 0.5
-    with pytest.raises(ValueError):
-        solver1d.newton_solve(Params(3.0), default_grid, ProfilePair(default_grid, u, guess.v), default_opts)
+    # each of the four end values, u[0], v[0], u[-1] and v[-1], is checked
+    for component, end in ((0, 0), (1, 0), (0, -1), (1, -1)):
+        arrays = [guess.u.copy(), guess.v.copy()]
+        arrays[component][end] = 0.5
+        with pytest.raises(ValueError, match="heteroclinic boundary rows"):
+            solver1d.newton_solve(Params(3.0), ProfilePair(default_grid, *arrays), default_opts)
 
 
 def test_newton_special_coupling_fast(solved):
@@ -236,8 +238,8 @@ def test_newton_quadratic_tail(solved):
 
 def test_newton_deterministic(default_grid, default_opts):
     p = Params(2.0)
-    a = solver1d.newton_solve(p, default_grid, solver1d.initial_guess(p, default_grid), default_opts)
-    b = solver1d.newton_solve(p, default_grid, solver1d.initial_guess(p, default_grid), default_opts)
+    a = solver1d.newton_solve(p, solver1d.initial_guess(p, default_grid), default_opts)
+    b = solver1d.newton_solve(p, solver1d.initial_guess(p, default_grid), default_opts)
     assert np.array_equal(a.profile.u, b.profile.u)
     assert np.array_equal(a.profile.v, b.profile.v)
     assert a.residual_history == b.residual_history
@@ -252,7 +254,7 @@ def test_singular_linearization_is_reported(default_grid, default_opts, monkeypa
 
     with pytest.raises(SingularJacobian) as info:
         solver1d.newton_solve(
-            Params(3.0), default_grid, solver1d.initial_guess(Params(3.0), default_grid), default_opts
+            Params(3.0), solver1d.initial_guess(Params(3.0), default_grid), default_opts
         )
     assert info.value.lam == 3.0
     assert info.value.iteration == 0
@@ -261,7 +263,7 @@ def test_singular_linearization_is_reported(default_grid, default_opts, monkeypa
 def test_newton_nonconvergence_carries_outcome(default_grid):
     opts = solver1d.SolveOptions(max_iters=1, newton_tol=1e-14)
     with pytest.raises(NonConvergence) as info:
-        solver1d.newton_solve(Params(6.0), default_grid, solver1d.initial_guess(Params(6.0), default_grid), opts)
+        solver1d.newton_solve(Params(6.0), solver1d.initial_guess(Params(6.0), default_grid), opts)
     assert info.value.outcome is not None
     assert not info.value.outcome.converged
 
@@ -278,14 +280,14 @@ def peak_front():
     # a small solve first, so that loading LAPACK is not counted
     p = Params(1.1)
     small = Grid1D(20.0, 201)
-    solver1d.newton_solve(p, small, solver1d.initial_guess(p, small), solver1d.SolveOptions())
-    return solver1d.newton_solve(p, PEAK_GRID, solver1d.initial_guess(p, PEAK_GRID), solver1d.SolveOptions())
+    solver1d.newton_solve(p, solver1d.initial_guess(p, small), solver1d.SolveOptions())
+    return solver1d.newton_solve(p, solver1d.initial_guess(p, PEAK_GRID), solver1d.SolveOptions())
 
 
 def test_newton_keeps_one_band_buffer(peak_front, traced_peak):
     p = Params(1.1)
     guess = solver1d.initial_guess(p, PEAK_GRID)
-    peak = traced_peak(lambda: solver1d.newton_solve(p, PEAK_GRID, guess, solver1d.SolveOptions()))
+    peak = traced_peak(lambda: solver1d.newton_solve(p, guess, solver1d.SolveOptions()))
     assert peak <= (112 + 6 * 8) * PEAK_GRID.n
 
 
@@ -294,7 +296,7 @@ def test_newton_drops_a_guess_built_inline(peak_front, traced_peak):
     # the guess is built inside the traced call and dies with the first update
     p = Params(1.1)
     peak = traced_peak(
-        lambda: solver1d.newton_solve(p, PEAK_GRID, solver1d.initial_guess(p, PEAK_GRID), solver1d.SolveOptions())
+        lambda: solver1d.newton_solve(p, solver1d.initial_guess(p, PEAK_GRID), solver1d.SolveOptions())
     )
     assert peak <= (112 + 6 * 8) * PEAK_GRID.n
 
@@ -363,7 +365,7 @@ def test_pin_phase_keeps_end_values_past_either_end(alpha):
 def test_pin_phase_keeps_fine_fronts_monotone(lam):
     # the check the benchmark makes on every solve1d --n 20001 profile
     p = Params(lam)
-    outcome = solver1d.newton_solve(p, PEAK_GRID, solver1d.initial_guess(p, PEAK_GRID), solver1d.SolveOptions())
+    outcome = solver1d.newton_solve(p, solver1d.initial_guess(p, PEAK_GRID), solver1d.SolveOptions())
     pinned = solver1d.pin_phase(outcome.profile)
     assert np.all(np.diff(pinned.u) >= 0.0) and np.all(np.diff(pinned.v) <= 0.0)
 
@@ -383,7 +385,7 @@ def test_refinement_second_order():
         pins = {}
         for n in (1001, 2001, 4001):
             g = Grid1D(20.0, n)
-            out = solver1d.newton_solve(p, g, solver1d.initial_guess(p, g), opts)
+            out = solver1d.newton_solve(p, solver1d.initial_guess(p, g), opts)
             pins[n] = solver1d.pin_phase(out.profile)
         d1 = max(
             np.max(np.abs(pins[1001].u - pins[2001].u[::2])),
@@ -473,17 +475,17 @@ def test_continuation_past_coupling_773():
 def test_continuation_failure_restarts_from_the_seed(monkeypatch):
     g = Grid1D(20.0, 2001)
     opts = solver1d.SolveOptions()
-    first = solver1d.newton_solve(Params(643.0), g, solver1d.initial_guess(Params(643.0), g), opts)
+    first = solver1d.newton_solve(Params(643.0), solver1d.initial_guess(Params(643.0), g), opts)
     # natural continuation alone fails at 653 ...
     with pytest.raises(NonConvergence, match="at coupling 653.0 "):
-        solver1d.newton_solve(Params(653.0), g, first.profile, opts)
+        solver1d.newton_solve(Params(653.0), first.profile, opts)
     # ... so the sweep solves 653 once more, from its seed
     guesses = []
     newton_solve = solver1d.newton_solve
 
-    def recording(p, g, guess, opts):
+    def recording(p, guess, opts):
         guesses.append((p.lam, guess))
-        return newton_solve(p, g, guess, opts)
+        return newton_solve(p, guess, opts)
 
     monkeypatch.setattr(solver1d, "newton_solve", recording)
     outcomes = solver1d.continuation_sweep(643.0, 653.0, 10.0, g, opts)
@@ -499,18 +501,18 @@ def test_continuation_regime_guard(default_opts):
         solver1d.continuation_sweep(3.0, 0.5, 0.5, g, default_opts)
 
 
+def _uniqueness_distance(lam, g, opts, seed):
+    (record,) = verify.uniqueness_records(Params(lam), g, opts, seed)
+    return record.params["max_pairwise_distance"]
+
+
 def test_uniqueness_probe(default_grid, default_opts):
     for lam in (2.0, 3.0):
-        dist = solver1d.uniqueness_probe(Params(lam), default_grid, default_opts, 5, rng_seed=42)
+        dist = _uniqueness_distance(lam, default_grid, default_opts, 42)
         assert dist <= 1e-6, lam
 
 
-def test_uniqueness_probe_single_seed(default_grid, default_opts):
-    dist = solver1d.uniqueness_probe(Params(3.0), default_grid, default_opts, 1, rng_seed=0)
-    assert dist == 0.0
-
-
 def test_uniqueness_probe_deterministic(default_grid, default_opts):
-    a = solver1d.uniqueness_probe(Params(2.0), default_grid, default_opts, 3, rng_seed=5)
-    b = solver1d.uniqueness_probe(Params(2.0), default_grid, default_opts, 3, rng_seed=5)
+    a = _uniqueness_distance(2.0, default_grid, default_opts, 5)
+    b = _uniqueness_distance(2.0, default_grid, default_opts, 5)
     assert a == b

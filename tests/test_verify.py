@@ -8,7 +8,7 @@ from gp_rigidity import errors, model, solver1d, solvernd, verify
 from gp_rigidity.errors import SingularJacobian, SolverError
 from gp_rigidity.grid import Grid1D, ProfilePair
 from gp_rigidity.model import Params
-from gp_rigidity.verify import CheckRecord, SuiteOptions, VerifyReport
+from gp_rigidity.verify import CheckRecord, SuiteOptions
 
 
 def bounds_records(p: Params, u, v) -> dict:
@@ -83,15 +83,9 @@ def test_suite_options_check_the_flow_options_up_front(field, value, message):
         SuiteOptions(stages=("solves",), flow=solvernd.FlowOptions(**{field: value}))
 
 
-def test_report_round_trip(suite_report):
-    report, _ = suite_report
-    clone = VerifyReport.from_json(report.to_json())
-    assert clone == report
-
-
 def test_full_suite_all_pass(suite_report):
     report, elapsed = suite_report
-    assert not report.empty
+    assert report.records
     assert report.overall_pass, [r.name for r in report.failures()]
     assert elapsed <= 300.0
 
@@ -148,7 +142,7 @@ def test_full_suite_deterministic_stage(suite_report):
 
 def test_empty_battery_vacuous():
     report = verify.full_suite(SuiteOptions(stages=()))
-    assert report.empty
+    assert not report.records
     assert report.overall_pass
 
 
@@ -220,8 +214,9 @@ def test_counterexample_records(default_grid):
 
 
 def test_counterexample_rejects_bad_offset(default_grid):
-    with pytest.raises(ValueError):
-        verify.verify_counterexample(-1.0, default_grid)
+    for alpha in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="offset must be positive"):
+            verify.verify_counterexample(alpha, default_grid)
 
 
 def test_suite_failure_becomes_record():
@@ -239,7 +234,7 @@ def test_suite_failure_becomes_record():
 
 
 def test_singular_jacobian_becomes_record(monkeypatch):
-    def singular(p, g, guess, opts):
+    def singular(p, guess, opts):
         raise SingularJacobian(p.lam, 0)
 
     monkeypatch.setattr(solver1d, "newton_solve", singular)
