@@ -259,10 +259,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         summary += [outcome.lam, rec.params["min_sum"], rec.params["max_sum"], energy, outcome.iterations]
         records.append(rec)
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
-    text = gridmod._csv_rows(summary_path, summary, 5)  # formatted, so checked, before the file is opened
-    with open(summary_path, "wb") as fh:
-        fh.write(b"lambda,min_sum,max_sum,energy,iters\n")
-        fh.write(text)
+    gridmod.save_summary_csv(summary_path, summary)
     return _conclude(cfg, None, records, lambda failed: f"sweep wrote {len(outcomes)} profiles and {summary_path}")
 
 
@@ -279,7 +276,7 @@ def cmd_relax(cfg: RunConfig) -> int:
         records, outcome = verifymod.unit_coupling_records(verifymod.LIOUVILLE_BOX, flow_opts, cfg.seed)
     _write_sidecar(cfg)
     gridmod.save_slab_csv(os.path.join(cfg.out_dir, "field.csv"), outcome.field)
-    solvernd.save_energy_trace_csv(os.path.join(cfg.out_dir, "energy_trace.csv"), outcome)
+    gridmod.save_energy_trace_csv(os.path.join(cfg.out_dir, "energy_trace.csv"), outcome)
     return _conclude(cfg, "report.json", records, lambda failed: (
         f"relax mode={cfg.mode} coupling={records[0].params['lam']}: {outcome.steps} steps "
         f"({outcome.newton_steps} Newton, {outcome.rejected} candidates rejected), "

@@ -115,6 +115,27 @@ class SlabField:
         return SlabField(self.grid_t, self.grid_n, u, v, self.periodic_n)
 
 
+def _residual(p: Params, u: np.ndarray, v: np.ndarray, h: float, wrap: bool):
+    """Reaction plus second difference along the last axis, in the reaction's arrays; Dirichlet end rows unless wrap."""
+    ru, rv = model.reaction(p, u, v)
+    _add_second_difference(ru, u, h, wrap)
+    _add_second_difference(rv, v, h, wrap)
+    if not wrap:
+        ru[..., 0] = u[..., 0] - LEFT_STATE[0]
+        rv[..., 0] = v[..., 0] - LEFT_STATE[1]
+        ru[..., -1] = u[..., -1] - RIGHT_STATE[0]
+        rv[..., -1] = v[..., -1] - RIGHT_STATE[1]
+    return ru, rv
+
+
+def _add_second_difference(out: np.ndarray, a: np.ndarray, h: float, wrap: bool) -> None:
+    """Add a's central second difference along its last axis to out's interior, and with wrap to its ends too."""
+    out[..., 1:-1] += (a[..., :-2] - 2.0 * a[..., 1:-1] + a[..., 2:]) / h**2
+    if wrap:
+        out[..., 0] += (a[..., -1] - 2.0 * a[..., 0] + a[..., 1]) / h**2
+        out[..., -1] += (a[..., -2] - 2.0 * a[..., -1] + a[..., 0]) / h**2
+
+
 def residual_1d(p: Params, prof: ProfilePair):
     """Residual pair of the discrete two-point boundary value problem.
 
@@ -122,33 +143,8 @@ def residual_1d(p: Params, prof: ProfilePair):
     Dirichlet defect against the heteroclinic data.  Zero (to rounding) iff
     the profile solves the discretized problem.
     """
-    h = prof.grid.h
-    u, v = prof.u, prof.v
     # a ProfilePair's arrays were checked finite when it was made
-    fu, fv = model.reaction(p, u, v)
-    ru = np.empty_like(u)
-    rv = np.empty_like(v)
-    ru[1:-1] = _second_difference(u, h) + fu[1:-1]
-    rv[1:-1] = _second_difference(v, h) + fv[1:-1]
-    ru[0] = u[0] - LEFT_STATE[0]
-    rv[0] = v[0] - LEFT_STATE[1]
-    ru[-1] = u[-1] - RIGHT_STATE[0]
-    rv[-1] = v[-1] - RIGHT_STATE[1]
-    return ru, rv
-
-
-def _second_difference(a: np.ndarray, h: float) -> np.ndarray:
-    """Central second difference at the interior nodes of the last axis."""
-    return (a[..., :-2] - 2.0 * a[..., 1:-1] + a[..., 2:]) / h**2
-
-
-def _add_wrapped_second_difference(out: np.ndarray, a: np.ndarray, h: float, axis: int) -> None:
-    """Add the central second difference of 2D a along a periodic axis to out, in place."""
-    if axis == 0:
-        out, a = out.T, a.T
-    out[..., 1:-1] += _second_difference(a, h)
-    out[..., 0] += (a[..., -1] - 2.0 * a[..., 0] + a[..., 1]) / h**2
-    out[..., -1] += (a[..., -2] - 2.0 * a[..., -1] + a[..., 0]) / h**2
+    return _residual(p, prof.u, prof.v, prof.grid.h, wrap=False)
 
 
 def residual_slab(p: Params, f: SlabField):
@@ -156,23 +152,13 @@ def residual_slab(p: Params, f: SlabField):
 
     The transverse second difference wraps around; embedding a 1D profile
     constantly in the transverse direction therefore reproduces the interior
-    rows of :func:`residual_1d` exactly.  The second differences are added
-    into the reaction's arrays, so no shifted copies of the field are made.
+    rows of :func:`residual_1d` exactly.  The transverse term is added along
+    the last axis of the transposes of the free columns.
     """
-    ht, hn = f.grid_t.h, f.grid_n.h
-    ru, rv = model.reaction(p, f.u, f.v)
+    ru, rv = _residual(p, f.u, f.v, f.grid_n.h, wrap=f.periodic_n)
     cols = slice(None) if f.periodic_n else slice(1, -1)
-    for r, a in ((ru, f.u), (rv, f.v)):
-        if f.periodic_n:
-            _add_wrapped_second_difference(r, a, hn, axis=1)
-        else:
-            r[:, 1:-1] += _second_difference(a, hn)
-        _add_wrapped_second_difference(r[:, cols], a[:, cols], ht, axis=0)
-    if not f.periodic_n:
-        ru[:, 0] = f.u[:, 0] - LEFT_STATE[0]
-        rv[:, 0] = f.v[:, 0] - LEFT_STATE[1]
-        ru[:, -1] = f.u[:, -1] - RIGHT_STATE[0]
-        rv[:, -1] = f.v[:, -1] - RIGHT_STATE[1]
+    _add_second_difference(ru[:, cols].T, f.u[:, cols].T, f.grid_t.h, wrap=True)
+    _add_second_difference(rv[:, cols].T, f.v[:, cols].T, f.grid_t.h, wrap=True)
     return ru, rv
 
 
@@ -184,9 +170,7 @@ def discrete_energy_1d(p: Params, prof: ProfilePair) -> float:
     heteroclinic energies stay finite as the domain grows.
     """
     h = prof.grid.h
-    du = np.diff(prof.u)
-    dv = np.diff(prof.v)
-    grad = float(np.sum(du * du + dv * dv)) / (2.0 * h)
+    grad = _squared_steps(prof.u, prof.v, wrap=False) / (2.0 * h)
     w = model.potential(p, prof.u, prof.v)
     w -= model.PURE_STATE_POTENTIAL
     pot = float(np.trapezoid(w, dx=h))
@@ -197,8 +181,8 @@ def discrete_energy_slab(p: Params, f: SlabField) -> float:
     """Slab analogue of :func:`discrete_energy_1d` (transverse terms wrap)."""
     ht, hn = f.grid_t.h, f.grid_n.h
     u, v = f.u, f.v
-    grad_t = _squared_steps(u, v, axis=0, wrap=True) * hn / (2.0 * ht)
-    grad_n = _squared_steps(u, v, axis=1, wrap=f.periodic_n) * ht / (2.0 * hn)
+    grad_t = _squared_steps(u.T, v.T, wrap=True) * hn / (2.0 * ht)
+    grad_n = _squared_steps(u, v, wrap=f.periodic_n) * ht / (2.0 * hn)
     w = model.potential(p, u, v)
     w -= model.PURE_STATE_POTENTIAL
     if f.periodic_n:
@@ -208,26 +192,24 @@ def discrete_energy_slab(p: Params, f: SlabField) -> float:
     return grad_t + grad_n + pot * ht * hn
 
 
-def _squared_steps(u: np.ndarray, v: np.ndarray, axis: int, wrap: bool) -> float:
-    """Sum of the squared forward differences of u and v along one axis.
+def _squared_steps(u: np.ndarray, v: np.ndarray, wrap: bool) -> float:
+    """Sum of the squared forward differences of u and v along the last axis.
 
-    With wrap the step from the last slice back to the first is included.
-    The squares are formed in the differences' buffers.  Along axis 0 the
-    differences are taken between columns of the transposes: they then lie
-    in memory as u does, so each sum adds the same values in the same order
-    as along rows of the untransposed arrays.
+    With wrap the step from the last entry back to the first is included.
+    The squares are formed in the differences' buffers.  The slab's
+    transverse term passes the transposes: their differences then lie in
+    memory as u does, so each sum adds the same values in the same order as
+    along rows of the untransposed arrays.
     """
-    if axis == 0:
-        u, v = u.T, v.T
-    du = u[:, 1:] - u[:, :-1]
+    du = u[..., 1:] - u[..., :-1]
     du *= du
-    dv = v[:, 1:] - v[:, :-1]
+    dv = v[..., 1:] - v[..., :-1]
     dv *= dv
     du += dv
     total = float(du.sum())
     if wrap:
-        du = u[:, 0] - u[:, -1]
-        dv = v[:, 0] - v[:, -1]
+        du = u[..., 0] - u[..., -1]
+        dv = v[..., 0] - v[..., -1]
         total += float((du * du + dv * dv).sum())
     return total
 
@@ -307,6 +289,37 @@ def save_profile_csv(path, prof: ProfilePair) -> None:
     """Write header `x,u,v` and one row per node."""
     x = prof.grid.nodes()
     _write_csv(path, PROFILE_HEADER, prof.grid.n, lambda rows: (x[rows], prof.u[rows], prof.v[rows]))
+
+
+def save_energy_trace_csv(path, outcome) -> None:
+    """Export `step,energy,update_norm` from ``outcome``'s energy and update traces; step 0 has no update.
+
+    The steps keep integer text, so each block of rows goes to the CSV
+    formatter as a list of ints and floats.
+    """
+    energies, updates = outcome.energy_trace, outcome.update_trace
+    # checked here, not by the formatter, so a refused trace leaves no half-written file
+    if not (np.isfinite(energies).all() and np.isfinite(updates).all()):
+        raise ValueError(f"{path}: non-finite values cannot be written")
+    with open(path, "wb") as fh:
+        fh.write(b"step,energy,update_norm\n")
+        fh.write(_csv_rows(path, [0, energies[0]], 2)[:-1])
+        fh.write(b",\n")
+        for start in range(0, len(updates), _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, len(updates))
+            values = [None] * (3 * (stop - start))
+            values[0::3] = range(start + 1, stop + 1)
+            values[1::3] = energies[start + 1 : stop + 1]
+            values[2::3] = updates[start:stop]
+            fh.write(_csv_rows(path, values, 3))
+
+
+def save_summary_csv(path, values) -> None:
+    """Write header `lambda,min_sum,max_sum,energy,iters` and a row for every five of the flat list ``values``."""
+    text = _csv_rows(path, values, 5)  # formatted, so checked, before the file is opened
+    with open(path, "wb") as fh:
+        fh.write(b"lambda,min_sum,max_sum,energy,iters\n")
+        fh.write(text)
 
 
 def _load_columns(path, header: str) -> np.ndarray:

@@ -145,6 +145,18 @@ def solve_banded(work: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_heteroclinic_ends(u: np.ndarray, v: np.ndarray, what: str) -> None:
+    """ValueError naming ``what`` unless both ends of u and v along the last axis are the heteroclinic data.
+
+    Only the end entries are read; each may miss its value by GUESS_BOUNDARY_TOL.
+    """
+    # slices, not indices: numpy keeps a few traced bytes after each reduction of a 0-d array
+    ends = ((u[..., :1], gridmod.LEFT_STATE[0]), (v[..., :1], gridmod.LEFT_STATE[1]),
+            (u[..., -1:], gridmod.RIGHT_STATE[0]), (v[..., -1:], gridmod.RIGHT_STATE[1]))
+    if max(float(abs(a - value).max()) for a, value in ends) > GUESS_BOUNDARY_TOL:
+        raise ValueError(f"{what} does not satisfy the heteroclinic boundary rows")
+
+
 def newton_solve(p: Params, guess: ProfilePair, opts: SolveOptions) -> SolveOutcome:
     """Solve the discrete heteroclinic problem by damped Newton iteration.
 
@@ -171,9 +183,8 @@ def newton_solve(p: Params, guess: ProfilePair, opts: SolveOptions) -> SolveOutc
     # initial_guess(p, g), opts)``) dies with the first update once this
     # name is gone; on older versions the caller keeps it alive
     del guess
-    ru, rv = gridmod.residual_1d(p, ProfilePair(g, u, v))  # its end rows are the guess's boundary defects
-    if max(abs(ru[0]), abs(rv[0]), abs(ru[-1]), abs(rv[-1])) > GUESS_BOUNDARY_TOL:
-        raise ValueError("guess does not satisfy the heteroclinic boundary rows")
+    _check_heteroclinic_ends(u, v, "guess")
+    ru, rv = gridmod.residual_1d(p, ProfilePair(g, u, v))
     rnorm = gridmod._max_norm(ru, rv)
     history = [rnorm]
 

@@ -262,16 +262,9 @@ def _mixed(history: list, f: tuple, g: SlabField) -> SlabField | None:
         a = old - new
         a *= gamma
         a += new
-        if not g.periodic_n:
-            a[:, 0] = new[:, 0]
-            a[:, -1] = new[:, -1]
-        a.setflags(write=False)
         mixed.append(a)
     del g_prev
-    try:
-        return g.with_values(*mixed)
-    except ValueError:  # the extrapolation overflowed
-        return None
+    return _candidate(g, *mixed)
 
 
 def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa: tuple) -> SlabField | None:
@@ -312,18 +305,9 @@ def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa:
             return None
         ru[rows] = step[0::2].T
         rv[rows] = step[1::2].T
-    new = []
     for r, old in ((ru, f.u), (rv, f.v)):
-        a = _irfft(r, 0)
-        np.subtract(old, a, out=a)
-        a[:, 0] = old[:, 0]
-        a[:, -1] = old[:, -1]
-        a.setflags(write=False)
-        new.append(a)
-    try:
-        return f.with_values(*new)
-    except ValueError:  # the step overflowed
-        return None
+        np.subtract(old, _irfft(r, 0), out=r)
+    return _candidate(f, ru, rv)
 
 
 def _box_newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa: tuple) -> SlabField | None:
@@ -364,15 +348,21 @@ def _box_newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, ka
     ru += minus_c1  # -d_v
     rv += minus_c2  # -d_u
     del minus_c1, minus_c2
-    new = []
     for r, old in ((rv, f.u), (ru, f.v)):
-        a = _irfft(_irfft(r, 0), 1)
-        a += old
+        np.add(_irfft(_irfft(r, 0), 1), old, out=r)
+    return _candidate(f, rv, ru)
+
+
+def _candidate(f: SlabField, u: np.ndarray, v: np.ndarray) -> SlabField | None:
+    """The field on f's grids holding u and v, made read-only with f's Dirichlet end columns; None if not finite."""
+    for a, old in ((u, f.u), (v, f.v)):
+        if not f.periodic_n:
+            a[:, 0] = old[:, 0]
+            a[:, -1] = old[:, -1]
         a.setflags(write=False)
-        new.append(a)
     try:
-        return f.with_values(*new)
-    except ValueError:  # the step overflowed
+        return f.with_values(u, v)
+    except ValueError:  # the candidate overflowed
         return None
 
 
@@ -415,7 +405,10 @@ def relax_to_steady(p: Params, f0: SlabField, opts: FlowOptions) -> FlowOutcome:
     than assume it.  Raises NonConvergence (carrying the partial outcome)
     when max_steps accepted iterates do not get there, or at once when it
     stalls: the plain step is taken, moves nothing and no Newton attempt is due.
+    A Dirichlet start that misses the heteroclinic data, so can never settle, raises ValueError.
     """
+    if not f0.periodic_n:
+        solver1d._check_heteroclinic_ends(f0.u, f0.v, "start field")
     # an overflowing coupling makes inf and nan entries; the field checks
     # report them as a SolverError, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -607,25 +600,3 @@ def _random_box(grid_t: Grid1D, grid_n: Grid1D, seed: int) -> SlabField:
     v.setflags(write=False)
     return SlabField(grid_t, grid_n, u, v, periodic_n=True)
 
-
-def save_energy_trace_csv(path, outcome: FlowOutcome) -> None:
-    """Export `step,energy,update_norm`; the update at step 0 is left empty.
-
-    The steps keep integer text, so each block of rows goes to the CSV
-    formatter as a list of ints and floats.
-    """
-    energies, updates = outcome.energy_trace, outcome.update_trace
-    # checked here, not by the formatter, so a refused trace leaves no half-written file
-    if not (np.isfinite(energies).all() and np.isfinite(updates).all()):
-        raise ValueError(f"{path}: non-finite values cannot be written")
-    with open(path, "wb") as fh:
-        fh.write(b"step,energy,update_norm\n")
-        fh.write(gridmod._csv_rows(path, [0, energies[0]], 2)[:-1])
-        fh.write(b",\n")
-        for start in range(0, len(updates), gridmod._CSV_BLOCK_ROWS):
-            stop = min(start + gridmod._CSV_BLOCK_ROWS, len(updates))
-            values = [None] * (3 * (stop - start))
-            values[0::3] = range(start + 1, stop + 1)
-            values[1::3] = energies[start + 1 : stop + 1]
-            values[2::3] = updates[start:stop]
-            fh.write(gridmod._csv_rows(path, values, 3))

@@ -216,7 +216,9 @@ def _special_coupling_checks(prof: ProfilePair, tol: float) -> list[CheckRecord]
 
 
 def _allen_cahn_residual(g: Grid1D, w: np.ndarray) -> np.ndarray:
-    return gridmod._second_difference(w, g.h) + model.allen_cahn_reaction(w[1:-1])
+    r = model.allen_cahn_reaction(w)
+    gridmod._add_second_difference(r, w, g.h, wrap=False)
+    return r[1:-1]
 
 
 def verify_sharp_limit(prof: ProfilePair) -> CheckRecord:

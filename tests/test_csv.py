@@ -132,7 +132,7 @@ def test_energy_trace_csv_matches_per_value_writer(tmp_path, steps):
         field, steps, 0.0, 0.0, True, energy_trace=energies, update_trace=updates
     )
     path = tmp_path / "energy_trace.csv"
-    solvernd.save_energy_trace_csv(path, outcome)
+    grid.save_energy_trace_csv(path, outcome)
     assert path.read_text(encoding="ascii") == reference_energy_trace_text(outcome)
 
 
@@ -140,7 +140,7 @@ def test_energy_trace_csv_of_a_run_matches_per_value_writer(tmp_path):
     box = Grid1D(4.0, 16)
     out = solvernd.periodic_box_run(Params(0.5), box, box, solvernd.FlowOptions(), 3)
     path = tmp_path / "energy_trace.csv"
-    solvernd.save_energy_trace_csv(path, out)
+    grid.save_energy_trace_csv(path, out)
     assert path.read_text(encoding="ascii") == reference_energy_trace_text(out)
 
 
@@ -234,7 +234,7 @@ def test_non_finite_energy_trace_value_is_rejected_naming_the_file(tmp_path, bad
     )
     path = tmp_path / "energy_trace.csv"
     with pytest.raises(ValueError, match="non-finite") as info:
-        solvernd.save_energy_trace_csv(path, outcome)
+        grid.save_energy_trace_csv(path, outcome)
     assert str(path) in str(info.value)
 
 
@@ -248,7 +248,7 @@ def test_refused_energy_trace_csv_leaves_no_file(tmp_path):
     )
     path = tmp_path / "energy_trace.csv"
     with pytest.raises(ValueError, match="non-finite") as info:
-        solvernd.save_energy_trace_csv(path, outcome)
+        grid.save_energy_trace_csv(path, outcome)
     assert str(path) in str(info.value)
     assert not path.exists()
 

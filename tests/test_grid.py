@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gp_rigidity import grid, model
+from gp_rigidity import grid, model, verify
 from gp_rigidity.grid import Grid1D, ProfilePair, SlabField
 from gp_rigidity.model import Params
 
@@ -325,12 +325,14 @@ def test_slab_kernels_match_numpy_wrapper_forms_bitwise(periodic_n, shape):
     u, v = rng.uniform(-1.2, 1.2, (2, nt, nn))
     f = SlabField(Grid1D(4.0, nt), Grid1D(20.0, nn), u, v, periodic_n)
     for axis in (0, 1):
+        # the kernels run along the last axis; axis 0 is reached through the transposes
+        along = (lambda a: a.T) if axis == 0 else (lambda a: a)
         for wrap in (False, True):
-            assert same_bits(grid._squared_steps(u, v, axis, wrap), diff_squared_steps(u, v, axis, wrap))
+            assert same_bits(grid._squared_steps(along(u), along(v), wrap), diff_squared_steps(u, v, axis, wrap))
         out = rng.uniform(-1.0, 1.0, (nt, nn))
         expected = out.copy()
         moveaxis_wrapped_second_difference(expected, u, 0.3, axis)
-        grid._add_wrapped_second_difference(out, u, 0.3, axis)
+        grid._add_second_difference(along(out), along(u), 0.3, wrap=True)
         assert same_bits(out, expected)
     for lam in (0.05, 1.0, 3.0, 1000.0):
         p = Params(lam)
@@ -342,6 +344,51 @@ def test_slab_kernels_match_numpy_wrapper_forms_bitwise(periodic_n, shape):
     signed = np.array([[-0.0, 0.0, -3.5], [2.0, -0.0, 1e-300]])
     assert same_bits(grid._max_norm(signed, -signed), np_max_norm(signed, -signed))
     assert same_bits(grid._max_norm(u[:, 1:], v.T), np_max_norm(u[:, 1:], v.T))
+
+
+# The profile kernels in the np.empty_like, np.diff and np.sum forms they
+# replaced: the residuals and the energy must keep their bits.
+
+def empty_like_residual_1d(p, prof):
+    h = prof.grid.h
+    u, v = prof.u, prof.v
+    fu, fv = model.reaction(p, u, v)
+    ru = np.empty_like(u)
+    rv = np.empty_like(v)
+    ru[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2 + fu[1:-1]
+    rv[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2 + fv[1:-1]
+    ru[0] = u[0] - grid.LEFT_STATE[0]
+    rv[0] = v[0] - grid.LEFT_STATE[1]
+    ru[-1] = u[-1] - grid.RIGHT_STATE[0]
+    rv[-1] = v[-1] - grid.RIGHT_STATE[1]
+    return ru, rv
+
+
+def diff_energy_1d(p, prof):
+    h = prof.grid.h
+    du = np.diff(prof.u)
+    dv = np.diff(prof.v)
+    grad = float(np.sum(du * du + dv * dv)) / (2.0 * h)
+    w = model.potential(p, prof.u, prof.v)
+    w -= model.PURE_STATE_POTENTIAL
+    return grad + float(np.trapezoid(w, dx=h))
+
+
+@pytest.mark.parametrize("n", [3, 4, 2001, 20001])
+def test_profile_kernels_match_plain_forms_bitwise(n):
+    rng = np.random.default_rng(n)
+    u, v = rng.uniform(-1.2, 1.2, (2, n))
+    prof = ProfilePair(Grid1D(20.0, n), u, v)
+    for lam in (0.05, 1.0, 3.0, 1000.0):
+        p = Params(lam)
+        residual = grid.residual_1d(p, prof)
+        expected = empty_like_residual_1d(p, prof)
+        assert same_bits(residual[0], expected[0]) and same_bits(residual[1], expected[1])
+        assert same_bits(grid.discrete_energy_1d(p, prof), diff_energy_1d(p, prof))
+    # the scalar Allen-Cahn residual of the coupling-3 records shares the second difference
+    w = u - v
+    expected = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / prof.grid.h**2 + model.allen_cahn_reaction(w[1:-1])
+    assert same_bits(verify._allen_cahn_residual(prof.grid, w), expected)
 
 
 def test_check_discrete_monotone():

@@ -175,15 +175,21 @@ def test_flow_step_never_raises_energy(lam, half_length, periodic_n, u, v):
     assert e1 - e0 <= 1e-12 * max(1.0, abs(e0))
 
 
+def with_heteroclinic_ends(u, v):
+    """Copies of u and v whose first and last columns hold the heteroclinic data."""
+    u, v = np.array(u), np.array(v)
+    u[:, 0], v[:, 0] = grid.LEFT_STATE
+    u[:, -1], v[:, -1] = grid.RIGHT_STATE
+    return u, v
+
+
 def coarse_front():
     """The coupling-3 front on 9 nodes of [-4, 4], tiled over 8 rows, with a small transverse ripple."""
     x = np.linspace(-4.0, 4.0, 9)
     ripple = 1e-3 * np.cos(2.0 * np.pi * np.arange(8) / 8.0)[:, None]
     u = np.clip((1.0 + np.tanh(x / np.sqrt(2.0))) / 2.0 + ripple, 0.0, 1.0)
     v = np.clip((1.0 - np.tanh(x / np.sqrt(2.0))) / 2.0 - ripple, 0.0, 1.0)
-    u[:, 0], v[:, 0] = grid.LEFT_STATE
-    u[:, -1], v[:, -1] = grid.RIGHT_STATE
-    return u, v
+    return with_heteroclinic_ends(u, v)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -200,13 +206,13 @@ def test_relax_to_steady_never_raises_energy(lam, half_length, periodic_n, u, v)
     # the accepted iterates of the accelerated flow, on an 8x8 periodic box
     # or an 8x9 Dirichlet slab; a run that does not settle ends in
     # NonConvergence with its partial outcome, before max_steps only when the
-    # plain flow step stalls (pinned end columns off the heteroclinic data can
-    # make a fixed point of the flow that is not steady)
+    # plain flow step stalls; the slab's end columns hold the heteroclinic
+    # data, since the flow refuses any other Dirichlet start
     g_t = Grid1D(half_length, 8)
     if periodic_n:
         f0 = SlabField(g_t, g_t, u[:, :8], v[:, :8], periodic_n=True)
     else:
-        f0 = SlabField(g_t, Grid1D(half_length, 9), u, v)
+        f0 = SlabField(g_t, Grid1D(half_length, 9), *with_heteroclinic_ends(u, v))
     opts = solvernd.FlowOptions(max_steps=100)
     try:
         out = solvernd.relax_to_steady(Params(lam), f0, opts)
@@ -466,10 +472,7 @@ def curved_front(grid_t, grid_n, displacement):
     period = grid_t.n * grid_t.h
     y = grid_t.h * np.arange(grid_t.n)
     shift = displacement * np.cos(2.0 * np.pi * y / period)
-    u, v = model.tanh_front(0.0, grid_n.nodes()[None, :] - shift[:, None])
-    u, v = np.array(u), np.array(v)
-    u[:, 0], v[:, 0] = grid.LEFT_STATE
-    u[:, -1], v[:, -1] = grid.RIGHT_STATE
+    u, v = with_heteroclinic_ends(*model.tanh_front(0.0, grid_n.nodes()[None, :] - shift[:, None]))
     return SlabField(grid_t, grid_n, u, v)
 
 
@@ -545,13 +548,43 @@ def test_rejected_box_newton_candidates_fall_back_to_the_flow(monkeypatch, lam):
 def test_flow_rejects_overflowing_data(periodic_n):
     p = Params(3.0)
     g = Grid1D(2.0, 8)
-    big = np.full((8, 8), 1e110)
-    f = SlabField(g, g, big, big, periodic_n)
+    u = v = np.full((8, 8), 1e110)
+    if not periodic_n:  # a Dirichlet start off the heteroclinic data is refused before the flow runs
+        u, v = with_heteroclinic_ends(u, v)
+    f = SlabField(g, g, u, v, periodic_n)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverError, match="non-finite"):
             solvernd.flow_step(p, f)
     with pytest.raises(SolverError, match="non-finite"):
         solvernd.relax_to_steady(p, f, solvernd.FlowOptions())
+
+
+def test_relax_to_steady_refuses_a_start_off_the_heteroclinic_data():
+    # the flow keeps the pinned columns, so such a run could never settle:
+    # with zero end columns it would take every one of max_steps
+    g_t, g_n = Grid1D(4.0, 8), Grid1D(4.0, 9)
+    u, v = with_heteroclinic_ends(*np.random.default_rng(0).uniform(0.1, 0.9, (2, 8, 9)))
+    tol = solver1d.GUESS_BOUNDARY_TOL
+    zero_ends = [u.copy(), v.copy()]
+    for a in zero_ends:
+        a[:, [0, -1]] = 0.0
+    starts = [zero_ends]
+    for k in (0, 1):
+        for end in (0, -1):  # one entry of one end column off by twice the tolerance
+            bad = [u.copy(), v.copy()]
+            bad[k][3, end] += 2.0 * tol
+            starts.append(bad)
+    for bad in starts:
+        with pytest.raises(ValueError, match="start field does not satisfy the heteroclinic boundary rows"):
+            solvernd.relax_to_steady(Params(3.0), SlabField(g_t, g_n, *bad), solvernd.FlowOptions(max_steps=2000))
+    # within the tolerance the start is taken, and a box has no end data to check
+    near = u.copy()
+    near[:, 0] += 0.5 * tol
+    for f in (SlabField(g_t, g_n, near, v), SlabField(g_t, g_t, u[:, :8], v[:, :8], periodic_n=True)):
+        try:
+            solvernd.relax_to_steady(Params(3.0), f, solvernd.FlowOptions(max_steps=1))
+        except NonConvergence:
+            pass
 
 
 def test_constant_fixed_points():
@@ -734,7 +767,7 @@ def test_energy_trace_csv(tmp_path):
     box = Grid1D(4.0, 16)
     out = solvernd.periodic_box_run(Params(0.5), box, box, solvernd.FlowOptions(), 3)
     path = tmp_path / "trace.csv"
-    solvernd.save_energy_trace_csv(path, out)
+    grid.save_energy_trace_csv(path, out)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,energy,update_norm"
     assert len(lines) == 2 + len(out.update_trace)
