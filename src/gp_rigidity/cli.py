@@ -236,7 +236,7 @@ def _conclude(cfg: RunConfig, report_name: str | None, records, summary) -> int:
 def cmd_solve1d(cfg: RunConfig) -> int:
     records, outcome = verifymod.solve_records(Params(cfg.lam), Grid1D(cfg.half_length, cfg.n), _solve_options(cfg))
     _write_sidecar(cfg)
-    gridmod.save_profile_csv(os.path.join(cfg.out_dir, "profile.csv"), solver1d.pin_phase(outcome.profile))
+    gridmod.save_profile_csv(os.path.join(cfg.out_dir, "profile.csv"), outcome.profile)
     return _conclude(cfg, "report.json", records, lambda failed: (
         f"coupling {cfg.lam}: converged in {outcome.iterations} iterations, "
         f"residual {outcome.final_residual:.3e}, {len(records)} checks, {failed} failed"

@@ -285,10 +285,25 @@ PROFILE_HEADER = "x,u,v"
 SLAB_HEADER = "xp,xn,u,v"
 
 
+def _block_nodes(g: Grid1D, rows: slice) -> np.ndarray:
+    """``g.nodes()[rows]`` bit for bit, formed for those rows alone.
+
+    The arithmetic is np.linspace's: node i is i*step - L with step =
+    (L - (-L))/(n - 1), and the last node is L itself.
+    """
+    L = g.half_length
+    x = np.arange(rows.start, rows.stop, dtype=float)
+    x *= (L - -L) / (g.n - 1)
+    x += -L
+    if rows.stop == g.n:
+        x[-1] = L
+    return x
+
+
 def save_profile_csv(path, prof: ProfilePair) -> None:
-    """Write header `x,u,v` and one row per node."""
-    x = prof.grid.nodes()
-    _write_csv(path, PROFILE_HEADER, prof.grid.n, lambda rows: (x[rows], prof.u[rows], prof.v[rows]))
+    """Write header `x,u,v` and one row per node; each block of rows forms its own nodes."""
+    _write_csv(path, PROFILE_HEADER, prof.grid.n,
+               lambda rows: (_block_nodes(prof.grid, rows), prof.u[rows], prof.v[rows]))
 
 
 def save_energy_trace_csv(path, outcome) -> None:

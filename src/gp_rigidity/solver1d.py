@@ -6,8 +6,17 @@ block-tridiagonal system with 2x2 blocks, assembled into five scalar bands
 and eliminated directly (LAPACK banded LU, exact and O(n)).  Steps are
 damped by residual-decrease backtracking with a floor.
 
-A solve holds one (7, 2n) band buffer and a fixed number of node vectors;
-the reaction Jacobian is written straight into the buffer's band rows.
+The front is reflection-symmetric, u(x) = v(-x).  A guess that is so bit
+for bit, as the seed :func:`initial_guess` and every solve from it are, is
+solved on the half line x >= 0 alone: n unknowns in place of 2n, and no
+translation mode, so the solution is pinned by construction.  Any other
+guess, such as the uniqueness probe's noisy ones, is solved on the whole
+grid.  Both systems have two bands each side and the same solver loop;
+convergence is always certified on the whole profile's residual.
+
+A solve holds one (7, n) band buffer on the half line, (7, 2n) on the
+whole grid, and a fixed number of node vectors; the reaction Jacobian is
+written straight into the buffer's band rows.
 
 :func:`solve_banded` hands the bands, already in dgbsv's layout, to the
 LAPACK dgbsv that ``scipy.linalg.solve_banded((2, 2), ...)`` calls, so the
@@ -15,13 +24,13 @@ two are bit-identical.  The routine comes from :mod:`gp_rigidity._kernels`,
 which loads scipy's compiled LAPACK module on first use, so the package
 imports no ``scipy.linalg``, and only commands that solve a front load
 LAPACK at all.  :func:`pin_phase` resamples with a fixed four-point stencil
-and needs no solve.
+and needs no solve; it pins profiles that were not solved on the half line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,35 +85,48 @@ def initial_guess(p: Params, g: Grid1D) -> ProfilePair:
     and v = (1-w)*v3 + w*tanh(max(-x,0)/sqrt2), where (u3, v3) is the
     explicit coupling-3 front.  As the coupling grows the front tends to the
     segregated pair, which the blend follows; at coupling 3 and below w = 0
-    and the seed is the sampled coupling-3 front, bit for bit.  The end rows
-    are overwritten with the exact equilibria so the Dirichlet data hold
-    bitwise.
+    and the seed is the sampled coupling-3 front.  The seed is formed on the
+    nodes x >= 0, with the exact equilibria in the end row, and mirrored,
+    u(-x) = v(x), so it is reflection-symmetric bit for bit and
+    :func:`newton_solve` takes it on the half line.  For odd n the centre
+    node is sampled at x = 0, which linspace may miss by a rounding.
     """
-    x = g.nodes()
+    x = gridmod._block_nodes(g, slice(g.n // 2, g.n))
+    if g.n % 2:
+        x[0] = 0.0
     u, v = model.tanh_front(0.0, x)
     w = max(0.0, 1.0 - 3.0 / p.lam)
     if w > 0.0:
         u = (1.0 - w) * u + w * np.tanh(np.maximum(x, 0.0) / model.SQRT2)
         v = (1.0 - w) * v + w * np.tanh(np.maximum(-x, 0.0) / model.SQRT2)
-    u[0], v[0] = gridmod.LEFT_STATE
     u[-1], v[-1] = gridmod.RIGHT_STATE
-    return ProfilePair(g, u, v)
+    left = g.n // 2
+    return ProfilePair(g, np.concatenate((v[::-1][:left], u)), np.concatenate((u[::-1][:left], v)))
 
 
-def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray, half: bool = False) -> np.ndarray:
     """Five-band matrix of the Newton system in LAPACK dgbsv layout.
 
-    A Fortran-ordered (7, 2n) buffer: rows 0-1 are dgbsv's fill-in space,
+    A Fortran-ordered (7, m) buffer: rows 0-1 are dgbsv's fill-in space,
     rows 2-6 the bands from the +2 to the -2 diagonal (the layout that
     ``scipy.linalg.solve_banded((2, 2), ...)`` takes).  The interleaved
     ordering gives bandwidth 2 on each side: the u-equation at node i
     couples u_{i-1}, u_i, v_i, u_{i+1}; the v-equation couples v_{i-1},
-    u_i, v_i, v_{i+1}.  End rows are identity (Dirichlet defects).
-    The reaction Jacobian is written straight into its band rows, so the
-    buffer and one scratch vector are the only allocations.
+    u_i, v_i, v_{i+1}.  The right end rows are identity (Dirichlet
+    defects).  The reaction Jacobian is written straight into its band
+    rows, so the buffer and one scratch vector are the only allocations.
+
+    Without ``half`` the system is the whole grid's, m = 2n, and the left
+    end rows are identity too.  With ``half`` it is the reflection-symmetric
+    half line, u(-x) = v(x): the last n entries of the interleaved vector,
+    m = n.  For even n the first node's left neighbour is its own mirror
+    (u_{-1} = v_0, v_{-1} = u_0).  For odd n the unknowns are
+    [s, u_1, v_1, ...] from the centre node on, s = u_c = v_c, and the
+    first row is the centre equation (u_1 + v_1 - 2s)/h^2 + f(s, s).
     """
-    n = g.n
-    m = 2 * n
+    first = g.n // 2 if half else 0  # the first node whose unknowns are solved
+    u, v = u[first:], v[first:]
+    m = 2 * len(u)
     inv_h2 = 1.0 / g.h**2
 
     work = np.zeros((7, m), order="F")
@@ -117,16 +139,22 @@ def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray) -> np.nd
     # +-2 diagonals: neighbor couplings
     ab[0, 2:] = inv_h2
     ab[4, :-2] = inv_h2
-    # Dirichlet end rows: identity, no couplings
-    for row in (0, 1, m - 2, m - 1):
-        ab[2, row] = 1.0
-    ab[1, 1] = 0.0
-    ab[3, 0] = 0.0
-    ab[1, m - 1] = 0.0
-    ab[3, m - 2] = 0.0
-    ab[0, 2] = ab[0, 3] = 0.0
+    if not half:  # left Dirichlet rows: identity, no couplings
+        ab[2, 0] = ab[2, 1] = 1.0
+        ab[1, 1] = ab[3, 0] = 0.0
+        ab[0, 2] = ab[0, 3] = 0.0
+    elif g.n % 2 == 0:  # the mirror neighbour's coupling joins the same node's
+        ab[1, 1] += inv_h2
+        ab[3, 0] += inv_h2
+    else:  # u_c's column folds into s = v_c's, and v_{c-1} = u_1 joins the centre row
+        ab[2, 1] += ab[3, 0]
+        ab[1, 2] = ab[3, 1] = inv_h2
+        ab[1, 1] = ab[0, 2] = 0.0  # u_c's own row is dropped with its column
+    # right Dirichlet rows, written last, since for n = 3 the centre's couplings reach them
+    ab[2, m - 2] = ab[2, m - 1] = 1.0
+    ab[1, m - 1] = ab[3, m - 2] = ab[3, m - 3] = 0.0
     ab[4, m - 4] = ab[4, m - 3] = 0.0
-    return work
+    return work[:, 1:] if half and g.n % 2 else work
 
 
 def solve_banded(work: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -165,6 +193,13 @@ def newton_solve(p: Params, guess: ProfilePair, opts: SolveOptions) -> SolveOutc
     data.  Damping halves the step until the max-norm residual decreases, with a floor
     at :data:`DAMPING_MIN`; the floored step is taken if no decrease is found.
 
+    A reflection-symmetric guess, u == v[::-1] (as :func:`initial_guess` and
+    the solves from it give), is solved on the half line x >= 0 and every
+    iterate mirrored, so the solution is symmetric bit for bit and the
+    translation mode, which symmetry excludes, is gone; any other guess is
+    solved on the whole grid.  Either way every residual, the damping test
+    and the stop read :func:`grid.residual_1d` of the whole profile.
+
     Raises NonConvergence when ``opts.max_iters`` updates do not reach
     ``opts.newton_tol``, and SingularJacobian if a linearization is singular
     or it or the step it gives is not finite (coupling overflow).
@@ -184,6 +219,12 @@ def newton_solve(p: Params, guess: ProfilePair, opts: SolveOptions) -> SolveOutc
     # name is gone; on older versions the caller keeps it alive
     del guess
     _check_heteroclinic_ends(u, v, "guess")
+    half = np.array_equal(u, v[::-1])
+    # the unknowns are the interleaved entries [u_0, v_0, u_1, v_1, ...] from
+    # index lo on: its u entries are nodes a.., its v entries nodes b..; on the
+    # half line the nodes below a (u) and b (v) are the mirrors of the others
+    lo = g.n if half else 0
+    a, b = (lo + 1) // 2, lo // 2
     ru, rv = gridmod.residual_1d(p, ProfilePair(g, u, v))
     rnorm = gridmod._max_norm(ru, rv)
     history = [rnorm]
@@ -197,11 +238,11 @@ def newton_solve(p: Params, guess: ProfilePair, opts: SolveOptions) -> SolveOutc
             # one band buffer is alive at a time: the right-hand side is formed
             # and the residual pair dropped before assembly, the factored
             # buffer right after the solve
-            rhs = np.empty(2 * g.n)
-            np.negative(ru, out=rhs[0::2])
-            np.negative(rv, out=rhs[1::2])
+            rhs = np.empty(2 * g.n - lo)
+            np.negative(ru[a:], out=rhs[lo % 2 :: 2])
+            np.negative(rv[b:], out=rhs[1 - lo % 2 :: 2])
             del ru, rv
-            work = _assemble_bands(p, g, u, v)
+            work = _assemble_bands(p, g, u, v, half)
             try:
                 step = solve_banded(work, rhs)
             except np.linalg.LinAlgError as exc:
@@ -209,13 +250,19 @@ def newton_solve(p: Params, guess: ProfilePair, opts: SolveOptions) -> SolveOutc
             del work
             if not np.all(np.isfinite(step)):
                 raise SingularJacobian(p.lam, iteration, "non-finite linearization or Newton step")
-            du = step[0::2]
-            dv = step[1::2]
+            du = step[lo % 2 :: 2]
+            dv = step[1 - lo % 2 :: 2]
 
             s = 1.0
             while True:
-                tu = u + s * du
-                tv = v + s * dv
+                tu = np.empty(g.n)
+                tv = np.empty(g.n)
+                np.add(u[a:], s * du, out=tu[a:])
+                np.add(v[b:], s * dv, out=tv[b:])
+                tu[:a] = tv[: -a - 1 : -1]
+                tv[:b] = tu[: -b - 1 : -1]
+                tu.setflags(write=False)  # so the trial profile takes the arrays without a copy
+                tv.setflags(write=False)
                 tru, trv = gridmod.residual_1d(p, ProfilePair(g, tu, tv))
                 tnorm = gridmod._max_norm(tru, trv)
                 if tnorm < rnorm or s <= DAMPING_MIN:
@@ -330,9 +377,10 @@ def continuation_sweep(
 ) -> list[SolveOutcome]:
     """Natural-parameter continuation: each converged profile seeds the next.
 
-    Produces one outcome per coupling sample (endpoints included), its
-    profile phase-pinned.  The first sample is solved from
-    :func:`initial_guess`.  A sample whose solve from the previous profile
+    Produces one outcome per coupling sample (endpoints included).  The
+    first sample is solved from :func:`initial_guess`, so every profile is
+    reflection-symmetric and solved on the half line, pinned by
+    construction.  A sample whose solve from the previous profile
     does not converge is solved once more from :func:`initial_guess`; if
     that fails too, its NonConvergence, which names the coupling, propagates.
     """
@@ -351,5 +399,5 @@ def continuation_sweep(
         if outcome is None:
             outcome = newton_solve(p, initial_guess(p, g), opts)
         outcomes.append(outcome)
-    return [replace(o, profile=pin_phase(o.profile)) for o in outcomes]
+    return outcomes
 

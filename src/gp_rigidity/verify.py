@@ -370,8 +370,7 @@ def gibbons_records(
     tol = 10.0 * grid_n.h**2
     try:
         extracted = solver1d.pin_phase(solvernd.extract_1d(outcome.field, 100.0 * GIBBONS_ANISOTROPY_TOL))
-        reference = solver1d.newton_solve(p, solver1d.initial_guess(p, grid_n), newton)
-        ref = solver1d.pin_phase(reference.profile)
+        ref = solver1d.newton_solve(p, solver1d.initial_guess(p, grid_n), newton).profile
         dist = gridmod._max_norm(extracted.u - ref.u, extracted.v - ref.v)
         records.append(
             _record(

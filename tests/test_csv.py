@@ -105,6 +105,14 @@ def test_profile_csv_matches_per_value_writer(tmp_path, n):
     assert path.read_text(encoding="ascii") == reference_profile_text(prof)
 
 
+@pytest.mark.parametrize("n", [3, 64, 65, 20001])
+@pytest.mark.parametrize("half_length", [20.0, 0.1 + 0.2, 1.0])
+def test_block_nodes_are_the_grid_nodes_bitwise(n, half_length):
+    g = Grid1D(half_length, n)
+    nodes = np.concatenate([grid._block_nodes(g, slice(start, min(start + BLOCK, n))) for start in range(0, n, BLOCK)])
+    assert np.array_equal(nodes.view(np.int64), g.nodes().view(np.int64))
+
+
 @pytest.mark.parametrize(
     # the blocks run over the flattened rows: the last two shapes hold one block and one row more
     "shape",

@@ -25,11 +25,17 @@ def test_initial_guess_boundary_and_midpoint(default_grid):
 
 @pytest.mark.parametrize("lam", [1.01, 1.5, 2.0, 2.999, 3.0])
 def test_initial_guess_up_to_coupling_3_is_the_sampled_front(lam):
+    # sampled bit for bit on the nodes x >= 0 (the centre node is 0.0 here) and
+    # mirrored onto x < 0, where linspace's nodes are antisymmetric only up to
+    # ulp(20) = 3.6e-15, which the front's slope 1/(2 sqrt2) turns into 1.3e-15 (measured 1.28e-15)
     g = Grid1D(20.0, 2001)
     guess = solver1d.initial_guess(Params(lam), g)
     u, v = model.tanh_front(0.0, g.nodes())
     u[0], v[0], u[-1], v[-1] = 0.0, 1.0, 1.0, 0.0
-    assert bitwise_equal(guess.u, u) and bitwise_equal(guess.v, v)
+    right = slice(g.n // 2, None)
+    assert bitwise_equal(guess.u[right], u[right]) and bitwise_equal(guess.v[right], v[right])
+    assert bitwise_equal(guess.u, guess.v[::-1])
+    assert max(np.max(np.abs(guess.u - u)), np.max(np.abs(guess.v - v))) <= 1.5e-15
     assert (guess.u[0], guess.v[0], guess.u[-1], guess.v[-1]) == (0.0, 1.0, 1.0, 0.0)
 
 
@@ -50,47 +56,95 @@ def test_initial_guess_tends_to_the_segregated_pair():
 @pytest.mark.parametrize("lam", [1.01, 1.1, 1.5, 2.0, 3.0, 6.0, 20.0, 100.0, 200.0, 500.0, 700.0, 1000.0])
 def test_newton_converges_from_the_seed_in_seven_updates(lam):
     # one coupling-aware seed for 1 < lam <= 1000; from the coupling-3 front
-    # alone lam = 700 did not converge and lam = 100 took 18 updates
-    g = Grid1D(20.0, 2001)
+    # alone lam = 700 did not converge and lam = 100 took 18 updates.  On the
+    # whole of 20001 nodes the translation mode made lam = 100, 300 and 1000
+    # take 15, 17 and 18 updates, and lam = 200 stall at residual 3.9e-10.
     p = Params(lam)
-    outcome = solver1d.newton_solve(p, solver1d.initial_guess(p, g), solver1d.SolveOptions())
-    assert outcome.converged and outcome.iterations <= 7, outcome.iterations
+    for n in (2001, 20001):
+        outcome = solver1d.newton_solve(p, solver1d.initial_guess(p, Grid1D(20.0, n)), solver1d.SolveOptions())
+        assert outcome.converged and outcome.iterations <= 7, (n, outcome.iterations)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 21, 2001])
+def test_seed_started_solves_are_symmetric_and_certified_on_the_whole_grid(n):
+    # the half-line solve against the whole-grid solve of a guess one ulp off
+    # symmetry, pinned; the largest distance measured is 1.2e-9 (n = 2001, lam = 100)
+    g = Grid1D(20.0, n)
+    opts = solver1d.SolveOptions()
+    for lam in (1.1, 3.0, 6.0, 100.0):
+        p = Params(lam)
+        seed = solver1d.initial_guess(p, g)
+        outcome = solver1d.newton_solve(p, seed, opts)
+        prof = outcome.profile
+        assert bitwise_equal(prof.u, prof.v[::-1])
+        assert outcome.final_residual == grid._max_norm(*grid.residual_1d(p, prof)) <= opts.newton_tol
+        u = seed.u.copy()
+        u[n // 2] = np.nextafter(u[n // 2], 1.0)
+        whole = solver1d.pin_phase(solver1d.newton_solve(p, ProfilePair(g, u, seed.v), opts).profile)
+        assert grid._max_norm(prof.u - whole.u, prof.v - whole.v) <= 2e-9, lam
+
+
+def test_uniqueness_probe_solves_the_whole_grid(default_grid, default_opts, monkeypatch):
+    # its noisy guesses are not symmetric, so every system has 2n unknowns
+    systems = []
+    assemble = solver1d._assemble_bands
+
+    def recording(p, g, u, v, half=False):
+        work = assemble(p, g, u, v, half)
+        systems.append(work.shape[1])
+        return work
+
+    monkeypatch.setattr(solver1d, "_assemble_bands", recording)
+    verify.uniqueness_records(Params(2.0), default_grid, default_opts, 0)
+    assert systems and set(systems) == {2 * default_grid.n}
 
 
 def test_banded_assembly_matches_dense():
-    # oracle: build the dense Jacobian by finite differences of the residual
-    g = Grid1D(3.0, 9)
+    # oracle: build the dense Jacobian by finite differences of the residual,
+    # on the whole grid and on the half line, whose unknowns are the last n
+    # interleaved entries (the others are their mirrors), for odd and even n
     p = Params(2.5)
     rng = np.random.default_rng(2)
-    u = np.clip(solver1d.initial_guess(p, g).u + rng.uniform(-0.1, 0.1, g.n), 0, 1)
-    v = np.clip(solver1d.initial_guess(p, g).v + rng.uniform(-0.1, 0.1, g.n), 0, 1)
-    u[0], v[0] = 0.0, 1.0
-    u[-1], v[-1] = 1.0, 0.0
+    for n, half in ((9, False), (9, True), (10, True)):
+        g = Grid1D(3.0, n)
+        u = np.clip(solver1d.initial_guess(p, g).u + rng.uniform(-0.1, 0.1, g.n), 0, 1)
+        v = np.clip(solver1d.initial_guess(p, g).v + rng.uniform(-0.1, 0.1, g.n), 0, 1)
+        u[0], v[0] = 0.0, 1.0
+        u[-1], v[-1] = 1.0, 0.0
+        lo = n if half else 0
+        if half:
+            v = u[::-1].copy()
 
-    def residual_vec(z):
-        prof = ProfilePair(g, z[0::2], z[1::2])
-        ru, rv = grid.residual_1d(p, prof)
-        out = np.empty(2 * g.n)
-        out[0::2] = ru
-        out[1::2] = rv
-        return out
+        def residual_vec(tail):
+            z = np.empty(2 * n)
+            z[lo:] = tail
+            zu, zv = z[0::2], z[1::2]
+            a, b = (lo + 1) // 2, lo // 2
+            zu[:a] = zv[::-1][:a]
+            zv[:b] = zu[::-1][:b]
+            ru, rv = grid.residual_1d(p, ProfilePair(g, zu, zv))
+            out = np.empty(2 * n)
+            out[0::2] = ru
+            out[1::2] = rv
+            return out[lo:]
 
-    z0 = np.empty(2 * g.n)
-    z0[0::2] = u
-    z0[1::2] = v
-    eps = 1e-7
-    dense = np.empty((2 * g.n, 2 * g.n))
-    for j in range(2 * g.n):
-        zp = z0.copy()
-        zm = z0.copy()
-        zp[j] += eps
-        zm[j] -= eps
-        dense[:, j] = (residual_vec(zp) - residual_vec(zm)) / (2 * eps)
+        z0 = np.empty(2 * n)
+        z0[0::2] = u
+        z0[1::2] = v
+        z0 = z0[lo:]
+        eps = 1e-7
+        dense = np.empty((z0.size, z0.size))
+        for j in range(z0.size):
+            zp = z0.copy()
+            zm = z0.copy()
+            zp[j] += eps
+            zm[j] -= eps
+            dense[:, j] = (residual_vec(zp) - residual_vec(zm)) / (2 * eps)
 
-    rhs = rng.uniform(-1, 1, 2 * g.n)
-    x_banded = solver1d.solve_banded(solver1d._assemble_bands(p, g, u, v), rhs.copy())
-    x_dense = np.linalg.solve(dense, rhs)
-    assert np.max(np.abs(x_banded - x_dense)) < 1e-6
+        rhs = rng.uniform(-1, 1, z0.size)
+        x_banded = solver1d.solve_banded(solver1d._assemble_bands(p, g, u, v, half), rhs.copy())
+        x_dense = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(x_banded - x_dense)) < 1e-6, (n, half)
 
 
 def bitwise_equal(a, b) -> bool:
@@ -268,10 +322,10 @@ def test_newton_nonconvergence_carries_outcome(default_grid):
     assert not info.value.outcome.converged
 
 
-# The working set per node of the n = 20001 front: Newton holds one (7, 2n)
-# band buffer (112 bytes a node), the pivots (one node vector), the iterate
-# and the right-hand side (two each); the bounds leave one node vector of
-# slack.  pin_phase is held to 17 node vectors.
+# The working set per node of the n = 20001 front, solved on the half line:
+# Newton holds one (7, n) band buffer (56 bytes a node), the pivots (half a
+# node vector), the iterate (two) and the right-hand side (one); the bounds
+# leave one node vector of slack.  pin_phase is held to 17 node vectors.
 PEAK_GRID = Grid1D(20.0, 20001)
 
 
@@ -288,7 +342,7 @@ def test_newton_keeps_one_band_buffer(peak_front, traced_peak):
     p = Params(1.1)
     guess = solver1d.initial_guess(p, PEAK_GRID)
     peak = traced_peak(lambda: solver1d.newton_solve(p, guess, solver1d.SolveOptions()))
-    assert peak <= (112 + 6 * 8) * PEAK_GRID.n
+    assert peak <= (56 + 5 * 8) * PEAK_GRID.n
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 the caller keeps call arguments alive")
@@ -298,7 +352,7 @@ def test_newton_drops_a_guess_built_inline(peak_front, traced_peak):
     peak = traced_peak(
         lambda: solver1d.newton_solve(p, solver1d.initial_guess(p, PEAK_GRID), solver1d.SolveOptions())
     )
-    assert peak <= (112 + 6 * 8) * PEAK_GRID.n
+    assert peak <= (56 + 5 * 8) * PEAK_GRID.n
 
 
 def test_pin_phase_memory_stays_bounded(peak_front, traced_peak):
@@ -473,13 +527,15 @@ def test_continuation_past_coupling_773():
 
 
 def test_continuation_failure_restarts_from_the_seed(monkeypatch):
+    # on the half line natural continuation takes 643 -> 653 in 3 updates, so
+    # the trigger is one jump from coupling 2 to 1000
     g = Grid1D(20.0, 2001)
     opts = solver1d.SolveOptions()
-    first = solver1d.newton_solve(Params(643.0), solver1d.initial_guess(Params(643.0), g), opts)
-    # natural continuation alone fails at 653 ...
-    with pytest.raises(NonConvergence, match="at coupling 653.0 "):
-        solver1d.newton_solve(Params(653.0), first.profile, opts)
-    # ... so the sweep solves 653 once more, from its seed
+    first = solver1d.newton_solve(Params(2.0), solver1d.initial_guess(Params(2.0), g), opts)
+    # natural continuation alone fails at 1000 ...
+    with pytest.raises(NonConvergence, match="at coupling 1000.0 "):
+        solver1d.newton_solve(Params(1000.0), first.profile, opts)
+    # ... so the sweep solves 1000 once more, from its seed
     guesses = []
     newton_solve = solver1d.newton_solve
 
@@ -488,11 +544,11 @@ def test_continuation_failure_restarts_from_the_seed(monkeypatch):
         return newton_solve(p, guess, opts)
 
     monkeypatch.setattr(solver1d, "newton_solve", recording)
-    outcomes = solver1d.continuation_sweep(643.0, 653.0, 10.0, g, opts)
-    assert [lam for lam, _ in guesses] == [643.0, 653.0, 653.0]
-    seed = solver1d.initial_guess(Params(653.0), g)
+    outcomes = solver1d.continuation_sweep(2.0, 1000.0, 998.0, g, opts)
+    assert [lam for lam, _ in guesses] == [2.0, 1000.0, 1000.0]
+    seed = solver1d.initial_guess(Params(1000.0), g)
     assert bitwise_equal(guesses[2][1].u, seed.u) and bitwise_equal(guesses[2][1].v, seed.v)
-    assert [o.lam for o in outcomes] == [643.0, 653.0] and all(o.converged for o in outcomes)
+    assert [o.lam for o in outcomes] == [2.0, 1000.0] and all(o.converged for o in outcomes)
 
 
 def test_continuation_regime_guard(default_opts):
