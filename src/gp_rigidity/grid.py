@@ -8,8 +8,9 @@ trapezoidal quadrature so both carry O(h^2) error.
 
 Profiles and slab fields are written as CSV with every float formatted as
 its shortest text that reads back to the same double (Ryu, through orjson),
-so reloading them is bit-exact.  The writers format bounded blocks of rows
-and write each block in one call.
+so any correctly rounding reader recovers them bit for bit; the package
+itself reads no CSV.  The writers format bounded blocks of rows and write
+each block in one call.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def check_discrete_monotone(prof: ProfilePair):
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization (shortest round-trip text, so reloads are bit-exact)
+# CSV serialization (shortest round-trip text, so a reader gets the same doubles)
 #
 # Every value is formatted by orjson's Ryu kernel, through _csv_rows: plain
 # notation for 1e-5 <= |x| < 1e16, otherwise d.ddde-N or d.dddeN, and a
@@ -337,43 +338,6 @@ def save_summary_csv(path, values) -> None:
         fh.write(text)
 
 
-def _load_columns(path, header: str) -> np.ndarray:
-    """The columns of a CSV file written under ``header``.
-
-    ValueError, naming the file and the header, unless the first line is
-    the header and one or more rows of as many values follow.
-    """
-    width = header.count(",") + 1
-    problem = f"{path}: expected the header {header!r} and rows of {width} values"
-    with open(path, "r", encoding="ascii") as fh:
-        if fh.readline().rstrip("\n") != header:
-            raise ValueError(problem)
-        body = fh.tell()
-        if not fh.readline():  # numpy would warn that there is no data
-            raise ValueError(problem)
-        fh.seek(body)
-        try:
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:  # rows of different widths, or a value that is no number
-            raise ValueError(problem) from exc
-    if table.shape[1] != width:
-        raise ValueError(problem)
-    return table.T
-
-
-def _check_nodes(path, x: np.ndarray, nodes: np.ndarray) -> None:
-    if not np.array_equal(x, nodes):
-        raise ValueError(f"{path}: the coordinates are not a grid's nodes in the writer's order")
-
-
-def load_profile_csv(path) -> ProfilePair:
-    """Read a :func:`save_profile_csv` file; ValueError unless x runs over a grid's nodes."""
-    x, u, v = _load_columns(path, PROFILE_HEADER)
-    grid = Grid1D(half_length=float(x[-1]), n=len(x))
-    _check_nodes(path, x, grid.nodes())
-    return ProfilePair(grid, u, v)
-
-
 def save_slab_csv(path, f: SlabField) -> None:
     """Write header `xp,xn,u,v` and one row per node, transverse index outer.
 
@@ -389,16 +353,3 @@ def save_slab_csv(path, f: SlabField) -> None:
         return xp[i], xn[j], f.u[i, j], f.v[i, j]
 
     _write_csv(path, SLAB_HEADER, f.grid_t.n * nn, columns)
-
-
-def load_slab_csv(path, periodic_n: bool = False) -> SlabField:
-    """Read a :func:`save_slab_csv` file; ValueError unless its rows run over a tensor grid, xp outer."""
-    xp, xn, u, v = _load_columns(path, SLAB_HEADER)
-    nn = len(np.unique(xn))
-    nt = len(xp) // nn
-    grid_t = Grid1D(half_length=float(xp[-1]), n=nt)
-    grid_n = Grid1D(half_length=float(xn[-1]), n=nn)
-    _check_nodes(path, xp, np.repeat(grid_t.nodes(), nn))
-    _check_nodes(path, xn, np.tile(grid_n.nodes(), nt))
-    return SlabField(grid_t, grid_n, u.reshape(nt, nn), v.reshape(nt, nn), periodic_n)
-

@@ -154,7 +154,7 @@ def verify_profile(p: Params, prof: ProfilePair) -> list[CheckRecord]:
 
     Always: component and sum-of-squares bounds, strict monotonicity, and the
     u+v ordering.  At coupling 3 additionally: distance from the explicit
-    front after phase pinning, the v = 1-u identity, and the scalar
+    front centred at x = 0, the v = 1-u identity, and the scalar
     double-well residuals of the sum/difference coordinates.
     """
     h = prof.grid.h
@@ -189,9 +189,8 @@ def verify_profile(p: Params, prof: ProfilePair) -> list[CheckRecord]:
 
 def _special_coupling_checks(prof: ProfilePair, tol: float) -> list[CheckRecord]:
     x = prof.grid.nodes()
-    pinned = solver1d.pin_phase(prof)
     fu, fv = model.tanh_front(0.0, x)
-    dist = gridmod._max_norm(pinned.u - fu, pinned.v - fv)
+    dist = gridmod._max_norm(prof.u - fu, prof.v - fv)
     records = [
         _record(
             "front-shape", "T-lambda3-closedform", -dist, 5e-3,
@@ -301,8 +300,8 @@ def _flow_params(outcome) -> dict:
 def solve_records(p: Params, g: Grid1D, newton: solver1d.SolveOptions):
     """Front solve from the standard guess: (records, outcome).
 
-    The records check the profile Newton returned, before phase pinning.
-    Newton errors propagate.
+    The records check the profile Newton returned, which the half-line
+    solve leaves centred at x = 0.  Newton errors propagate.
     """
     outcome = solver1d.newton_solve(p, solver1d.initial_guess(p, g), newton)
     records = verify_profile(p, outcome.profile)

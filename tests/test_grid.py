@@ -405,31 +405,3 @@ def test_check_discrete_monotone():
     # constant profile: both extremal differences vanish
     const = ProfilePair(g, np.full(g.n, 0.3), np.full(g.n, 0.3))
     assert grid.check_discrete_monotone(const) == (0.0, 0.0)
-
-
-def test_profile_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(21)
-    g = Grid1D(7.5, 33)
-    prof = ProfilePair(g, rng.uniform(-1, 1, 33), rng.uniform(-1, 1, 33))
-    path = tmp_path / "prof.csv"
-    grid.save_profile_csv(path, prof)
-    text = path.read_text()
-    assert text.splitlines()[0] == "x,u,v"
-    loaded = grid.load_profile_csv(path)
-    assert loaded.grid == g
-    assert np.array_equal(loaded.u, prof.u)
-    assert np.array_equal(loaded.v, prof.v)
-
-
-def test_slab_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(22)
-    g_t = Grid1D(2.0, 6)
-    g_n = Grid1D(3.0, 7)
-    f = SlabField(g_t, g_n, rng.uniform(0, 1, (6, 7)), rng.uniform(0, 1, (6, 7)))
-    path = tmp_path / "slab.csv"
-    grid.save_slab_csv(path, f)
-    assert path.read_text().splitlines()[0] == "xp,xn,u,v"
-    loaded = grid.load_slab_csv(path)
-    assert loaded.grid_t == g_t and loaded.grid_n == g_n
-    assert np.array_equal(loaded.u, f.u)
-    assert np.array_equal(loaded.v, f.v)

@@ -161,6 +161,16 @@ def test_verify_profile_special_coupling(solved):
     assert -by_name["allen-cahn-residual"].margin <= 10 * solved[3.0].profile.grid.h ** 2
 
 
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_front_shape_measures_the_solved_front_unpinned(n):
+    # on the even grid no node sits at x = 0, so resampling the front would move its bits
+    records, outcome = verify.solve_records(Params(3.0), Grid1D(20.0, n), solver1d.SolveOptions())
+    prof = outcome.profile
+    fu, fv = model.tanh_front(0.0, prof.grid.nodes())
+    expected = max(float(np.max(np.abs(prof.u - fu))), float(np.max(np.abs(prof.v - fv))))
+    assert {r.name: r for r in records}["front-shape"].params["sup_distance"] == expected
+
+
 def test_verify_profile_super_coupling(solved):
     records = verify.verify_profile(Params(6.0), solved[6.0].profile)
     names = {r.name for r in records}
