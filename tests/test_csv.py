@@ -12,7 +12,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -167,11 +167,6 @@ def read_columns(path, header: str) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", ndmin=2).T
 
 
-# fixed cases run on every test run: uniform values on 33 nodes, and on a 6x7 slab
-PROFILE_EXAMPLE = tuple(np.random.default_rng(21).uniform(-1, 1, (2, 33)))
-SLAB_EXAMPLE = tuple(np.random.default_rng(22).uniform(0, 1, (2, 6, 7)))
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     half_length=st.floats(1e-3, 1e6),
@@ -180,7 +175,6 @@ SLAB_EXAMPLE = tuple(np.random.default_rng(22).uniform(0, 1, (2, 6, 7)))
                             arrays(float, n, elements=finite_floats))
     ),
 )
-@example(half_length=7.5, data=PROFILE_EXAMPLE)
 def test_profile_csv_reload_is_bitwise(tmp_path_factory, half_length, data):
     u, v = data
     prof = ProfilePair(Grid1D(half_length, len(u)), u, v)
@@ -199,7 +193,6 @@ def test_profile_csv_reload_is_bitwise(tmp_path_factory, half_length, data):
                                 arrays(float, shape, elements=finite_floats))
     ),
 )
-@example(half_lengths=(2.0, 3.0), data=SLAB_EXAMPLE)
 def test_slab_csv_reload_is_bitwise(tmp_path_factory, half_lengths, data):
     u, v = data
     f = SlabField(Grid1D(half_lengths[0], u.shape[0]), Grid1D(half_lengths[1], u.shape[1]), u, v)

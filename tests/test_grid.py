@@ -405,3 +405,36 @@ def test_check_discrete_monotone():
     # constant profile: both extremal differences vanish
     const = ProfilePair(g, np.full(g.n, 0.3), np.full(g.n, 0.3))
     assert grid.check_discrete_monotone(const) == (0.0, 0.0)
+
+
+def read_columns(path, header: str) -> np.ndarray:
+    """The columns of a file written under ``header``, parsed by ``np.loadtxt``."""
+    with open(path, encoding="ascii") as fh:
+        assert fh.readline() == header + "\n"
+        return np.loadtxt(fh, delimiter=",", ndmin=2).T
+
+
+def test_profile_csv_round_trip(tmp_path):
+    rng = np.random.default_rng(21)
+    g = Grid1D(7.5, 33)
+    prof = ProfilePair(g, rng.uniform(-1, 1, 33), rng.uniform(-1, 1, 33))
+    path = tmp_path / "prof.csv"
+    grid.save_profile_csv(path, prof)
+    x, u, v = read_columns(path, "x,u,v")
+    assert np.array_equal(x, g.nodes())
+    assert np.array_equal(u, prof.u)
+    assert np.array_equal(v, prof.v)
+
+
+def test_slab_csv_round_trip(tmp_path):
+    rng = np.random.default_rng(22)
+    g_t = Grid1D(2.0, 6)
+    g_n = Grid1D(3.0, 7)
+    f = SlabField(g_t, g_n, rng.uniform(0, 1, (6, 7)), rng.uniform(0, 1, (6, 7)))
+    path = tmp_path / "slab.csv"
+    grid.save_slab_csv(path, f)
+    xp, xn, u, v = read_columns(path, "xp,xn,u,v")
+    assert np.array_equal(xp, np.repeat(g_t.nodes(), 7))
+    assert np.array_equal(xn, np.tile(g_n.nodes(), 6))
+    assert np.array_equal(u.reshape(6, 7), f.u)
+    assert np.array_equal(v.reshape(6, 7), f.v)
