@@ -1,6 +1,6 @@
 """scipy's compiled LAPACK and pocketfft routines, loaded without scipy's packages.
 
-The solvers call three compiled routines: LAPACK's dgbsv from
+The solvers call four compiled routines: LAPACK's dpbsv and dgbsv from
 ``scipy.linalg._flapack``, and pocketfft's dst and r2r_fftpack from
 ``scipy.fft._pocketfft.pypocketfft``.  Importing them through
 ``scipy.linalg`` or ``scipy.fft`` runs those packages' ``__init__``, which
@@ -11,7 +11,7 @@ loaded straight from its file in scipy's install directory:
 ``importlib.util.find_spec("scipy")`` locates that directory without
 running ``scipy/__init__``.  The module is registered in ``sys.modules``
 under its dotted name, so a later public scipy import reuses the same
-module object, and ``dgbsv`` here is the object that
+module object, and ``dpbsv`` and ``dgbsv`` here are the objects that
 ``scipy.linalg.lapack`` exports.
 
 Both module names are private to scipy.  When the file is not where a wheel
@@ -31,7 +31,7 @@ import sys
 
 _FLAPACK = "scipy.linalg._flapack"
 _POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
-_SOURCES = {"dgbsv": _FLAPACK, "dst": _POCKETFFT, "r2r_fftpack": _POCKETFFT}
+_SOURCES = {"dgbsv": _FLAPACK, "dpbsv": _FLAPACK, "dst": _POCKETFFT, "r2r_fftpack": _POCKETFFT}
 
 
 def _extension_path(name: str) -> str | None:

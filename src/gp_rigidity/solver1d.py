@@ -1,30 +1,35 @@
 """Damped Newton solver for 1D heteroclinic profiles, with continuation.
 
 The discretized boundary value problem is solved by Newton iteration on the
-interleaved unknown vector [u_0, v_0, u_1, v_1, ...].  Each step solves a
-block-tridiagonal system with 2x2 blocks, assembled into five scalar bands
-and eliminated directly (LAPACK banded LU, exact and O(n)).  Steps are
-damped by residual-decrease backtracking with a floor.
+interleaved unknown vector [u_0, v_0, u_1, v_1, ...].  The end nodes carry
+Dirichlet data, so each step solves A d = r over the other nodes, where
+A = -J is block-tridiagonal with 2x2 blocks: five scalar bands, symmetric
+because the reaction is the gradient of the potential.  It is eliminated
+directly (LAPACK banded Cholesky, exact and O(n)), and by banded LU where
+A is not positive definite.  Steps are damped by residual-decrease
+backtracking with a floor.
 
 The front is reflection-symmetric, u(x) = v(-x).  A guess that is so bit
 for bit, as the seed :func:`initial_guess` and every solve from it are, is
-solved on the half line x >= 0 alone: n unknowns in place of 2n, and no
-translation mode, so the solution is pinned by construction.  Any other
-guess, such as the uniqueness probe's noisy ones, is solved on the whole
-grid.  Both systems have two bands each side and the same solver loop;
-convergence is always certified on the whole profile's residual.
+solved on the half line x >= 0 alone: n - 2 unknowns in place of 2n - 4,
+and no translation mode, so the solution is pinned by construction.  Any
+other guess, such as the uniqueness probe's noisy ones, is solved on the
+whole grid.  Both systems have two bands each side and the same solver
+loop; convergence is always certified on the whole profile's residual.
 
-A solve holds one (7, n) band buffer on the half line, (7, 2n) on the
-whole grid, and a fixed number of node vectors; the reaction Jacobian is
-written straight into the buffer's band rows.
+A solve holds one (3, n - 2) band buffer on the half line, (3, 2n - 4) on
+the whole grid, and a fixed number of node vectors; the reaction Jacobian
+is written straight into the buffer's band rows.
 
-:func:`solve_banded` hands the bands, already in dgbsv's layout, to the
-LAPACK dgbsv that ``scipy.linalg.solve_banded((2, 2), ...)`` calls, so the
-two are bit-identical.  The routine comes from :mod:`gp_rigidity._kernels`,
-which loads scipy's compiled LAPACK module on first use, so the package
-imports no ``scipy.linalg``, and only commands that solve a front load
-LAPACK at all.  :func:`pin_phase` resamples with a fixed four-point stencil
-and needs no solve; it pins profiles that were not solved on the half line.
+:func:`solve_banded` hands the bands, already in LAPACK's lower band
+layout, to the dpbsv that ``scipy.linalg.solveh_banded(..., lower=True)``
+calls, and falls back to the dgbsv behind ``scipy.linalg.solve_banded``,
+so each is bit-identical to its scipy wrapper.  The routines come from
+:mod:`gp_rigidity._kernels`, which loads scipy's compiled LAPACK module on
+first use, so the package imports no ``scipy.linalg``, and only commands
+that solve a front load LAPACK at all.  :func:`pin_phase` resamples with a
+fixed four-point stencil and needs no solve; it pins profiles that were not
+solved on the half line.
 """
 
 from __future__ import annotations
@@ -104,72 +109,76 @@ def initial_guess(p: Params, g: Grid1D) -> ProfilePair:
     return ProfilePair(g, np.concatenate((v[::-1][:left], u)), np.concatenate((u[::-1][:left], v)))
 
 
-def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray, half: bool = False) -> np.ndarray:
-    """Five-band matrix of the Newton system in LAPACK dgbsv layout.
+def _assemble_bands(p: Params, g: Grid1D, u: np.ndarray, v: np.ndarray, half: bool = False, shift: float = 0.0):
+    """Lower bands of the Newton matrix A = -J + shift*I over the unknowns that are not Dirichlet data.
 
-    A Fortran-ordered (7, m) buffer: rows 0-1 are dgbsv's fill-in space,
-    rows 2-6 the bands from the +2 to the -2 diagonal (the layout that
-    ``scipy.linalg.solve_banded((2, 2), ...)`` takes).  The interleaved
-    ordering gives bandwidth 2 on each side: the u-equation at node i
-    couples u_{i-1}, u_i, v_i, u_{i+1}; the v-equation couples v_{i-1},
-    u_i, v_i, v_{i+1}.  The right end rows are identity (Dirichlet
-    defects).  The reaction Jacobian is written straight into its band
-    rows, so the buffer and one scratch vector are the only allocations.
+    A Fortran-ordered (3, m) buffer in LAPACK's lower band storage (the
+    layout ``scipy.linalg.solveh_banded(..., lower=True)`` takes): row 0 is
+    A's diagonal, row k its k-th subdiagonal, A[j + k, j] in column j, and
+    the entries past the matrix's corner are not read.  The interleaved
+    ordering gives bandwidth 2: the u-equation at node i couples u_{i-1},
+    u_i, v_i, u_{i+1}; the v-equation couples v_{i-1}, u_i, v_i, v_{i+1}.
+    The reaction is the gradient of the potential, so A is symmetric.  The
+    Jacobian entries are written straight into their band rows, so the
+    buffer and one scratch vector are the only allocations.  ``shift`` is
+    a transverse mode's eigenvalue in the slab's Newton step.
 
-    Without ``half`` the system is the whole grid's, m = 2n, and the left
-    end rows are identity too.  With ``half`` it is the reflection-symmetric
-    half line, u(-x) = v(x): the last n entries of the interleaved vector,
-    m = n.  For even n the first node's left neighbour is its own mirror
-    (u_{-1} = v_0, v_{-1} = u_0).  For odd n the unknowns are
+    The end nodes carry Dirichlet data and are no unknowns.  Without
+    ``half`` the system is the whole grid's interior, nodes 1 to n - 2,
+    m = 2n - 4.  With ``half`` it is the reflection-symmetric half line,
+    u(-x) = v(x): the last n entries of the interleaved vector without the
+    end node, m = n - 2.  For even n the first node's left neighbour is its
+    own mirror (u_{-1} = v_0, v_{-1} = u_0).  For odd n the unknowns are
     [s, u_1, v_1, ...] from the centre node on, s = u_c = v_c, and the
-    first row is the centre equation (u_1 + v_1 - 2s)/h^2 + f(s, s).
+    first row is the centre equation -(u_1 + v_1 - 2s)/h^2 - f(s, s).
     """
-    first = g.n // 2 if half else 0  # the first node whose unknowns are solved
-    u, v = u[first:], v[first:]
-    m = 2 * len(u)
+    first = g.n // 2 if half else 1  # the first node whose unknowns are solved
+    u, v = u[first:-1], v[first:-1]
     inv_h2 = 1.0 / g.h**2
 
-    work = np.zeros((7, m), order="F")
-    ab = work[2:]
-    # main diagonal c1, c2 and +1 diagonal dfu/dv at the same node (u-rows only)
-    model.jacobian_entries(p, u, v, out=(ab[2, 0::2], ab[2, 1::2], ab[1, 1::2]))
-    ab[2] += -2.0 * inv_h2
-    # -1 diagonal: dfv/du at the same node (v-rows only)
-    ab[3, 0::2] = ab[1, 1::2]
-    # +-2 diagonals: neighbor couplings
-    ab[0, 2:] = inv_h2
-    ab[4, :-2] = inv_h2
-    if not half:  # left Dirichlet rows: identity, no couplings
-        ab[2, 0] = ab[2, 1] = 1.0
-        ab[1, 1] = ab[3, 0] = 0.0
-        ab[0, 2] = ab[0, 3] = 0.0
-    elif g.n % 2 == 0:  # the mirror neighbour's coupling joins the same node's
-        ab[1, 1] += inv_h2
-        ab[3, 0] += inv_h2
-    else:  # u_c's column folds into s = v_c's, and v_{c-1} = u_1 joins the centre row
-        ab[2, 1] += ab[3, 0]
-        ab[1, 2] = ab[3, 1] = inv_h2
-        ab[1, 1] = ab[0, 2] = 0.0  # u_c's own row is dropped with its column
-    # right Dirichlet rows, written last, since for n = 3 the centre's couplings reach them
-    ab[2, m - 2] = ab[2, m - 1] = 1.0
-    ab[1, m - 1] = ab[3, m - 2] = ab[3, m - 3] = 0.0
-    ab[4, m - 4] = ab[4, m - 3] = 0.0
-    return work[:, 1:] if half and g.n % 2 else work
+    ab = np.empty((3, 2 * len(u)), order="F")
+    # diagonal 2/h^2 + shift - c1, 2/h^2 + shift - c2 and first subdiagonal -dfv/du at the same node
+    model.jacobian_entries(p, u, v, out=(ab[0, 0::2], ab[0, 1::2], ab[1, 0::2]))
+    np.subtract(2.0 * inv_h2 + shift, ab[0], out=ab[0])
+    np.negative(ab[1, 0::2], out=ab[1, 0::2])
+    ab[1, 1::2] = 0.0  # v_i and u_{i+1} are not coupled
+    ab[2] = -inv_h2  # second subdiagonal: neighbour couplings
+    if half and g.n % 2 == 0:  # the mirror neighbour's coupling joins the same node's
+        ab[1, 0] -= inv_h2
+    elif half:  # u_c's column folds into s = v_c's, and v_{c-1} = u_1 joins the centre row
+        ab[0, 1] += ab[1, 0]
+        ab[1, 1] = -inv_h2
+        return ab[:, 1:]
+    return ab
 
 
-def solve_banded(work: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the Newton system built by :func:`_assemble_bands`, in place.
+def solve_banded(bands, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs in place, A the symmetric matrix whose lower bands ``bands()`` builds.
 
-    One call of LAPACK's dgbsv (banded LU with partial pivoting, two bands
-    each side), the routine ``scipy.linalg.solve_banded((2, 2), work[2:],
-    rhs)`` calls, so the solution is the same to the bit.  ``work`` and
-    ``rhs`` are overwritten.  Raises LinAlgError when a pivot is exactly 0.
+    ``bands`` returns a new buffer in the layout of :func:`_assemble_bands`;
+    ``rhs`` is a vector or a Fortran-ordered matrix of right-hand sides,
+    and is overwritten with the solution, which is returned.  One call of
+    LAPACK's dpbsv (banded Cholesky), the routine
+    ``scipy.linalg.solveh_banded(..., lower=True)`` calls, so the solution
+    is the same to the bit.  When A is not positive definite dpbsv stops at
+    a non-positive pivot, with ``rhs`` untouched but the bands overwritten:
+    they are built again, spread into dgbsv's layout (two rows of fill-in
+    space above the five bands) and solved by banded LU with partial
+    pivoting, as ``scipy.linalg.solve_banded((2, 2), ...)`` solves them.
+    Raises LinAlgError when an LU pivot is exactly 0.
     """
-    _, _, x, info = _kernels.dgbsv(2, 2, work, rhs, overwrite_ab=1, overwrite_b=1)
+    _, x, info = _kernels.dpbsv(bands(), rhs, lower=1, overwrite_ab=1, overwrite_b=1)
     if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: zero pivot in column {info}")
+        low = bands()
+        work = np.zeros((7, low.shape[1]), order="F")
+        work[4] = low[0]
+        work[3, 1:] = work[5, :-1] = low[1, :-1]
+        work[2, 2:] = work[6, :-2] = low[2, :-2]
+        _, _, x, info = _kernels.dgbsv(2, 2, work, rhs, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix: zero pivot in column {info}")
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgbsv")
+        raise ValueError(f"illegal value in argument {-info} of LAPACK's banded solver")
     return x
 
 
@@ -235,19 +244,26 @@ def newton_solve(p: Params, guess: ProfilePair, opts: SolveOptions) -> SolveOutc
         for iteration in range(opts.max_iters):
             if rnorm <= opts.newton_tol:
                 break
+            # A = -J, so the right-hand side is the residual.  An end node's
+            # step is minus its Dirichlet defect, and moves to the right-hand
+            # side of its neighbour's row (on the half line with n = 3, the
+            # left end's is the mirror of the right end's u defect)
+            for r in (ru, rv):
+                r[[0, -1]] *= -1.0
+                r[1] += r[0] / g.h**2
+                r[-2] += r[-1] / g.h**2
             # one band buffer is alive at a time: the right-hand side is formed
             # and the residual pair dropped before assembly, the factored
-            # buffer right after the solve
-            rhs = np.empty(2 * g.n - lo)
-            np.negative(ru[a:], out=rhs[lo % 2 :: 2])
-            np.negative(rv[b:], out=rhs[1 - lo % 2 :: 2])
-            del ru, rv
-            work = _assemble_bands(p, g, u, v, half)
+            # buffer inside the solve
+            step = np.empty(2 * g.n - lo)
+            step[lo % 2 :: 2] = ru[a:]
+            step[1 - lo % 2 :: 2] = rv[b:]
+            del ru, rv, r
             try:
-                step = solve_banded(work, rhs)
+                # in place: the end nodes' entries are not unknowns
+                solve_banded(lambda: _assemble_bands(p, g, u, v, half), step[0 if half else 2 : -2])
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(p.lam, iteration) from exc
-            del work
             if not np.all(np.isfinite(step)):
                 raise SingularJacobian(p.lam, iteration, "non-finite linearization or Newton step")
             du = step[lo % 2 :: 2]
@@ -267,6 +283,7 @@ def newton_solve(p: Params, guess: ProfilePair, opts: SolveOptions) -> SolveOutc
                 tnorm = gridmod._max_norm(tru, trv)
                 if tnorm < rnorm or s <= DAMPING_MIN:
                     break
+                del tu, tv, tru, trv  # a rejected trial is dropped before the next is made
                 s = max(s / 2.0, DAMPING_MIN)
             u, v, ru, rv, rnorm = tu, tv, tru, trv, tnorm
             history.append(rnorm)

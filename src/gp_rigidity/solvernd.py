@@ -273,40 +273,36 @@ def _newton_step(p: Params, f: SlabField, ru: np.ndarray, rv: np.ndarray, kappa:
     ru, rv is the residual pair of :func:`grid.residual_slab` at f; both are
     overwritten.  kappa is the pair :func:`_axis_eigenvalues` of f; only its
     first entry, the eigenvalues kappa_t of minus the transverse second
-    difference, is used.  The candidate is f - d, where J_bar d = r and
-    J_bar is the slab Laplacian plus the reaction Jacobian at
-    (u_bar, v_bar), the transverse means of f, with identity end rows.  The
-    right-hand side's end rows are zeroed, so d vanishes on the pinned
-    columns, and the candidate's end columns are copied from f bit for bit.
-    In the transverse real FFT (``scipy.fftpack.rfft`` layout,
-    :func:`_eigenvalues`) J_bar is the 1D Newton matrix of
-    :func:`solver1d._assemble_bands` at (u_bar, v_bar) with -kappa_k added
-    on its interior diagonal, so each transverse mode k (its one or two
-    rows) takes one banded solve in a copy of one (7, 2n) buffer.  Returns
-    None when the candidate is not finite or a pivot is exactly zero.
+    difference, is used.  The candidate is f - d, where J_bar d = r on the
+    interior columns and d vanishes on the pinned end columns, which the
+    candidate copies from f bit for bit; J_bar is the slab Laplacian plus
+    the reaction Jacobian at (u_bar, v_bar), the transverse means of f.  In
+    the transverse real FFT (``scipy.fftpack.rfft`` layout,
+    :func:`_eigenvalues`) -J_bar is the whole-grid matrix of
+    :func:`solver1d._assemble_bands` at (u_bar, v_bar) with kappa_k added
+    to its diagonal, so each transverse mode k (its one or two rows) takes
+    one :func:`solver1d.solve_banded` in a (3, 2n - 4) buffer.
+    Returns None when the candidate is not finite or a pivot is exactly zero.
     """
     m, n = f.u.shape
     for r in (ru, rv):
-        r[:, 0] = 0.0
-        r[:, -1] = 0.0
         _rfft(r, 0)
-    bands = solver1d._assemble_bands(p, f.grid_n, f.u.mean(axis=0), f.v.mean(axis=0))
+    u_bar, v_bar = f.u.mean(axis=0), f.v.mean(axis=0)
     for k in range(m // 2 + 1):
         rows = slice(max(2 * k - 1, 0), min(2 * k + 1, m))  # entries j with (j + 1) // 2 == k
-        work = bands.copy(order="F")
-        work[4, 2:-2] -= kappa[0][rows.start]
-        rhs = np.empty((2 * n, rows.stop - rows.start), order="F")
-        rhs[0::2] = ru[rows].T
-        rhs[1::2] = rv[rows].T
+        kappa_k = kappa[0][rows.start]
+        rhs = np.empty((2 * n - 4, rows.stop - rows.start), order="F")
+        rhs[0::2] = ru[rows, 1:-1].T
+        rhs[1::2] = rv[rows, 1:-1].T
         try:
             # through the module attribute, so a wrapper installed there sees the call
-            step = solver1d.solve_banded(work, rhs)
+            solver1d.solve_banded(lambda: solver1d._assemble_bands(p, f.grid_n, u_bar, v_bar, shift=kappa_k), rhs)
         except np.linalg.LinAlgError:
             return None
-        ru[rows] = step[0::2].T
-        rv[rows] = step[1::2].T
+        ru[rows, 1:-1] = rhs[0::2].T
+        rv[rows, 1:-1] = rhs[1::2].T
     for r, old in ((ru, f.u), (rv, f.v)):
-        np.subtract(old, _irfft(r, 0), out=r)
+        np.add(old, _irfft(r, 0), out=r)
     return _candidate(f, ru, rv)
 
 

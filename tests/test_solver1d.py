@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gp_rigidity import grid, model, solver1d, verify
+from gp_rigidity import _kernels, grid, model, solver1d, verify
 from gp_rigidity.errors import NoCrossing, NonConvergence, RegimeError
 from gp_rigidity.grid import Grid1D, ProfilePair
 from gp_rigidity.model import Params
@@ -84,8 +84,51 @@ def test_seed_started_solves_are_symmetric_and_certified_on_the_whole_grid(n):
         assert grid._max_norm(prof.u - whole.u, prof.v - whole.v) <= 2e-9, lam
 
 
+@pytest.fixture
+def cholesky_failures(monkeypatch):
+    """A list that gets one entry per dpbsv call that stops at a non-positive pivot."""
+    failures = []
+    dpbsv = _kernels.dpbsv
+
+    def counting(*args, **kwargs):
+        c, x, info = dpbsv(*args, **kwargs)
+        if info > 0:
+            failures.append(info)
+        return c, x, info
+
+    monkeypatch.setattr(_kernels, "dpbsv", counting)
+    return failures
+
+
+def test_unresolved_odd_grids_converge_through_the_lu_fallback(cholesky_failures):
+    # on 21 nodes (h = 2) the seed-started half-line matrix is indefinite at
+    # coupling 100, so dpbsv stops and banded LU takes the step
+    g = Grid1D(20.0, 21)
+    p = Params(100.0)
+    outcome = solver1d.newton_solve(p, solver1d.initial_guess(p, g), solver1d.SolveOptions())
+    assert cholesky_failures
+    assert outcome.converged and outcome.final_residual <= 1e-10
+    assert bitwise_equal(outcome.profile.u, outcome.profile.v[::-1])
+
+
+def test_resolved_newton_matrices_are_positive_definite(cholesky_failures):
+    # every seed-started solve, and the whole-grid uniqueness probe at the
+    # battery's couplings 2 and 3, factors by Cholesky at every iterate
+    opts = solver1d.SolveOptions()
+    for n in (401, 2001, 20001):
+        for lam in (1.01, 1.1, 1.5, 2.0, 3.0, 6.0, 20.0, 100.0, 1000.0):
+            p = Params(lam)
+            assert solver1d.newton_solve(p, solver1d.initial_guess(p, Grid1D(20.0, n)), opts).converged
+    assert cholesky_failures == []
+    for n in (2001, 4001):
+        for lam in (2.0, 3.0):
+            verify.uniqueness_records(Params(lam), Grid1D(20.0, n), opts, 0)
+    assert cholesky_failures == []
+
+
 def test_uniqueness_probe_solves_the_whole_grid(default_grid, default_opts, monkeypatch):
-    # its noisy guesses are not symmetric, so every system has 2n unknowns
+    # its noisy guesses are not symmetric, so every system has the 2n - 4
+    # unknowns of the whole grid's interior nodes
     systems = []
     assemble = solver1d._assemble_bands
 
@@ -96,55 +139,128 @@ def test_uniqueness_probe_solves_the_whole_grid(default_grid, default_opts, monk
 
     monkeypatch.setattr(solver1d, "_assemble_bands", recording)
     verify.uniqueness_records(Params(2.0), default_grid, default_opts, 0)
-    assert systems and set(systems) == {2 * default_grid.n}
+    assert systems and set(systems) == {2 * default_grid.n - 4}
+
+
+def perturbed_profile(p, g, rng, half):
+    """The seed plus noise of amplitude 0.1 inside [0, 1], exact end rows, mirrored with ``half``."""
+    seed = solver1d.initial_guess(p, g)
+    u = np.clip(seed.u + rng.uniform(-0.1, 0.1, g.n), 0, 1)
+    v = np.clip(seed.v + rng.uniform(-0.1, 0.1, g.n), 0, 1)
+    u[0], v[0] = 0.0, 1.0
+    u[-1], v[-1] = 1.0, 0.0
+    if half:
+        v = u[::-1].copy()
+    return u, v
+
+
+def dense_newton_matrix(p, g, u, v, half):
+    """-J over the unknowns that are not Dirichlet data, by central differences of the residual.
+
+    The unknowns are the interleaved entries [u_0, v_0, u_1, ...] without
+    the end nodes', and on the half line only the last n of them (the others
+    are their mirrors).
+    """
+    n = g.n
+    lo = n if half else 2
+    a, b = (n + 1) // 2, n // 2
+
+    def residual_vec(tail):
+        z = np.empty(2 * n)
+        z[0::2], z[1::2] = u, v
+        z[lo : 2 * n - 2] = tail
+        zu, zv = z[0::2], z[1::2]
+        if half:
+            zu[:a] = zv[::-1][:a]
+            zv[:b] = zu[::-1][:b]
+        ru, rv = grid.residual_1d(p, ProfilePair(g, zu, zv))
+        out = np.empty(2 * n)
+        out[0::2], out[1::2] = ru, rv
+        return out[lo : 2 * n - 2]
+
+    z0 = np.empty(2 * n)
+    z0[0::2], z0[1::2] = u, v
+    z0 = z0[lo : 2 * n - 2]
+    eps = 1e-7
+    dense = np.empty((z0.size, z0.size))
+    for j in range(z0.size):
+        zp, zm = z0.copy(), z0.copy()
+        zp[j] += eps
+        zm[j] -= eps
+        dense[:, j] = -(residual_vec(zp) - residual_vec(zm)) / (2 * eps)
+    return dense
+
+
+def dense_from_bands(ab):
+    """The symmetric matrix whose lower bands ab holds; entries past the corner are not read."""
+    m = ab.shape[1]
+    dense = np.zeros((m, m))
+    for k in range(3):
+        for j in range(m - k):
+            dense[j + k, j] = dense[j, j + k] = ab[k, j]
+    return dense
 
 
 def test_banded_assembly_matches_dense():
-    # oracle: build the dense Jacobian by finite differences of the residual,
-    # on the whole grid and on the half line, whose unknowns are the last n
-    # interleaved entries (the others are their mirrors), for odd and even n
+    # oracle: the dense -J by finite differences of the residual, on the
+    # whole grid and on the half line, for odd and even n; the bands' matrix
+    # is symmetric by construction, so the oracle checks that -J is too
     p = Params(2.5)
     rng = np.random.default_rng(2)
-    for n, half in ((9, False), (9, True), (10, True)):
+    for n, half in ((3, True), (4, True), (5, True), (6, True), (9, True), (10, True), (3, False), (4, False), (9, False)):
         g = Grid1D(3.0, n)
-        u = np.clip(solver1d.initial_guess(p, g).u + rng.uniform(-0.1, 0.1, g.n), 0, 1)
-        v = np.clip(solver1d.initial_guess(p, g).v + rng.uniform(-0.1, 0.1, g.n), 0, 1)
-        u[0], v[0] = 0.0, 1.0
-        u[-1], v[-1] = 1.0, 0.0
-        lo = n if half else 0
-        if half:
-            v = u[::-1].copy()
+        u, v = perturbed_profile(p, g, rng, half)
+        dense = dense_newton_matrix(p, g, u, v, half)
+        bands = solver1d._assemble_bands(p, g, u, v, half)
+        assert bands.flags.f_contiguous and bands.shape == (3, n - 2 if half else 2 * n - 4)
+        assert np.max(np.abs(dense_from_bands(bands) - dense)) < 1e-6 * np.max(np.abs(dense)), (n, half)
 
-        def residual_vec(tail):
-            z = np.empty(2 * n)
-            z[lo:] = tail
-            zu, zv = z[0::2], z[1::2]
-            a, b = (lo + 1) // 2, lo // 2
-            zu[:a] = zv[::-1][:a]
-            zv[:b] = zu[::-1][:b]
-            ru, rv = grid.residual_1d(p, ProfilePair(g, zu, zv))
-            out = np.empty(2 * n)
-            out[0::2] = ru
-            out[1::2] = rv
-            return out[lo:]
-
-        z0 = np.empty(2 * n)
-        z0[0::2] = u
-        z0[1::2] = v
-        z0 = z0[lo:]
-        eps = 1e-7
-        dense = np.empty((z0.size, z0.size))
-        for j in range(z0.size):
-            zp = z0.copy()
-            zm = z0.copy()
-            zp[j] += eps
-            zm[j] -= eps
-            dense[:, j] = (residual_vec(zp) - residual_vec(zm)) / (2 * eps)
-
-        rhs = rng.uniform(-1, 1, z0.size)
-        x_banded = solver1d.solve_banded(solver1d._assemble_bands(p, g, u, v, half), rhs.copy())
+        rhs = rng.uniform(-1, 1, dense.shape[0])
+        x_banded = solver1d.solve_banded(lambda: solver1d._assemble_bands(p, g, u, v, half), rhs.copy())
         x_dense = np.linalg.solve(dense, rhs)
         assert np.max(np.abs(x_banded - x_dense)) < 1e-6, (n, half)
+
+
+def test_newton_takes_end_rows_that_miss_their_data_exactly():
+    # a guess may miss its end data by GUESS_BOUNDARY_TOL; the end nodes are
+    # no unknowns, so their defects move to their neighbours' rows, and the
+    # first update is still the Newton step of the whole system with its
+    # Dirichlet rows, on the half line and on the whole grid
+    p = Params(2.5)
+    rng = np.random.default_rng(5)
+    miss = 0.5 * solver1d.GUESS_BOUNDARY_TOL
+    for n in (3, 4, 9):
+        g = Grid1D(3.0, n)
+        front = solver1d.newton_solve(p, solver1d.initial_guess(p, g), solver1d.SolveOptions()).profile
+        for half in (True, False):
+            u, v = front.u.copy(), front.v.copy()
+            u[0] += miss  # and its mirror v[-1], so a symmetric guess stays so
+            v[-1] += miss
+            v[0] -= miss
+            u[-1] -= miss
+            if not half:
+                u[1:-1] += rng.uniform(-1e-4, 1e-4, n - 2)
+            z = np.empty(2 * n)
+            z[0::2], z[1::2] = u, v
+
+            def residual_vec(zz):
+                ru, rv = grid.residual_1d(p, ProfilePair(g, zz[0::2].copy(), zz[1::2].copy()))
+                out = np.empty(2 * n)
+                out[0::2], out[1::2] = ru, rv
+                return out
+
+            jac = np.empty((2 * n, 2 * n))
+            for j in range(2 * n):
+                zp, zm = z.copy(), z.copy()
+                zp[j] += 1e-7
+                zm[j] -= 1e-7
+                jac[:, j] = (residual_vec(zp) - residual_vec(zm)) / 2e-7
+            expected = z - np.linalg.solve(jac, residual_vec(z))
+            with pytest.raises(NonConvergence) as info:
+                solver1d.newton_solve(p, ProfilePair(g, u, v), solver1d.SolveOptions(newton_tol=1e-300, max_iters=1))
+            got = info.value.outcome.profile
+            assert bitwise_equal(got.u, got.v[::-1]) == half
+            assert max(np.max(np.abs(got.u - expected[0::2])), np.max(np.abs(got.v - expected[1::2]))) <= 1e-10, (n, half)
 
 
 def bitwise_equal(a, b) -> bool:
@@ -153,55 +269,77 @@ def bitwise_equal(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def random_work(rng, n):
-    """dgbsv buffer for a 2n-row system with random bands (fill-in rows zero)."""
-    work = np.zeros((7, 2 * n), order="F")
-    work[2:] = rng.uniform(-1, 1, (5, 2 * n))
-    return work
+def random_bands(rng, m, definite):
+    """Lower bands of a random symmetric m x m matrix; diagonally dominant, so positive definite, if ``definite``."""
+    ab = np.asfortranarray(rng.uniform(-1, 1, (3, m)))
+    ab[1, -1:] = ab[2, -2:] = 0.0
+    if definite:
+        ab[0] = 4.0 + rng.uniform(0, 1, m)
+    return ab
+
+
+def full_bands(ab):
+    """The five bands, +2 to -2, of the symmetric matrix with lower bands ab (scipy's solve_banded layout)."""
+    m = ab.shape[1]
+    full = np.zeros((5, m))
+    full[2] = ab[0]
+    full[1, 1:] = full[3, :-1] = ab[1, :-1]
+    full[0, 2:] = full[4, :-2] = ab[2, :-2]
+    return full
 
 
 @pytest.mark.parametrize("n", [3, 4, 801, 20001])
 def test_solve_banded_matches_scipy_bitwise(n):
+    # positive definite: dpbsv, as scipy.linalg.solveh_banded; otherwise
+    # banded LU, as scipy.linalg.solve_banded; systems of 2n unknowns
     rng = np.random.default_rng(n)
-    work = random_work(rng, n)
-    rhs = rng.uniform(-1, 1, 2 * n)
-    expected = scipy.linalg.solve_banded((2, 2), work[2:].copy(), rhs.copy())
-    assert bitwise_equal(solver1d.solve_banded(work, rhs), expected)
+    for definite in (True, False):
+        ab = random_bands(rng, 2 * n, definite)
+        rhs = rng.uniform(-1, 1, 2 * n)
+        if definite:
+            expected = scipy.linalg.solveh_banded(ab.copy(), rhs.copy(), lower=True)
+        else:
+            expected = scipy.linalg.solve_banded((2, 2), full_bands(ab), rhs.copy())
+        got = solver1d.solve_banded(ab.copy, rhs)
+        assert got is rhs
+        assert bitwise_equal(got, expected), definite
 
 
 def test_solve_banded_zero_column_is_singular():
-    work = random_work(np.random.default_rng(7), 4)
-    work[:, 3] = 0.0
+    ab = random_bands(np.random.default_rng(7), 8, definite=True)
+    ab[:, 3] = ab[1, 2] = ab[2, 1] = 0.0  # row and column 3 of the matrix
     with pytest.raises(np.linalg.LinAlgError):
-        solver1d.solve_banded(work, np.ones(8))
+        solver1d.solve_banded(ab.copy, np.ones(8))
 
 
 def test_band_assembly_is_the_plain_expressions_bitwise():
-    # the bands as plain numpy expressions; the assembly writes them in place
+    # the bands as plain numpy expressions; the assembly writes them in place.
+    # The whole grid's unknowns are nodes 1 to n - 2; the half line's start
+    # at node n // 2, with the mirror folds in the first column
     rng = np.random.default_rng(11)
-    g = Grid1D(7.0, 501)
-    m = 2 * g.n
-    for lam in (1.1, 3.0, 1000.0):
-        p = Params(lam)
-        u, v = rng.uniform(-1.5, 1.5, (2, g.n))
+    for n, half in ((501, False), (500, True), (501, True)):
+        g = Grid1D(7.0, n)
+        first = n // 2 if half else 1
         inv_h2 = 1.0 / g.h**2
-        c1, c2, off = model.jacobian_entries(p, u, v)
-        expected = np.zeros((7, m), order="F")
-        ab = expected[2:]
-        ab[2, 0::2] = -2.0 * inv_h2 + c1
-        ab[2, 1::2] = -2.0 * inv_h2 + c2
-        ab[1, 1::2] = off
-        ab[3, 0::2] = off
-        ab[0, 2:] = inv_h2
-        ab[4, :-2] = inv_h2
-        ab[2, [0, 1, m - 2, m - 1]] = 1.0
-        ab[1, [1, m - 1]] = 0.0
-        ab[3, [0, m - 2]] = 0.0
-        ab[0, [2, 3]] = 0.0
-        ab[4, [m - 4, m - 3]] = 0.0
-        work = solver1d._assemble_bands(p, g, u, v)
-        assert work.flags.f_contiguous
-        assert bitwise_equal(work, expected)
+        for lam in (1.1, 3.0, 1000.0):
+            p = Params(lam)
+            u, v = rng.uniform(-1.5, 1.5, (2, g.n))
+            c1, c2, off = model.jacobian_entries(p, u[first:-1], v[first:-1])
+            expected = np.empty((3, 2 * (n - 1 - first)))
+            expected[0, 0::2] = 2.0 * inv_h2 - c1
+            expected[0, 1::2] = 2.0 * inv_h2 - c2
+            expected[1, 0::2] = -off
+            expected[1, 1::2] = 0.0
+            expected[2] = -inv_h2
+            if half and n % 2 == 0:
+                expected[1, 0] = -off[0] - inv_h2
+            elif half:
+                expected[0, 1] = (2.0 * inv_h2 - c2[0]) + -off[0]
+                expected[1, 1] = -inv_h2
+                expected = expected[:, 1:]
+            work = solver1d._assemble_bands(p, g, u, v, half)
+            assert work.flags.f_contiguous
+            assert bitwise_equal(work, expected), (n, half, lam)
 
 
 def test_jacobian_entries_are_the_plain_expressions_bitwise():
@@ -323,9 +461,11 @@ def test_newton_nonconvergence_carries_outcome(default_grid):
 
 
 # The working set per node of the n = 20001 front, solved on the half line:
-# Newton holds one (7, n) band buffer (56 bytes a node), the pivots (half a
-# node vector), the iterate (two) and the right-hand side (one); the bounds
-# leave one node vector of slack.  pin_phase is held to 17 node vectors.
+# Newton's (3, n - 2) band buffer is 24 bytes a node, so its peak is the
+# damping loop's: the iterate (two node vectors), the step (one), the trial
+# (two) and the four buffers of the trial's reaction, 72 bytes a node (a
+# rejected trial is dropped before the next is made).  The bounds leave one
+# node vector of slack.  pin_phase is held to 17 node vectors.
 PEAK_GRID = Grid1D(20.0, 20001)
 
 
@@ -342,7 +482,7 @@ def test_newton_keeps_one_band_buffer(peak_front, traced_peak):
     p = Params(1.1)
     guess = solver1d.initial_guess(p, PEAK_GRID)
     peak = traced_peak(lambda: solver1d.newton_solve(p, guess, solver1d.SolveOptions()))
-    assert peak <= (56 + 5 * 8) * PEAK_GRID.n
+    assert peak <= (9 + 1) * 8 * PEAK_GRID.n
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 the caller keeps call arguments alive")
@@ -352,7 +492,7 @@ def test_newton_drops_a_guess_built_inline(peak_front, traced_peak):
     peak = traced_peak(
         lambda: solver1d.newton_solve(p, solver1d.initial_guess(p, PEAK_GRID), solver1d.SolveOptions())
     )
-    assert peak <= (56 + 5 * 8) * PEAK_GRID.n
+    assert peak <= (9 + 1) * 8 * PEAK_GRID.n
 
 
 def test_pin_phase_memory_stays_bounded(peak_front, traced_peak):

@@ -340,9 +340,10 @@ def test_newton_step_on_a_constant_field_is_the_1d_newton_step(nt):
     v[1:-1] = np.clip(v[1:-1] + rng.uniform(-0.05, 0.05, 99), 0, 1)
     prof = ProfilePair(g_n, u, v)
     ru, rv = grid.residual_1d(p, prof)
-    rhs = np.empty(2 * g_n.n)
-    rhs[0::2], rhs[1::2] = -ru, -rv
-    step = solver1d.solve_banded(solver1d._assemble_bands(p, g_n, u, v), rhs)
+    # the interior unknowns solve -J step = r; the ends are exact data and stay
+    step = np.zeros(2 * g_n.n)
+    step[2:-2:2], step[3:-2:2] = ru[1:-1], rv[1:-1]
+    solver1d.solve_banded(lambda: solver1d._assemble_bands(p, g_n, u, v), step[2:-2])
     f = solvernd.embed_profile(prof, Grid1D(2.0, nt))
     new = solvernd._newton_step(p, f, *grid.residual_slab(p, f), (unit_eigenvalues(f.grid_t, periodic=True), None))
     assert np.max(np.abs(new.u - (u + step[0::2]))) <= 1e-12
